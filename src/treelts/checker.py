@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidWitness
 from .model import Network
 from .product import (
     ExplicitLts,
@@ -19,7 +18,9 @@ from .product import (
     GlobalTuple,
     Path,
     PathPrefix,
+    Payload,
     SquareOrigin,
+    prefix_of,
 )
 from .reduction import SumOfSquares
 
@@ -170,56 +171,24 @@ def lift_witness(sq: SumOfSquares, net: Network, path: Path) -> PathPrefix:
     ``net`` must be the two-level network ``sq`` was built from.  The glue
     step is dropped; every square state becomes the global tuple placing the
     root and the active child at their square coordinates and every other
-    component at its initial state.  A handoff step is valid globally
-    because the active child resets when synchronising upward.
+    component at its initial state, and every step keeps the movers the
+    squares recorded for it.  A handoff step is valid globally because the
+    active child resets when synchronising upward.
 
-    Raises InvalidWitness when a step has no corresponding global move.
+    Raises InvalidWitness when a step is not a transition of the squares.
     """
-    lts = sq.lts
-    r = net.root_index
-    payloads = [lts.payloads[s] for s in path.states]
-    actions = list(path.actions)
-    if payloads and isinstance(payloads[0], FreshInit):
-        if len(payloads) > 1:
-            if actions[0] != sq.epsilon:
-                raise InvalidWitness("the glue state must be left via its own silent action")
-            payloads = payloads[1:]
-            actions = actions[1:]
-        else:
-            # a zero-length path at the glue state lifts to the global start
-            return PathPrefix(
-                (GlobalTuple(tuple(c.initial for c in net.components)),), (), ())
+    prefix = prefix_of(sq.lts, path)
+    states, actions, movers = prefix.states, prefix.actions, prefix.movers
+    if actions and isinstance(states[0], FreshInit):
+        states, actions, movers = states[1:], actions[1:], movers[1:]
+    start = tuple(c.initial for c in net.components)
 
-    def globalise(p: SquareOrigin) -> GlobalTuple:
-        coords = [c.initial for c in net.components]
-        coords[r] = p.root_state
-        coords[p.child_index] = p.child_state
+    def globalise(p: Payload) -> GlobalTuple:
+        # only a zero-length path stays at the glue state: the global start
+        coords = list(start)
+        if isinstance(p, SquareOrigin):
+            coords[net.root_index] = p.root_state
+            coords[p.child_index] = p.child_state
         return GlobalTuple(tuple(coords))
 
-    for p in payloads:
-        if not isinstance(p, SquareOrigin):
-            raise InvalidWitness(f"state {p} is not a square state")
-
-    states = [globalise(p) for p in payloads]
-    movers: list[frozenset[int]] = []
-    for k, act in enumerate(actions):
-        src, dst = payloads[k], payloads[k + 1]
-        i, cs, rs = src.child_index, src.child_state, src.root_state
-        j, cs2, rs2 = dst.child_index, dst.child_state, dst.root_state
-        child = net.components[i]
-        root = net.components[r]
-        if (i == j and rs == rs2 and act in net.locacts[i]
-                and (cs, act, cs2) in child.transition_set):
-            movers.append(frozenset((i,)))
-        elif (i == j and cs == cs2 and act in (net.locacts[r] | net.upacts[r])
-                and (rs, act, rs2) in root.transition_set):
-            movers.append(frozenset((r,)))
-        elif (act in net.upacts[i]
-                and cs2 == net.components[j].initial
-                and (cs, act, child.initial) in child.transition_set
-                and (rs, act, rs2) in root.transition_set):
-            movers.append(frozenset((i, r)))
-        else:
-            raise InvalidWitness(
-                f"step {k} ({src} -{act}-> {dst}) has no corresponding global move")
-    return PathPrefix(tuple(states), tuple(actions), tuple(movers))
+    return PathPrefix(tuple(globalise(p) for p in states), actions, movers)

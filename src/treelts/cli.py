@@ -31,7 +31,7 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-from .checker import Entry, Verdict, check_ef, check_eg
+from .checker import Entry, check_ef, check_eg
 from .errors import (
     OracleTooLarge,
     ParseError,
@@ -47,6 +47,7 @@ from .product import (
     component_lts,
     full_product,
     lts_to_component,
+    prefix_of,
 )
 from .reduction import reduce_net_traced
 
@@ -234,17 +235,6 @@ def dot_string(lts: ExplicitLts, silent: frozenset[str] = frozenset()) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _render_verdict_path(lts: ExplicitLts, verdict: Verdict) -> str:
-    if verdict.witness is None:
-        return "(no witness)"
-    w = verdict.witness
-    parts = [str(lts.payloads[w.states[0]])]
-    for act, state in zip(w.actions, w.states[1:]):
-        parts.append(f"-{act}->")
-        parts.append(str(lts.payloads[state]))
-    return " ".join(parts)
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     net = load(args.file)
     print(f"topology OK: {len(net.components)} component(s), tree rooted at {net.root.name!r}")
@@ -266,7 +256,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
     print(f"product: {lts.n_states} states, {len(lts.transitions)} transitions")
     if args.out:
         product_net = infer_topology(
-            [lts_to_component(lts, "product")], "product", silent=net.silent)
+            [lts_to_component(lts, "product", frozenset())], "product", silent=net.silent)
         save(product_net, args.out)
         print(f"wrote {args.out}")
     if args.dot:
@@ -322,7 +312,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         verdict = check_eg(lts, proposition, entry)
     print(f"{modality} {proposition!r} on {side}: {'HOLDS' if verdict.holds else 'does not hold'}")
     if args.witness and verdict.holds:
-        print(f"witness: {_render_verdict_path(lts, verdict)}")
+        print(f"witness: {prefix_of(lts, verdict.witness)}")
     return 0 if verdict.holds else 1
 
 

@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
-from .checker import Entry, check_ef, check_eg, lift_witness
+from .checker import Entry, Verdict, check_ef, check_eg, lift_witness
 from .errors import InvalidWitness, OracleTooLarge, StateLimitExceeded
 from .model import Component, Network, infer_topology
 from .product import (
@@ -22,6 +22,7 @@ from .product import (
     ExplicitLts,
     component_lts,
     full_product,
+    prefix_of,
     resolve_prefix,
 )
 from .reduction import build_sq_unreduced, reduce_net, reduce_net_traced
@@ -318,14 +319,8 @@ def equivalence_suite(
     return report
 
 
-def _render(lts: ExplicitLts, verdict) -> str | None:
-    if verdict.witness is None:
-        return None
-    parts = [str(lts.payloads[verdict.witness.states[0]])]
-    for act, state in zip(verdict.witness.actions, verdict.witness.states[1:]):
-        parts.append(act)
-        parts.append(str(lts.payloads[state]))
-    return " ".join(parts)
+def _render(lts: ExplicitLts, verdict: Verdict) -> str | None:
+    return None if verdict.witness is None else str(prefix_of(lts, verdict.witness))
 
 
 # ---------------------------------------------------------------------------

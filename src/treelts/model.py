@@ -71,12 +71,19 @@ class Component:
         return frozenset(act for _, act, _ in self.transitions)
 
     @cached_property
-    def moves(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """Outgoing (action, target) pairs per state, in declaration order."""
-        out: dict[str, list[tuple[str, str]]] = {s: [] for s in self.states}
+    def index(self) -> dict[str, int]:
+        """Position of each state in declaration order."""
+        return {s: i for i, s in enumerate(self.states)}
+
+    @cached_property
+    def succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:
+        """Outgoing (action, target position) pairs per state position, in
+        declaration order."""
+        index = self.index
+        out: list[list[tuple[str, int]]] = [[] for _ in self.states]
         for src, act, dst in self.transitions:
-            out[src].append((act, dst))
-        return {s: tuple(v) for s, v in out.items()}
+            out[index[src]].append((act, index[dst]))
+        return tuple(tuple(v) for v in out)
 
     @cached_property
     def transition_set(self) -> frozenset[tuple[str, str, str]]:
@@ -85,23 +92,30 @@ class Component:
     @cached_property
     def reachable(self) -> frozenset[str]:
         """States reachable from the initial state via any transition."""
-        seen = {self.initial}
-        queue = deque([self.initial])
-        while queue:
-            s = queue.popleft()
-            for _, dst in self.moves[s]:
+        succ = self.succ
+        seen = {self.index[self.initial]}
+        stack = list(seen)
+        while stack:
+            for _, dst in succ[stack.pop()]:
                 if dst not in seen:
                     seen.add(dst)
-                    queue.append(dst)
-        return frozenset(seen)
+                    stack.append(dst)
+        return frozenset(self.states[i] for i in seen)
 
     def label_of(self, state: str) -> frozenset[str]:
         return self.labels.get(state, frozenset())
 
 
-def acts_of(component: Component) -> frozenset[str]:
-    """Action names used by a component (derived from its transitions)."""
-    return component.acts
+def sharers_of(
+    components: Iterable[Component], silent: frozenset[str],
+) -> dict[str, tuple[int, ...]]:
+    """For every non-silent action, the indices of the components using it."""
+    sharers: dict[str, tuple[int, ...]] = {}
+    for i, c in enumerate(components):
+        for act in c.acts:
+            if act not in silent:
+                sharers[act] = sharers.get(act, ()) + (i,)
+    return sharers
 
 
 @dataclass(frozen=True)
@@ -173,12 +187,7 @@ def infer_topology(
         raise UnknownRoot(f"no component named {root!r}") from None
 
     n = len(comps)
-    sharers: dict[str, tuple[int, ...]] = {}
-    for i, c in enumerate(comps):
-        for act in c.acts:
-            if act in silent:
-                continue
-            sharers[act] = sharers.get(act, ()) + (i,)
+    sharers = sharers_of(comps, silent)
     for act in sorted(sharers):
         group = sharers[act]
         if len(group) > 2:

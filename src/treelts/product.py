@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import EmptyProjection, InvalidWitness, StateLimitExceeded
-from .model import DEFAULT_SILENT, Component, Network
+from .model import DEFAULT_SILENT, Component, Network, sharers_of
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -164,7 +164,7 @@ class PathPrefix:
     def __str__(self) -> str:
         parts = [str(self.states[0])]
         for act, state in zip(self.actions, self.states[1:]):
-            parts.append(act)
+            parts.append(f"-{act}->")
             parts.append(str(state))
         return " ".join(parts)
 
@@ -233,28 +233,23 @@ def product_of(
     """
     comps = tuple(components)
     n = len(comps)
-    moves = [c.moves for c in comps]
-    sharers: dict[str, tuple[int, ...]] = {}
-    for i, c in enumerate(comps):
-        for act in c.acts:
-            if act in silent:
-                continue
-            sharers[act] = sharers.get(act, ()) + (i,)
+    succ = [c.succ for c in comps]
+    sharers = sharers_of(comps, silent)
 
-    init = tuple(c.initial for c in comps)
-    ids: dict[tuple[str, ...], int] = {init: 0}
-    payloads: list[tuple[str, ...]] = [init]
-    queue: deque[tuple[str, ...]] = deque([init])
+    init = tuple(c.index[c.initial] for c in comps)
+    ids: dict[tuple[int, ...], int] = {init: 0}
+    tuples: list[tuple[int, ...]] = [init]
+    queue: deque[tuple[int, ...]] = deque([init])
     transitions: list[Transition] = []
 
-    def state_id(tup: tuple[str, ...]) -> int:
+    def state_id(tup: tuple[int, ...]) -> int:
         sid = ids.get(tup)
         if sid is None:
             if len(ids) >= cap:
                 raise StateLimitExceeded(cap, len(ids))
-            sid = len(payloads)
+            sid = len(tuples)
             ids[tup] = sid
-            payloads.append(tup)
+            tuples.append(tup)
             queue.append(tup)
         return sid
 
@@ -263,11 +258,11 @@ def product_of(
         src_id = ids[src]
         for i in range(n):
             seen_shared: set[str] = set()
-            for act, dst in moves[i][src[i]]:
+            for act, dst in succ[i][src[i]]:
                 if act in silent or len(sharers[act]) == 1:
-                    succ = src[:i] + (dst,) + src[i + 1:]
+                    nxt = src[:i] + (dst,) + src[i + 1:]
                     transitions.append(
-                        Transition(src_id, act, state_id(succ), frozenset((i,))))
+                        Transition(src_id, act, state_id(nxt), frozenset((i,))))
                     continue
                 group = sharers[act]
                 if group[0] != i or act in seen_shared:
@@ -275,7 +270,7 @@ def product_of(
                 seen_shared.add(act)
                 options = []
                 for j in group:
-                    targets = [d for a, d in moves[j][src[j]] if a == act]
+                    targets = [d for a, d in succ[j][src[j]] if a == act]
                     if not targets:
                         options = None
                         break
@@ -283,21 +278,19 @@ def product_of(
                 if options is None:
                     continue
                 for combo in itertools.product(*options):
-                    succ_list = list(src)
+                    nxt_list = list(src)
                     for j, d in zip(group, combo):
-                        succ_list[j] = d
+                        nxt_list[j] = d
                     transitions.append(
-                        Transition(src_id, act, state_id(tuple(succ_list)), frozenset(group)))
+                        Transition(src_id, act, state_id(tuple(nxt_list)), frozenset(group)))
 
-    labels = [
-        frozenset().union(*(comps[i].label_of(tup[i]) for i in range(n)))
-        for tup in payloads
-    ]
+    names = [c.states for c in comps]
+    labels = [[c.label_of(s) for s in c.states] for c in comps]
     return ExplicitLts(
         initial=0,
         transitions=transitions,
-        labels=labels,
-        payloads=[GlobalTuple(tup) for tup in payloads],
+        labels=[frozenset().union(*(labels[i][tup[i]] for i in range(n))) for tup in tuples],
+        payloads=[GlobalTuple(tuple(names[i][tup[i]] for i in range(n))) for tup in tuples],
     )
 
 
@@ -306,19 +299,9 @@ def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
     return product_of(net.components, net.silent, cap)
 
 
-def pair_product(
-    a: Component,
-    b: Component,
-    silent: frozenset[str] = DEFAULT_SILENT,
-    cap: int = DEFAULT_STATE_CAP,
-) -> ExplicitLts:
-    """Reachable product of two components; payloads are pairs (a, b)."""
-    return product_of((a, b), silent, cap)
-
-
 def component_lts(component: Component) -> ExplicitLts:
     """A component viewed as an explicit graph over its declared states."""
-    ids = {s: i for i, s in enumerate(component.states)}
+    ids = component.index
     transitions = [
         Transition(ids[src], act, ids[dst], frozenset((0,)))
         for src, act, dst in component.transitions
@@ -331,17 +314,23 @@ def component_lts(component: Component) -> ExplicitLts:
     )
 
 
-def lts_to_component(lts: ExplicitLts, name: str) -> Component:
-    """Flatten an explicit graph into a single component named ``name``."""
-    state_names = tuple(f"q{i}" for i in range(lts.n_states))
+def lts_to_component(lts: ExplicitLts, name: str, reset: frozenset[str]) -> Component:
+    """Flatten an explicit graph into a single component named ``name``.
+
+    States become ``q0``, ``q1``, ... in id order.  Every transition
+    labelled with an action in ``reset`` is retargeted to the initial state.
+    """
+    names = tuple(f"q{i}" for i in range(lts.n_states))
+    init = names[lts.initial]
     return Component(
         name=name,
-        states=state_names,
-        initial=state_names[lts.initial],
+        states=names,
+        initial=init,
         transitions=tuple(
-            (state_names[t.src], t.action, state_names[t.dst]) for t in lts.transitions
+            (names[t.src], t.action, init if t.action in reset else names[t.dst])
+            for t in lts.transitions
         ),
-        labels={state_names[i]: lts.labels[i] for i in range(lts.n_states) if lts.labels[i]},
+        labels={names[i]: lts.labels[i] for i in range(lts.n_states) if lts.labels[i]},
     )
 
 
@@ -369,12 +358,7 @@ def prefix_from_states(
     for tup in tuples:
         if len(tup) != n:
             raise ValueError(f"state tuple {tup} does not match the network arity")
-    sharers: dict[str, tuple[int, ...]] = {}
-    for i, c in enumerate(net.components):
-        for act in c.acts:
-            if act in net.silent:
-                continue
-            sharers[act] = sharers.get(act, ()) + (i,)
+    sharers = sharers_of(net.components, net.silent)
 
     movers: list[frozenset[int]] = []
     for k, act in enumerate(actions):

@@ -11,10 +11,18 @@ bottom-up over trees of any height.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .errors import EmptyReduction, NotTwoLevel
-from .model import Component, Network, subnetwork, two_level_network
-from .product import ExplicitLts, FreshInit, Payload, SquareOrigin, Transition
+# subnetwork is not called here; perfbench/spans.py patches it in this namespace
+from .model import Component, Network, subnetwork, two_level_network  # noqa: F401
+from .product import (
+    ExplicitLts,
+    FreshInit,
+    SquareOrigin,
+    Transition,
+    lts_to_component,
+)
 
 
 @dataclass(frozen=True)
@@ -23,11 +31,9 @@ class SumOfSquares:
 
     lts: ExplicitLts
     epsilon: str
-    root_index: int
     root_name: str
     root_acts: frozenset[str]
     root_upacts: frozenset[str]
-    child_indices: tuple[int, ...]
     unreduced: bool
 
 
@@ -41,6 +47,12 @@ def fresh_action(taken: frozenset[str] | set[str], base: str) -> str:
     return f"{base}_{k}"
 
 
+#: A square state: (child index, child state position, root state position).
+_Key = tuple[int, int, int]
+#: A square transition: (action, target, movers).
+_Move = tuple[str, _Key, frozenset[int]]
+
+
 def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares:
     """Build the glued union of child-root squares, reachable part only.
 
@@ -51,8 +63,10 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     upward resets and hands control to any square; and upstream actions of
     the root itself move the root coordinate in place.
 
-    State ids are assigned square by square in network order, child states
-    varying slower than root states, so results are reproducible.
+    Each square state is explored once, keyed by (child index, child state
+    position, root state position).  Ids follow the sorted keys: square by
+    square in network order, child states varying slower than root states,
+    both in declaration order, so results are reproducible.
     """
     r = net.root_index
     kids = net.children[r]
@@ -61,110 +75,100 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     for k in kids:
         if net.children[k]:
             raise NotTwoLevel(f"component {net.components[k].name!r} is not a leaf")
-    root = net.components[r]
-    all_acts = {a for c in net.components for a in c.acts}
+    comps = net.components
+    root = comps[r]
+    all_acts = {a for c in comps for a in c.acts}
     if epsilon is None:
         epsilon = fresh_action(all_acts | set(net.silent), "eps")
     elif epsilon in all_acts:
         raise ValueError(f"epsilon name {epsilon!r} collides with an existing action")
-    loc_root = net.locacts[r]
-    up_root = net.upacts[r]
 
-    def successors(p: Payload) -> list[tuple[str, Payload, frozenset[int]]]:
-        if isinstance(p, FreshInit):
-            return [
-                (epsilon, SquareOrigin(k, net.components[k].initial, root.initial), frozenset())
-                for k in kids
-            ]
-        assert isinstance(p, SquareOrigin)
-        i, cs, rs = p.child_index, p.child_state, p.root_state
-        child = net.components[i]
-        out: list[tuple[str, Payload, frozenset[int]]] = []
-        for act, dst in child.moves[cs]:
-            if act in net.locacts[i]:
-                out.append((act, SquareOrigin(i, dst, rs), frozenset((i,))))
-        for act, dst in root.moves[rs]:
-            if act in loc_root:
-                out.append((act, SquareOrigin(i, cs, dst), frozenset((r,))))
-        for act, dst in child.moves[cs]:
-            if act in net.upacts[i] and dst == child.initial:
-                for root_act, root_dst in root.moves[rs]:
-                    if root_act == act:
-                        for j in kids:
-                            out.append((
-                                act,
-                                SquareOrigin(j, net.components[j].initial, root_dst),
-                                frozenset((i, r)),
-                            ))
-        for act, dst in root.moves[rs]:
-            if act in up_root:
-                out.append((act, SquareOrigin(i, cs, dst), frozenset((r,))))
+    # the moves of each rule, per state position
+    loc_root, up_root = net.locacts[r], net.upacts[r]
+    root_local = [[(a, d) for a, d in moves if a in loc_root] for moves in root.succ]
+    root_up = [[(a, d) for a, d in moves if a in up_root] for moves in root.succ]
+    entries = [(k, comps[k].index[comps[k].initial]) for k in kids]
+    child_local, handoff_acts, at_child, at_both = {}, {}, {}, {}
+    for k, init in entries:
+        loc, up = net.locacts[k], net.upacts[k]
+        child_local[k] = [[(a, d) for a, d in moves if a in loc] for moves in comps[k].succ]
+        handoff_acts[k] = [[a for a, d in moves if a in up and d == init]
+                           for moves in comps[k].succ]
+        at_child[k], at_both[k] = frozenset((k,)), frozenset((k, r))
+    at_root = frozenset((r,))
+
+    def successors(i: int, cs: int, rs: int) -> list[_Move]:
+        out = [(act, (i, dst, rs), at_child[i]) for act, dst in child_local[i][cs]]
+        out += [(act, (i, cs, dst), at_root) for act, dst in root_local[rs]]
+        for act in handoff_acts[i][cs]:
+            for root_act, root_dst in root.succ[rs]:
+                if root_act == act:
+                    out += [(act, (j, init, root_dst), at_both[i]) for j, init in entries]
+        out += [(act, (i, cs, dst), at_root) for act, dst in root_up[rs]]
         return out
 
-    start: Payload = FreshInit()
-    reachable: set[Payload] = {start}
-    frontier: list[Payload] = [start]
-    while frontier:
-        nxt: list[Payload] = []
-        for p in frontier:
-            for _, q, _ in successors(p):
-                if q not in reachable:
-                    reachable.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    root_init = root.index[root.initial]
+    glue = [(epsilon, (k, init, root_init), frozenset()) for k, init in entries]
+    found: dict[_Key, list[_Move] | None] = {key: None for _, key, _ in glue}
+    stack = list(found)
+    while stack:
+        key = stack.pop()
+        out = found[key] = successors(*key)
+        for _, nxt, _ in out:
+            if nxt not in found:
+                found[nxt] = None
+                stack.append(nxt)
 
-    ordered: list[Payload] = [start]
-    for k in kids:
-        child = net.components[k]
-        for cs in child.states:
-            for rs in root.states:
-                p = SquareOrigin(k, cs, rs)
-                if p in reachable:
-                    ordered.append(p)
-    ids = {p: i for i, p in enumerate(ordered)}
-
-    transitions = [
-        Transition(ids[p], act, ids[q], movers)
-        for p in ordered
-        for act, q, movers in successors(p)
-    ]
-    labels = [
-        frozenset() if isinstance(p, FreshInit)
-        else net.components[p.child_index].label_of(p.child_state) | root.label_of(p.root_state)
-        for p in ordered
-    ]
+    ordered = sorted(found)
+    ids = {key: n for n, key in enumerate(ordered, 1)}
+    transitions = [Transition(0, act, ids[key], movers) for act, key, movers in glue]
+    for key in ordered:
+        src = ids[key]
+        transitions += [Transition(src, act, ids[nxt], movers)
+                        for act, nxt, movers in found.pop(key)]
+    names = {i: comps[i].states for i in (r, *kids)}
+    labels = {i: [comps[i].label_of(s) for s in comps[i].states] for i in (r, *kids)}
     return SumOfSquares(
-        lts=ExplicitLts(0, transitions, labels, ordered),
+        lts=ExplicitLts(
+            0,
+            transitions,
+            [frozenset()] + [labels[i][cs] | labels[r][rs] for i, cs, rs in ordered],
+            [FreshInit()] + [SquareOrigin(i, names[i][cs], names[r][rs])
+                             for i, cs, rs in ordered],
+        ),
         epsilon=epsilon,
-        root_index=r,
         root_name=root.name,
         root_acts=root.acts,
         root_upacts=up_root,
-        child_indices=tuple(kids),
         unreduced=True,
     )
 
 
-def compute_locked(sq: SumOfSquares, root_acts: frozenset[str] | None = None) -> frozenset[int]:
-    """States from which no finite path reaches a root-labelled transition.
-
-    ``root_acts`` defaults to the full action set of the root component.
-    Computed by reverse reachability from the sources of root-labelled
-    transitions; everything else is locked.
-    """
-    acts = sq.root_acts if root_acts is None else frozenset(root_acts)
-    lts = sq.lts
+def _backward_closure(lts: ExplicitLts, seeds: Iterable[int]) -> set[int]:
+    """The ``seeds`` together with every state that has a path into them."""
     rev: list[list[int]] = [[] for _ in range(lts.n_states)]
     for t in lts.transitions:
         rev[t.dst].append(t.src)
-    alive = {t.src for t in lts.transitions if t.action in acts}
-    stack = list(alive)
+    closed = set(seeds)
+    stack = list(closed)
     while stack:
-        u = stack.pop()
-        for v in rev[u]:
-            if v not in alive:
-                alive.add(v)
+        for v in rev[stack.pop()]:
+            if v not in closed:
+                closed.add(v)
                 stack.append(v)
+    return closed
+
+
+def compute_locked(sq: SumOfSquares) -> frozenset[int]:
+    """States from which no finite path reaches a root-labelled transition.
+
+    Computed by reverse reachability from the sources of transitions
+    labelled with an action of the root component; everything else is
+    locked.
+    """
+    lts = sq.lts
+    alive = _backward_closure(
+        lts, (t.src for t in lts.transitions if t.action in sq.root_acts))
     return frozenset(i for i in range(lts.n_states) if i not in alive)
 
 
@@ -193,20 +197,10 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     if not locked:
         return replace(sq, unreduced=False)
 
-    # backward closure of the labelled states
-    rev: list[list[int]] = [[] for _ in range(lts.n_states)]
-    for t in lts.transitions:
-        rev[t.dst].append(t.src)
-    label_reaching = {i for i in range(lts.n_states) if lts.labels[i]}
-    stack = list(label_reaching)
-    while stack:
-        u = stack.pop()
-        for v in rev[u]:
-            if v not in label_reaching:
-                label_reaching.add(v)
-                stack.append(v)
+    label_reaching = _backward_closure(
+        lts, (i for i in range(lts.n_states) if lts.labels[i]))
 
-    deleted = locked - frozenset(label_reaching) - {lts.initial}
+    deleted = locked - label_reaching - {lts.initial}
     if all(t.dst in deleted for t in lts.out(lts.initial)):
         raise EmptyReduction("all squares are locked; the initial state would be isolated")
     if not deleted:
@@ -234,20 +228,7 @@ def cmpl(sq: SumOfSquares) -> Component:
     component (named after the root) that can stand in for the whole
     subtree inside an enclosing network.
     """
-    lts = sq.lts
-    names = tuple(f"q{i}" for i in range(lts.n_states))
-    init = names[lts.initial]
-    transitions = tuple(
-        (names[t.src], t.action, init if t.action in sq.root_upacts else names[t.dst])
-        for t in lts.transitions
-    )
-    return Component(
-        name=sq.root_name,
-        states=names,
-        initial=init,
-        transitions=transitions,
-        labels={names[i]: lts.labels[i] for i in range(lts.n_states) if lts.labels[i]},
-    )
+    return lts_to_component(sq.lts, sq.root_name, sq.root_upacts)
 
 
 @dataclass(frozen=True)
@@ -284,34 +265,32 @@ def reduce_net_traced(
     reserved = frozenset(
         {a for c in net.components for a in c.acts} | net.silent
     )
-    component = _reduce(net, 0, reserved, stages, prune)
+    component = _reduce(net, net.root_index, 0, reserved, stages, prune)
     return component, tuple(stages)
 
 
 def _reduce(
     net: Network,
+    node: int,
     level: int,
     reserved: frozenset[str],
     stages: list[ReductionStage],
     prune: bool,
 ) -> Component:
-    if len(net.components) == 1:
-        return net.components[net.root_index]
-    r = net.root_index
-    root = net.components[r]
-    reduced = [
-        _reduce(subnetwork(net, child), level + 1, reserved, stages, prune)
-        for child in net.children[r]
-    ]
+    """Reduce the subtree of ``net`` rooted at component ``node``."""
+    kids = net.children[node]
+    if not kids:
+        return net.components[node]
+    reduced = [_reduce(net, k, level + 1, reserved, stages, prune) for k in kids]
     epsilon = fresh_action(reserved, f"eps{level}")
     # silent glue names introduced by deeper levels travel inside the
     # reduced children and must stay silent here
     introduced = {a for c in reduced for a in c.acts if a not in reserved}
     two_level = two_level_network(
-        root,
+        net.components[node],
         reduced,
-        child_upacts=[net.upacts[child] for child in net.children[r]],
-        root_upacts=net.upacts[r],
+        child_upacts=[net.upacts[k] for k in kids],
+        root_upacts=net.upacts[node],
         silent=net.silent | introduced,
     )
     if prune:

@@ -10,7 +10,6 @@ from treelts import (
     NotATree,
     UnknownRoot,
     Violation,
-    acts_of,
     gen_random_tree,
     infer_topology,
     subnetwork,
@@ -94,13 +93,13 @@ class TestInferTopology:
 
 class TestComponent:
     def test_acts_of_s1(self, gx):
-        assert acts_of(gx.components[gx.index_of("S1")]) == {"open"}
+        assert gx.components[gx.index_of("S1")].acts == {"open"}
 
     def test_acts_of_r(self, gx):
-        assert acts_of(gx.root) == {"open", "chooseL", "chooseR", "beep"}
+        assert gx.root.acts == {"open", "chooseL", "chooseR", "beep"}
 
     def test_acts_of_empty(self):
-        assert acts_of(Component("e", ("s0",), "s0")) == frozenset()
+        assert Component("e", ("s0",), "s0").acts == frozenset()
 
     def test_duplicate_states_rejected(self):
         with pytest.raises(ValueError, match="duplicate state"):

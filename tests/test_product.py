@@ -16,7 +16,6 @@ from treelts import (
     full_product,
     gen_random_tree,
     infer_topology,
-    pair_product,
     prefix_from_states,
     prefix_of,
     product_of,
@@ -81,7 +80,7 @@ class TestFullProduct:
 class TestPairProduct:
     def test_s1_with_root_synchronises_open(self, gx):
         s1 = gx.components[gx.index_of("S1")]
-        lts = pair_product(s1, gx.root)
+        lts = product_of((s1, gx.root))
         # S1 never leaves s0, so the five reachable pairs track the root
         assert as_tuple_set(lts) == {("s0", f"r{i}") for i in range(5)}
         triples = as_triple_set(lts)
@@ -90,7 +89,7 @@ class TestPairProduct:
 
     def test_s2_with_root_chooseL_sources(self, gx):
         s2 = gx.components[gx.index_of("S2")]
-        lts = pair_product(s2, gx.root)
+        lts = product_of((s2, gx.root))
         _, reach, trans, _ = naive_product([s2, gx.root], gx.silent)
         assert as_tuple_set(lts) == reach and len(reach) == 15
         sources = {s for s, a, _ in as_triple_set(lts) if a == "chooseL"}
@@ -99,7 +98,7 @@ class TestPairProduct:
     def test_disjoint_actions_interleave_fully(self, gx):
         s1 = gx.components[gx.index_of("S1")]
         s2 = gx.components[gx.index_of("S2")]
-        lts = pair_product(s1, s2)
+        lts = product_of((s1, s2))
         assert lts.n_states == len(s1.states) * len(s2.states)
 
 
