@@ -5,7 +5,8 @@ pairwise products, glued at a fresh silent initial state.  Upstream child
 synchronisations become handoffs that may pass control to any square.
 States from which the root can never act again are pruned, and the result
 can be completed into a live-reset component so the construction nests
-bottom-up over trees of any height.
+bottom-up over trees of any height.  Below the top stage each completed
+result is quotiented down to what its parent can observe.
 """
 
 from __future__ import annotations
@@ -231,9 +232,110 @@ def cmpl(sq: SumOfSquares) -> Component:
     return lts_to_component(sq.lts, sq.root_name, sq.root_upacts)
 
 
+def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Component:
+    """Minimise a completed child as a parent synchronising over ``visible``
+    sees it.
+
+    Every action outside ``visible`` is renamed to ``epsilon``.  Each
+    strongly connected component of ``epsilon`` moves collapses into one
+    state carrying the union of its members' labels, and its silent
+    self-loops are dropped.  Bisimilar states then merge by signature
+    refinement, starting from the partition by label set.  Blocks are
+    numbered by the first state position each contains and transitions are
+    emitted sorted, so the result never depends on hashing order.
+
+    Reachability of every single proposition is preserved inside any such
+    parent: a silent move never involves the parent, so all members of a
+    silent cycle are reachable alongside any parent state, and strong
+    bisimulation is a congruence for synchronisation over ``visible``.
+    """
+    moves = [[(a if a in visible else epsilon, d) for a, d in out] for out in component.succ]
+    scc = _sccs([[d for a, d in out if a == epsilon] for out in moves])
+    n = max(scc) + 1
+    labels: list[frozenset[str]] = [frozenset()] * n
+    edges: list[set[tuple[str, int]]] = [set() for _ in range(n)]
+    for pos, out in enumerate(moves):
+        src = scc[pos]
+        labels[src] |= component.label_of(component.states[pos])
+        edges[src].update((a, scc[d]) for a, d in out if a != epsilon or scc[d] != src)
+
+    by_label: dict[frozenset[str], int] = {}
+    block = [by_label.setdefault(lab, len(by_label)) for lab in labels]
+    count = len(by_label)
+    while True:
+        # a block splits by the blocks its members' moves reach
+        sigs: dict[tuple[int, frozenset[tuple[str, int]]], int] = {}
+        block = [sigs.setdefault((block[s], frozenset((a, block[d]) for a, d in edges[s])),
+                                 len(sigs)) for s in range(n)]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+
+    rank: dict[int, int] = {}
+    for s in scc:
+        rank.setdefault(block[s], len(rank))
+    of = [rank[b] for b in block]
+    names = tuple(f"q{i}" for i in range(len(rank)))
+    return Component(
+        name=component.name,
+        states=names,
+        initial=names[of[scc[component.index[component.initial]]]],
+        transitions=tuple(
+            (names[src], act, names[dst]) for src, act, dst in
+            sorted({(of[s], a, of[d]) for s in range(n) for a, d in edges[s]})),
+        labels={names[of[s]]: labels[s] for s in range(n) if labels[s]},
+    )
+
+
+def _sccs(succ: list[list[int]]) -> list[int]:
+    """Strongly connected component id per node of the graph ``succ``, by
+    Tarjan's algorithm with explicit stacks."""
+    n = len(succ)
+    order, low, scc = [0] * n, [0] * n, [-1] * n
+    visited, found = 0, 0
+    path: list[int] = []
+    for start in range(n):
+        if order[start]:
+            continue
+        visited += 1
+        order[start] = low[start] = visited
+        path.append(start)
+        work = [(start, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if not order[w]:
+                    visited += 1
+                    order[w] = low[w] = visited
+                    path.append(w)
+                    work.append((w, 0))
+                elif scc[w] < 0:  # still on the path stack
+                    low[v] = min(low[v], order[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == order[v]:
+                while True:
+                    w = path.pop()
+                    scc[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return scc
+
+
 @dataclass(frozen=True)
 class ReductionStage:
-    """One two-level collapse performed during a bottom-up reduction."""
+    """One two-level collapse performed during a bottom-up reduction.
+
+    ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
+    below the top stage, so ``sq.lts.n_states`` against
+    ``len(result.states)`` is the quotient's shrink.
+    """
 
     net: Network
     sq: SumOfSquares
@@ -245,8 +347,9 @@ def reduce_net(net: Network, prune: bool = True) -> Component:
 
     Leaves are returned unchanged; every internal node is replaced by the
     completed (and, unless ``prune`` is false, pruned) sum-of-squares of
-    itself and its already-reduced children.  The result satisfies the same
-    reachability verdicts as the full product for every single proposition.
+    itself and its already-reduced children, quotiented by ``quotient``
+    unless it is the root.  The result satisfies the same reachability
+    verdicts as the full product for every single proposition.
     """
     component, _ = reduce_net_traced(net, prune=prune)
     return component
@@ -257,54 +360,59 @@ def reduce_net_traced(
 ) -> tuple[Component, tuple[ReductionStage, ...]]:
     """Like reduce_net but also returns the per-node stages, bottom-up.
 
-    The last stage is the top-level one; its network consists of the
-    original root and the reduced children, which is what any witness found
-    on the final component is expressed over.
+    Stages come in post-order over the original tree, children in network
+    order.  Below the top, each stage's ``result`` is the quotiented
+    component its parent's stage glues in.  The last stage is the top-level
+    one; its network consists of the original root and the reduced
+    children, which is what any witness found on the final component is
+    expressed over.
     """
     stages: list[ReductionStage] = []
     reserved = frozenset(
         {a for c in net.components for a in c.acts} | net.silent
     )
-    component = _reduce(net, net.root_index, 0, reserved, stages, prune)
-    return component, tuple(stages)
+    reduced: dict[int, Component] = {}
+    hidden: dict[int, str] = {}
+    todo = [(net.root_index, 0, False)]
+    while todo:
+        node, level, ready = todo.pop()
+        kids = net.children[node]
+        if not kids:
+            reduced[node] = net.components[node]
+        elif not ready:
+            todo.append((node, level, True))
+            todo.extend((k, level + 1, False) for k in reversed(kids))
+        else:
+            epsilon = fresh_action(reserved, f"eps{level}")
+            two_level = two_level_network(
+                net.components[node],
+                [reduced.pop(k) for k in kids],
+                child_upacts=[net.upacts[k] for k in kids],
+                root_upacts=net.upacts[node],
+                # the names reduced children hide their moves under stay
+                # silent here
+                silent=net.silent | {hidden.pop(k) for k in kids if k in hidden},
+            )
+            sq = _squares(two_level, epsilon, prune)
+            result = cmpl(sq)
+            if level:
+                result = quotient(result, net.upacts[node], epsilon)
+                hidden[node] = epsilon
+            reduced[node] = result
+            stages.append(ReductionStage(net=two_level, sq=sq, result=result))
+    return reduced[net.root_index], tuple(stages)
 
 
-def _reduce(
-    net: Network,
-    node: int,
-    level: int,
-    reserved: frozenset[str],
-    stages: list[ReductionStage],
-    prune: bool,
-) -> Component:
-    """Reduce the subtree of ``net`` rooted at component ``node``."""
-    kids = net.children[node]
-    if not kids:
-        return net.components[node]
-    reduced = [_reduce(net, k, level + 1, reserved, stages, prune) for k in kids]
-    epsilon = fresh_action(reserved, f"eps{level}")
-    # silent glue names introduced by deeper levels travel inside the
-    # reduced children and must stay silent here
-    introduced = {a for c in reduced for a in c.acts if a not in reserved}
-    two_level = two_level_network(
-        net.components[node],
-        reduced,
-        child_upacts=[net.upacts[k] for k in kids],
-        root_upacts=net.upacts[node],
-        silent=net.silent | introduced,
-    )
-    if prune:
-        try:
-            sq = build_sq(two_level, epsilon)
-        except EmptyReduction:
-            # every square is locked and label-free: nothing labelled is
-            # reachable in this subtree, so the bare glue state is enough
-            sq = _glue_only(build_sq_unreduced(two_level, epsilon))
-    else:
-        sq = build_sq_unreduced(two_level, epsilon)
-    result = cmpl(sq)
-    stages.append(ReductionStage(net=two_level, sq=sq, result=result))
-    return result
+def _squares(net: Network, epsilon: str, prune: bool) -> SumOfSquares:
+    """The (pruned, unless ``prune`` is false) squares of a two-level stage."""
+    if not prune:
+        return build_sq_unreduced(net, epsilon)
+    try:
+        return build_sq(net, epsilon)
+    except EmptyReduction:
+        # every square is locked and label-free: nothing labelled is
+        # reachable in this subtree, so the bare glue state is enough
+        return _glue_only(build_sq_unreduced(net, epsilon))
 
 
 def _glue_only(sq: SumOfSquares) -> SumOfSquares:

@@ -1,0 +1,34 @@
+"""Deterministic network shapes built in code for the tests."""
+
+from treelts import Component, infer_topology
+
+
+def ring_tree(parents, states=4, labelled=None):
+    """A tree of tau-rings over ``states`` states; ``parents[i]`` is the
+    parent index of component ``n{i}`` (``None`` for the root ``n0``).
+
+    Component ``n{i}`` resets from its last state on ``u{i}``, which its
+    parent offers from ``s1`` to ``s2``, and carries ``p{i}`` on its last
+    state when ``i`` is in ``labelled`` (default: every component).  The
+    rings make every tuple of local states reachable, so the full product
+    has ``states ** len(parents)`` states and ``EF p{i}`` holds for every
+    label.
+    """
+    labelled = range(len(parents)) if labelled is None else labelled
+    names = tuple(f"s{k}" for k in range(states))
+    comps = []
+    for i, parent in enumerate(parents):
+        trans = [(names[k], "tau", names[(k + 1) % states]) for k in range(states)]
+        if parent is not None:
+            trans.append((names[-1], f"u{i}", names[0]))
+        trans += [(names[1], f"u{j}", names[2]) for j, p in enumerate(parents) if p == i]
+        comps.append(Component(
+            name=f"n{i}", states=names, initial=names[0], transitions=tuple(trans),
+            labels={names[-1]: frozenset({f"p{i}"})} if i in labelled else {},
+        ))
+    return infer_topology(comps, "n0")
+
+
+def ring_chain(depth, states=4, labelled=None):
+    """The path ``n0 - n1 - ...`` of ``depth`` rings, as in ``ring_tree``."""
+    return ring_tree([None, *range(depth - 1)], states, labelled)

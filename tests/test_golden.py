@@ -1,17 +1,31 @@
 """Pinned `reduce` output text and the names the benchmark tracer patches.
 
 The golden files under ``tests/golden`` pin the canonical state numbering,
-which follows state declaration order, not state names.
+which follows state declaration order, not state names.  Each pinned
+reduction is also checked against the full product of its source network.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from treelts import Component, harness, infer_topology, reduction
-from treelts.cli import main, save
+import treelts
+from treelts import (
+    Component,
+    check_ef,
+    component_lts,
+    full_product,
+    harness,
+    infer_topology,
+    reduction,
+)
+from treelts.cli import load, main, save
 from treelts.fixtures import gx_path
+from shapes import ring_chain
 
 GOLDEN = Path(__file__).parent / "golden"
 SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
@@ -62,6 +76,32 @@ def reduce_outputs(name, tmp_path):
 def test_reduce_output_matches_golden_text(name, tmp_path):
     for filename, text in reduce_outputs(name, tmp_path).items():
         assert text == (GOLDEN / filename).read_text(encoding="utf-8"), filename
+
+
+@pytest.mark.parametrize("name", ["gx", "chain"])
+def test_golden_reductions_agree_with_the_full_product(name, tmp_path):
+    source = load(network_file(name, tmp_path))
+    full = full_product(source)
+    assert source.propositions()
+    for kind in ("reduce", "keep-locked"):
+        lts = component_lts(load(GOLDEN / f"{name}-{kind}.json").root)
+        for prop in source.propositions():
+            assert check_ef(lts, prop).holds == check_ef(full, prop).holds, (kind, prop)
+
+
+def test_chain_reduction_text_ignores_the_hash_seed(tmp_path):
+    src = tmp_path / "chain.json"
+    save(ring_chain(5), src)
+    env = dict(os.environ, PYTHONPATH=str(Path(treelts.__file__).parents[1]))
+    texts = []
+    for seed in ("0", "1", "2"):
+        out, dot = tmp_path / f"out{seed}.json", tmp_path / f"out{seed}.dot"
+        subprocess.run(
+            [sys.executable, "-m", "treelts", "reduce", str(src), "-o", str(out),
+             "--dot", str(dot)],
+            env=dict(env, PYTHONHASHSEED=seed), check=True, capture_output=True)
+        texts.append((out.read_text(encoding="utf-8"), dot.read_text(encoding="utf-8")))
+    assert texts[1:] == texts[:1] * 2
 
 
 def test_chain_exercises_pruning_and_declaration_order(tmp_path):

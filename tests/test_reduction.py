@@ -1,6 +1,8 @@
 """The square construction, locked-state pruning, completion, and the
 bottom-up reduction."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,10 +26,17 @@ from treelts import (
     prune_locked,
     reduce_net,
     reduce_net_traced,
+    subnetwork,
     validate_live_reset,
 )
 from treelts import reduction as reduction_module
+from treelts.cli import main, save
+from treelts.reduction import quotient
 from oracles import naive_ef, naive_product
+from shapes import ring_chain, ring_tree
+
+#: Largest product of subtree component sizes the per-stage oracle builds.
+ORACLE_CAP = 20_000
 
 
 def payload_names(sq):
@@ -278,6 +287,23 @@ class TestReduceNet:
         _, stages = reduce_net_traced(gx, prune=False)
         assert all(stage.sq.unreduced for stage in stages)
 
+    def test_stages_are_post_order_in_network_order(self):
+        # n0 has children n1 and n4; n1 has n2, which has n3; n4 has n5
+        net = ring_tree([None, 0, 1, 2, 0, 4])
+        _, stages = reduce_net_traced(net)
+        assert [stage.sq.root_name for stage in stages] == ["n2", "n1", "n4", "n0"]
+        assert [stage.sq.epsilon for stage in stages] == ["eps2", "eps1", "eps1", "eps0"]
+
+    def test_hidden_name_is_silent_even_when_unused(self):
+        # every square of r is locked, so its reduced component is the bare
+        # glue state and no longer uses the name its moves were hidden under
+        top = Component("t", ("t0", "t1"), "t0", (("t0", "up", "t1"),))
+        root = Component("r", ("r0", "r1"), "r0", (("r0", "go", "r1"), ("r1", "up", "r0")))
+        child = Component("c", ("c0", "c1"), "c0", (("c1", "go", "c0"),))
+        _, stages = reduce_net_traced(infer_topology([top, root, child], "t"))
+        assert not stages[0].result.acts
+        assert stages[0].sq.epsilon in stages[1].net.silent
+
     def test_epsilon_names_are_registered_per_level(self, chain_net):
         _, stages = reduce_net_traced(chain_net)
         assert stages[0].sq.epsilon == "eps1"  # inner stage first
@@ -308,6 +334,73 @@ class TestReduceNet:
             if len(t.movers) == 2:  # a handoff moves the child and the root
                 dst = sq.lts.payloads[t.dst]
                 assert dst.child_state == net.components[dst.child_index].initial
+
+
+class TestQuotient:
+    def test_silent_cycle_collapses_with_its_labels(self):
+        c = Component(
+            "c", ("s0", "s1", "s2"), "s0",
+            (("s0", "t", "s1"), ("s1", "l", "s0"), ("s1", "up", "s0"), ("s0", "t", "s2")),
+            labels={"s0": frozenset({"q"}), "s1": frozenset({"p"}), "s2": frozenset({"r"})},
+        )
+        got = quotient(c, frozenset({"up"}), "e")
+        assert got.states == ("q0", "q1")
+        assert got.transitions == (("q0", "e", "q1"), ("q0", "up", "q0"))
+        assert got.labels == {"q0": frozenset({"p", "q"}), "q1": frozenset({"r"})}
+
+    def test_bisimilar_states_merge_unless_labels_differ(self):
+        def fan(labels):
+            return Component(
+                "c", ("s0", "s1", "s2"), "s0",
+                (("s0", "x", "s1"), ("s0", "y", "s2"), ("s1", "up", "s0"), ("s2", "up", "s0")),
+                labels=labels,
+            )
+        merged = quotient(fan({}), frozenset({"up"}), "e")
+        assert merged.transitions == (("q0", "e", "q1"), ("q1", "up", "q0"))
+        split = quotient(fan({"s2": frozenset({"p"})}), frozenset({"up"}), "e")
+        assert len(split.states) == 3
+
+    def test_blocks_follow_state_positions(self):
+        # the initial state is declared last, the silent sink first
+        c = Component("c", ("s2", "s1", "s0"), "s0",
+                      (("s0", "a", "s1"), ("s1", "up", "s0"), ("s1", "b", "s2")))
+        got = quotient(c, frozenset({"up"}), "e")
+        assert got.initial == "q2"
+        assert got.transitions == (("q1", "e", "q0"), ("q1", "up", "q2"), ("q2", "e", "q1"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_every_stage_of_deeper_trees(self, seed):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=2, max_states=4))
+        _, stages = reduce_net_traced(net)
+        for stage in stages:
+            result, ups = stage.result, stage.sq.root_upacts
+            embedded = infer_topology([result], result.name, silent=stage.net.silent,
+                                      root_upacts=ups & result.acts)
+            assert validate_live_reset(embedded) == []
+            assert len(result.states) <= len(cmpl(stage.sq).states)
+            sub = subnetwork(net, net.index_of(stage.sq.root_name))
+            if prod(len(c.states) for c in sub.components) > ORACLE_CAP:
+                continue
+            full, lts = full_product(sub), component_lts(result)
+            for prop in sub.propositions():
+                assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+
+    def test_deep_ring_chain_reduces_below_its_product(self):
+        net = ring_chain(6)
+        full = full_product(net)
+        assert full.n_states == 4**6
+        lts = component_lts(reduce_net(net))
+        assert lts.n_states < full.n_states
+        for prop in net.propositions():
+            assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+
+    def test_two_thousand_level_chain_is_checked(self, tmp_path, capsys):
+        net = ring_chain(2000, labelled={1999})
+        path = tmp_path / "chain.json"
+        save(net, path)
+        assert main(["check", str(path), "--ef", "p1999", "--reduced"]) == 0
+        assert "HOLDS" in capsys.readouterr().out
 
 
 class TestFullPipelineAgainstProduct:
