@@ -140,7 +140,8 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
     marks: dict[str, str] = {}
     cleaned: list[tuple[str, str, str]] = []
     for tr in transitions:
-        if not (isinstance(tr, list) and len(tr) == 3 and all(isinstance(x, str) for x in tr)):
+        if not (isinstance(tr, list) and len(tr) == 3 and isinstance(tr[0], str)
+                and isinstance(tr[1], str) and isinstance(tr[2], str)):
             raise ValidationError(f"malformed transition {tr!r}")
         src, act, dst = tr
         if act[:1] in ("?", "!"):
@@ -157,12 +158,10 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
     try:
         comp = Component(
             name=str(raw["name"]),
-            states=tuple(str(s) for s in raw["states"]),
+            states=tuple(map(str, raw["states"])),
             initial=str(raw["initial"]),
             transitions=tuple(cleaned),
-            labels={
-                str(s): frozenset(str(p) for p in ps) for s, ps in labels.items()
-            },
+            labels={str(s): frozenset(map(str, ps)) for s, ps in labels.items()},
         )
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from exc

@@ -12,12 +12,21 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import LiveResetWarning, NotATree, UnknownRoot
 
 #: Action names that never synchronise and never create topology edges.
 DEFAULT_SILENT = frozenset({"tau"})
+
+_NO_LABELS: frozenset[str] = frozenset()
+
+
+def _all_of(kind: type, items: Iterable[object]) -> bool:
+    """Whether every item is exactly of type ``kind``."""
+    return set(map(type, items)) <= {kind}
 
 
 @dataclass(frozen=True)
@@ -37,30 +46,32 @@ class Component:
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(str(s) for s in self.states))
-        seen: set[tuple[str, str, str]] = set()
-        deduped: list[tuple[str, str, str]] = []
-        for raw in self.transitions:
-            tr = (str(raw[0]), str(raw[1]), str(raw[2]))
-            if tr not in seen:
-                seen.add(tr)
-                deduped.append(tr)
-        object.__setattr__(self, "transitions", tuple(deduped))
-        object.__setattr__(
-            self, "labels",
-            {str(s): frozenset(str(p) for p in ps) for s, ps in self.labels.items() if ps},
-        )
+        # whole-collection passes; str() only where needed, first duplicates kept
+        transitions = tuple(self.transitions)
+        if not (_all_of(tuple, transitions) and set(map(len, transitions)) <= {3}
+                and _all_of(str, chain.from_iterable(transitions))):
+            transitions = [(str(raw[0]), str(raw[1]), str(raw[2])) for raw in transitions]
+        labels = self.labels
+        if not (_all_of(str, labels) and _all_of(frozenset, labels.values())
+                and _all_of(str, chain.from_iterable(labels.values()))):
+            labels = {str(s): frozenset(map(str, ps)) for s, ps in labels.items() if ps}
+        object.__setattr__(self, "states", tuple(map(str, self.states)))
+        object.__setattr__(self, "transitions", tuple(dict.fromkeys(transitions)))
+        object.__setattr__(self, "labels", dict(filter(itemgetter(1), labels.items())))
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise ValueError(f"duplicate state names in component {self.name!r}")
         if self.initial not in state_set:
             raise ValueError(
                 f"initial state {self.initial!r} is not a state of component {self.name!r}")
-        for src, act, dst in self.transitions:
-            if src not in state_set or dst not in state_set:
-                raise ValueError(
-                    f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
-                    f"in component {self.name!r}")
+        # checked by set inclusion; the loop only names the first offender
+        ends = {*map(itemgetter(0), self.transitions), *map(itemgetter(2), self.transitions)}
+        if not ends <= state_set:
+            for src, act, dst in self.transitions:
+                if src not in state_set or dst not in state_set:
+                    raise ValueError(
+                        f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
+                        f"in component {self.name!r}")
         for s in self.labels:
             if s not in state_set:
                 raise ValueError(f"label on unknown state {s!r} in component {self.name!r}")
@@ -68,12 +79,12 @@ class Component:
     @cached_property
     def acts(self) -> frozenset[str]:
         """All action names occurring on transitions."""
-        return frozenset(act for _, act, _ in self.transitions)
+        return frozenset(map(itemgetter(1), self.transitions))
 
     @cached_property
     def index(self) -> dict[str, int]:
         """Position of each state in declaration order."""
-        return {s: i for i, s in enumerate(self.states)}
+        return dict(zip(self.states, range(len(self.states))))
 
     @cached_property
     def succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:
@@ -103,7 +114,7 @@ class Component:
         return frozenset(self.states[i] for i in seen)
 
     def label_of(self, state: str) -> frozenset[str]:
-        return self.labels.get(state, frozenset())
+        return self.labels.get(state, _NO_LABELS)
 
 
 def sharers_of(
@@ -220,9 +231,10 @@ def infer_topology(
     if len(edges) != n - 1:
         raise NotATree(f"shared-action graph has a cycle ({len(edges)} edges over {n} components)")
 
-    children = tuple(
-        tuple(j for j in range(n) if parent[j] == i) for i in range(n)
-    )
+    children: tuple[list[int], ...] = tuple([] for _ in range(n))
+    for j, p in enumerate(parent):
+        if p is not None:
+            children[p].append(j)
 
     upacts: list[frozenset[str]] = []
     downacts: list[frozenset[str]] = []
@@ -266,7 +278,7 @@ def infer_topology(
         root_index=root_index,
         silent=frozenset(silent),
         parent=tuple(parent),
-        children=children,
+        children=tuple(map(tuple, children)),
         upacts=tuple(upacts),
         downacts=tuple(downacts),
         locacts=tuple(locacts),

@@ -12,7 +12,8 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import EmptyProjection, InvalidWitness, StateLimitExceeded
 from .model import DEFAULT_SILENT, Component, Network, sharers_of
@@ -25,8 +26,7 @@ DEFAULT_STATE_CAP = 10**6
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlobalTuple:
+class GlobalTuple(NamedTuple):
     """A product state: one local state per component, in network order."""
 
     states: tuple[str, ...]
@@ -35,8 +35,7 @@ class GlobalTuple:
         return "(" + ",".join(self.states) + ")"
 
 
-@dataclass(frozen=True)
-class SquareOrigin:
+class SquareOrigin(NamedTuple):
     """A sum-of-squares state: a child state paired with a root state."""
 
     child_index: int
@@ -58,8 +57,9 @@ class FreshInit:
 Payload = Union[GlobalTuple, SquareOrigin, FreshInit]
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
+    """One step of an ExplicitLts: a tuple record, equal and hashed by value."""
+
     src: int
     action: str
     dst: int
@@ -71,8 +71,9 @@ class ExplicitLts:
     """A flat transition graph with structured state payloads.
 
     States are consecutive integers; ``payloads[i]`` records where flat
-    state ``i`` came from and is unique per state.  Instances are immutable
-    after construction and safe to share.
+    state ``i`` came from and is unique per state; transitions are
+    ``Transition`` records.  Instances are immutable after construction and
+    safe to share; the per-state successor lists are built on first use.
     """
 
     def __init__(
@@ -83,26 +84,29 @@ class ExplicitLts:
         payloads: Iterable[Payload],
     ) -> None:
         self.payloads: tuple[Payload, ...] = tuple(payloads)
-        self.n_states = len(self.payloads)
-        self.labels: tuple[frozenset[str], ...] = tuple(frozenset(l) for l in labels)
-        if len(self.labels) != self.n_states:
+        n = self.n_states = len(self.payloads)
+        self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
+        if len(self.labels) != n:
             raise ValueError("labels and payloads must have the same length")
-        if not 0 <= initial < self.n_states:
+        if not 0 <= initial < n:
             raise ValueError(f"initial state {initial} out of range")
         self.initial = initial
         self.transitions: tuple[Transition, ...] = tuple(transitions)
-        ids: dict[Payload, int] = {}
-        for i, p in enumerate(self.payloads):
-            if p in ids:
-                raise ValueError(f"duplicate payload {p}")
-            ids[p] = i
-        self._ids = ids
+        self._ids: dict[Payload, int] = dict(zip(self.payloads, range(n)))
+        if len(self._ids) != n:  # name the payload whose repeat comes first
+            dup = next(p for i, p in enumerate(self.payloads) if self.payloads.index(p) != i)
+            raise ValueError(f"duplicate payload {dup}")
+        ends = {*map(itemgetter(0), self.transitions), *map(itemgetter(2), self.transitions)}
+        if ends and (min(ends) < 0 or max(ends) >= n):
+            bad = next(t for t in self.transitions if not (0 <= t.src < n and 0 <= t.dst < n))
+            raise ValueError(f"transition endpoint out of range: {bad}")
+
+    @cached_property
+    def _out(self) -> tuple[tuple[Transition, ...], ...]:
         out: list[list[Transition]] = [[] for _ in range(self.n_states)]
-        for t in self.transitions:
-            if not (0 <= t.src < self.n_states and 0 <= t.dst < self.n_states):
-                raise ValueError(f"transition endpoint out of range: {t}")
-            out[t.src].append(t)
-        self._out = tuple(tuple(ts) for ts in out)
+        for src, run in itertools.groupby(self.transitions, itemgetter(0)):
+            out[src] += run
+        return tuple(map(tuple, out))
 
     def out(self, state: int) -> tuple[Transition, ...]:
         return self._out[state]
@@ -115,7 +119,7 @@ class ExplicitLts:
 
     @cached_property
     def transition_triples(self) -> frozenset[tuple[int, str, int]]:
-        return frozenset((t.src, t.action, t.dst) for t in self.transitions)
+        return frozenset(map(itemgetter(0, 1, 2), self.transitions))
 
     def __repr__(self) -> str:
         return (f"ExplicitLts(states={self.n_states}, "
@@ -302,14 +306,11 @@ def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
 def component_lts(component: Component) -> ExplicitLts:
     """A component viewed as an explicit graph over its declared states."""
     ids = component.index
-    transitions = [
-        Transition(ids[src], act, ids[dst], frozenset((0,)))
-        for src, act, dst in component.transitions
-    ]
+    moved = frozenset((0,))
     return ExplicitLts(
         initial=ids[component.initial],
-        transitions=transitions,
-        labels=[component.label_of(s) for s in component.states],
+        transitions=[Transition(ids[s], act, ids[d], moved) for s, act, d in component.transitions],
+        labels=map(component.label_of, component.states),
         payloads=[GlobalTuple((s,)) for s in component.states],
     )
 
@@ -318,19 +319,20 @@ def lts_to_component(lts: ExplicitLts, name: str, reset: frozenset[str]) -> Comp
     """Flatten an explicit graph into a single component named ``name``.
 
     States become ``q0``, ``q1``, ... in id order.  Every transition
-    labelled with an action in ``reset`` is retargeted to the initial state.
+    labelled with an action in ``reset`` is retargeted to the initial state;
+    duplicates are dropped on the integer triples, before any name is made.
     """
+    init = lts.initial
+    triples = map(itemgetter(0, 1, 2), lts.transitions)
+    if reset:
+        triples = ((s, a, init if a in reset else d) for s, a, d in triples)
     names = tuple(f"q{i}" for i in range(lts.n_states))
-    init = names[lts.initial]
     return Component(
         name=name,
         states=names,
-        initial=init,
-        transitions=tuple(
-            (names[t.src], t.action, init if t.action in reset else names[t.dst])
-            for t in lts.transitions
-        ),
-        labels={names[i]: lts.labels[i] for i in range(lts.n_states) if lts.labels[i]},
+        initial=names[init],
+        transitions=[(names[src], act, names[dst]) for src, act, dst in dict.fromkeys(triples)],
+        labels={names[i]: lab for i, lab in enumerate(lts.labels) if lab},
     )
 
 

@@ -48,12 +48,6 @@ def fresh_action(taken: frozenset[str] | set[str], base: str) -> str:
     return f"{base}_{k}"
 
 
-#: A square state: (child index, child state position, root state position).
-_Key = tuple[int, int, int]
-#: A square transition: (action, target, movers).
-_Move = tuple[str, _Key, frozenset[int]]
-
-
 def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares:
     """Build the glued union of child-root squares, reachable part only.
 
@@ -64,10 +58,12 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     upward resets and hands control to any square; and upstream actions of
     the root itself move the root coordinate in place.
 
-    Each square state is explored once, keyed by (child index, child state
-    position, root state position).  Ids follow the sorted keys: square by
-    square in network order, child states varying slower than root states,
-    both in declaration order, so results are reproducible.
+    A square state (child index, child state position, root state position)
+    is coded as ``row * width + root position``, the rows running over the
+    squares' child states.  The reachable codes are found first and
+    numbered in sorted order, so ids follow the keys: square by square in
+    network order, child states varying slower than root states, both in
+    declaration order.  Each transition is then emitted once, with its ids.
     """
     r = net.root_index
     kids = net.children[r]
@@ -84,58 +80,64 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     elif epsilon in all_acts:
         raise ValueError(f"epsilon name {epsilon!r} collides with an existing action")
 
-    # the moves of each rule, per state position
-    loc_root, up_root = net.locacts[r], net.upacts[r]
-    root_local = [[(a, d) for a, d in moves if a in loc_root] for moves in root.succ]
-    root_up = [[(a, d) for a, d in moves if a in up_root] for moves in root.succ]
-    entries = [(k, comps[k].index[comps[k].initial]) for k in kids]
-    child_local, handoff_acts, at_child, at_both = {}, {}, {}, {}
-    for k, init in entries:
-        loc, up = net.locacts[k], net.upacts[k]
-        child_local[k] = [[(a, d) for a, d in moves if a in loc] for moves in comps[k].succ]
-        handoff_acts[k] = [[a for a, d in moves if a in up and d == init]
-                           for moves in comps[k].succ]
-        at_child[k], at_both[k] = frozenset((k,)), frozenset((k, r))
-    at_root = frozenset((r,))
-
-    def successors(i: int, cs: int, rs: int) -> list[_Move]:
-        out = [(act, (i, dst, rs), at_child[i]) for act, dst in child_local[i][cs]]
-        out += [(act, (i, cs, dst), at_root) for act, dst in root_local[rs]]
-        for act in handoff_acts[i][cs]:
-            for root_act, root_dst in root.succ[rs]:
-                if root_act == act:
-                    out += [(act, (j, init, root_dst), at_both[i]) for j, init in entries]
-        out += [(act, (i, cs, dst), at_root) for act, dst in root_up[rs]]
-        return out
+    # per root position and per row (child index, child state position): the
+    # moves of each rule as (action, code offset, movers), the handoffs as
+    # (action, movers) and the root's targets per action; entries: the code
+    # of each square's initial pair at root position 0
+    width = len(root.states)
+    loc_root, up_root, at_root = net.locacts[r], net.upacts[r], frozenset((r,))
+    root_local = [[(a, d - rs, at_root) for a, d in moves if a in loc_root]
+                  for rs, moves in enumerate(root.succ)]
+    root_up = [[(a, d - rs, at_root) for a, d in moves if a in up_root]
+               for rs, moves in enumerate(root.succ)]
+    root_dsts = [{a: [d for b, d in moves if b == a] for a, _ in moves} for moves in root.succ]
+    rows, child_local, handoffs, entries = [], [], [], []
+    for k in kids:
+        init, loc, up = comps[k].index[comps[k].initial], net.locacts[k], net.upacts[k]
+        at_child, at_both = frozenset((k,)), frozenset((k, r))
+        entries.append((len(rows) + init) * width)
+        for cs, moves in enumerate(comps[k].succ):
+            rows.append((k, cs))
+            child_local.append([(a, (d - cs) * width, at_child) for a, d in moves if a in loc])
+            handoffs.append([(a, at_both) for a, d in moves if a in up and d == init])
 
     root_init = root.index[root.initial]
-    glue = [(epsilon, (k, init, root_init), frozenset()) for k, init in entries]
-    found: dict[_Key, list[_Move] | None] = {key: None for _, key, _ in glue}
+    found = {e + root_init for e in entries}
+    entered = {root_init}  # root positions at which every square has been entered
     stack = list(found)
     while stack:
-        key = stack.pop()
-        out = found[key] = successors(*key)
-        for _, nxt, _ in out:
-            if nxt not in found:
-                found[nxt] = None
-                stack.append(nxt)
+        code = stack.pop()
+        row, rs = divmod(code, width)
+        new = {code + d for _, d, _ in child_local[row] + root_local[rs] + root_up[rs]}
+        for act, _ in handoffs[row]:
+            for root_dst in root_dsts[rs].get(act, ()):
+                if root_dst not in entered:
+                    entered.add(root_dst)
+                    new.update(e + root_dst for e in entries)
+        stack += new - found
+        found |= new
 
     ordered = sorted(found)
-    ids = {key: n for n, key in enumerate(ordered, 1)}
-    transitions = [Transition(0, act, ids[key], movers) for act, key, movers in glue]
-    for key in ordered:
-        src = ids[key]
-        transitions += [Transition(src, act, ids[nxt], movers)
-                        for act, nxt, movers in found.pop(key)]
+    ids = dict(zip(ordered, range(1, len(ordered) + 1)))
+    entry_ids = {rs: [ids[e + rs] for e in entries] for rs in entered}
+    transitions = [Transition(0, epsilon, dst, frozenset()) for dst in entry_ids[root_init]]
+    for src, code in enumerate(ordered, 1):
+        row, rs = divmod(code, width)
+        transitions += [Transition(src, a, ids[code + d], m)
+                        for a, d, m in child_local[row] + root_local[rs]]
+        for act, movers in handoffs[row]:
+            for root_dst in root_dsts[rs].get(act, ()):
+                transitions += [Transition(src, act, dst, movers) for dst in entry_ids[root_dst]]
+        transitions += [Transition(src, a, ids[code + d], m) for a, d, m in root_up[rs]]
+    keys = [rows[code // width] + (code % width,) for code in ordered]
     names = {i: comps[i].states for i in (r, *kids)}
     labels = {i: [comps[i].label_of(s) for s in comps[i].states] for i in (r, *kids)}
     return SumOfSquares(
         lts=ExplicitLts(
             0,
             transitions,
-            [frozenset()] + [labels[i][cs] | labels[r][rs] for i, cs, rs in ordered],
-            [FreshInit()] + [SquareOrigin(i, names[i][cs], names[r][rs])
-                             for i, cs, rs in ordered],
+            [frozenset()] + [_union(labels[i][cs], labels[r][rs]) for i, cs, rs in keys],
+            [FreshInit()] + [SquareOrigin(i, names[i][cs], names[r][rs]) for i, cs, rs in keys],
         ),
         epsilon=epsilon,
         root_name=root.name,
@@ -143,6 +145,11 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
         root_upacts=up_root,
         unreduced=True,
     )
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """``a | b``, reusing an operand when the other is empty."""
+    return a | b if a and b else a or b
 
 
 def _backward_closure(lts: ExplicitLts, seeds: Iterable[int]) -> set[int]:
@@ -256,7 +263,7 @@ def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Com
     edges: list[set[tuple[str, int]]] = [set() for _ in range(n)]
     for pos, out in enumerate(moves):
         src = scc[pos]
-        labels[src] |= component.label_of(component.states[pos])
+        labels[src] = _union(labels[src], component.label_of(component.states[pos]))
         edges[src].update((a, scc[d]) for a, d in out if a != epsilon or scc[d] != src)
 
     by_label: dict[frozenset[str], int] = {}

@@ -25,7 +25,7 @@ from treelts import (
 )
 from treelts.cli import load, main, save
 from treelts.fixtures import gx_path
-from shapes import ring_chain
+from shapes import ring_chain, ring_tree
 
 GOLDEN = Path(__file__).parent / "golden"
 SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
@@ -87,6 +87,35 @@ def test_golden_reductions_agree_with_the_full_product(name, tmp_path):
         lts = component_lts(load(GOLDEN / f"{name}-{kind}.json").root)
         for prop in source.propositions():
             assert check_ef(lts, prop).holds == check_ef(full, prop).holds, (kind, prop)
+
+
+def wide_tree():
+    """A root over five tau-ring leaves: one top stage gluing five squares."""
+    return ring_tree([None] + [0] * 5)
+
+
+def test_wide_top_stage_matches_golden_text(tmp_path, capsys):
+    src = tmp_path / "wide.json"
+    save(wide_tree(), src)
+    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
+    assert main(["reduce", str(src), "-o", str(out), "--dot", str(dot)]) == 0
+    assert out.read_text(encoding="utf-8") == (
+        GOLDEN / "wide-reduce.json").read_text(encoding="utf-8")
+    assert dot.read_text(encoding="utf-8") == (
+        GOLDEN / "wide-reduce.dot").read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", str(src), "--reduced", "--ef", "p3", "--witness"]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / "wide-check-ef-p3.txt").read_text(encoding="utf-8")
+
+
+def test_wide_golden_reduction_agrees_with_the_full_product():
+    source = wide_tree()
+    full = full_product(source)
+    lts = component_lts(load(GOLDEN / "wide-reduce.json").root)
+    assert len(source.propositions()) == 6
+    for prop in source.propositions():
+        assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
 
 
 def test_chain_reduction_text_ignores_the_hash_seed(tmp_path):

@@ -16,6 +16,7 @@ from treelts import (
     validate_live_reset,
 )
 from treelts.errors import LiveResetWarning
+from shapes import ring_tree
 
 
 class TestInferTopology:
@@ -90,6 +91,20 @@ class TestInferTopology:
         with pytest.raises(ValueError):
             infer_topology(gx.components, "R", root_upacts=frozenset({"open"}))
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_children_follow_component_order_on_an_out_of_order_tree(self, reverse):
+        # parents are declared after their children, and with reverse the
+        # root is the last component
+        tree = ring_tree([None, 4, 0, 1, 0, 2, 4, 2, 4])
+        comps = tree.components[::-1] if reverse else tree.components
+        net = infer_topology(comps, "n0")
+        n = len(comps)
+        assert net.children == tuple(
+            tuple(j for j in range(n) if net.parent[j] == i) for i in range(n))
+        name = [c.name for c in comps]
+        assert [name[j] for j in net.children[net.index_of("n4")]] == (
+            ["n8", "n6", "n1"] if reverse else ["n1", "n6", "n8"])
+
 
 class TestComponent:
     def test_acts_of_s1(self, gx):
@@ -120,6 +135,40 @@ class TestComponent:
     def test_duplicate_transitions_collapse(self):
         c = Component("c", ("s0",), "s0", (("s0", "a", "s0"), ("s0", "a", "s0")))
         assert len(c.transitions) == 1
+
+    def test_non_str_states_transitions_and_labels_are_coerced(self):
+        c = Component("c", (0, 1), "0", ((0, 5, 1), ("1", "b", 0)),
+                      labels={1: [2, "q"], "0": {"r"}})
+        assert c.states == ("0", "1")
+        assert c.transitions == (("0", "5", "1"), ("1", "b", "0"))
+        assert c.labels == {"1": frozenset({"2", "q"}), "0": frozenset({"r"})}
+        assert all(type(ps) is frozenset for ps in c.labels.values())
+
+    def test_transitions_given_as_lists(self):
+        c = Component("c", ["s0", "s1"], "s0", [["s0", "a", "s1"], ["s1", "b", "s0"]])
+        assert c.transitions == (("s0", "a", "s1"), ("s1", "b", "s0"))
+        assert all(type(tr) is tuple for tr in c.transitions)
+
+    def test_duplicate_transitions_keep_the_first_occurrence_order(self):
+        c = Component("c", ("s0", "s1"), "s0", (
+            ("s1", "b", "s0"), ("s0", "a", "s1"), ("s1", "b", "s0"),
+            ("s0", 1, "s0"), ("s0", "1", "s0"), ("s0", "a", "s1")))
+        assert c.transitions == (("s1", "b", "s0"), ("s0", "a", "s1"), ("s0", "1", "s0"))
+
+    def test_the_first_offending_transition_is_named(self):
+        with pytest.raises(ValueError) as info:
+            Component("c", ("s0",), "s0",
+                      (("s0", "a", "s0"), ("s0", "b", "s9"), ("s8", "c", "s0")))
+        assert str(info.value) == (
+            "transition ('s0', 'b', 's9') uses unknown states in component 'c'")
+
+    def test_str_label_sets_are_kept_and_empty_ones_dropped(self):
+        ps = frozenset({"p", "q"})
+        given = {"s0": ps, "s1": frozenset()}
+        c = Component("c", ("s0", "s1"), "s0", labels=given)
+        assert c.labels == {"s0": ps} and c.labels["s0"] is ps
+        given["s1"] = frozenset({"r"})
+        assert c.labels == {"s0": ps}
 
 
 class TestLiveReset:

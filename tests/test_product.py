@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from treelts import (
     Component,
     EmptyProjection,
+    ExplicitLts,
     GenConfig,
     GlobalTuple,
     Path,
     StateLimitExceeded,
+    Transition,
     component_lts,
     full_product,
     gen_random_tree,
@@ -216,3 +218,56 @@ class TestHelpers:
     def test_replay_rejects_foreign_steps(self, gx):
         lts = full_product(gx)
         assert not replay(lts, Path((0, 0), ("beep",)))
+
+
+class TestExplicitLtsChecks:
+    """Every construction check of ExplicitLts, with its message."""
+
+    @staticmethod
+    def lts(initial=0, transitions=(), labels=2, payloads=("a", "b")):
+        return ExplicitLts(initial, transitions, [frozenset()] * labels,
+                           [GlobalTuple((p,)) for p in payloads])
+
+    def test_a_well_formed_graph_is_accepted(self):
+        t = Transition(0, "x", 1, frozenset({0}))
+        lts = self.lts(transitions=[t])
+        assert lts.out(0) == (t,) and lts.out(1) == ()
+        assert lts.id_of(GlobalTuple(("b",))) == 1
+
+    def test_a_duplicate_payload_is_named(self):
+        # the payload whose second occurrence comes first is named: b, not a
+        with pytest.raises(ValueError, match=r"^duplicate payload \(b\)$"):
+            self.lts(labels=4, payloads=("a", "b", "b", "a"))
+
+    @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_an_out_of_range_endpoint_is_named(self, src, dst):
+        fine = Transition(0, "x", 1, frozenset({0}))
+        bad = Transition(src, "y", dst, frozenset({0}))
+        with pytest.raises(ValueError) as info:
+            self.lts(transitions=[fine, bad, Transition(5, "z", 5, frozenset())])
+        assert str(info.value) == f"transition endpoint out of range: {bad}"
+
+    @pytest.mark.parametrize("initial", [2, -1])
+    def test_an_out_of_range_initial_state(self, initial):
+        with pytest.raises(ValueError, match=f"^initial state {initial} out of range$"):
+            self.lts(initial=initial)
+
+    def test_labels_and_payloads_must_have_the_same_length(self):
+        with pytest.raises(ValueError, match="^labels and payloads must have the same length$"):
+            self.lts(labels=1)
+
+
+class TestTransition:
+    def test_compares_and_hashes_by_value(self):
+        a = Transition(1, "x", 2, frozenset({0}))
+        b = Transition(1, "x", 2, frozenset({0}))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Transition(1, "x", 3, frozenset({0}))
+        assert a != Transition(1, "x", 2, frozenset({1}))
+
+    def test_keeps_its_attribute_names(self):
+        t = Transition(1, "x", 2, frozenset({0, 3}))
+        assert (t.src, t.action, t.dst, t.movers) == (1, "x", 2, {0, 3})
+        assert Transition(src=1, action="x", dst=2, movers=frozenset({0, 3})) == t
+        with pytest.raises(AttributeError):
+            t.src = 4
