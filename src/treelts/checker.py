@@ -65,19 +65,20 @@ class Verdict:
 
 
 def check(lts: ExplicitLts, formula: Formula, entry: Entry = Entry.INITIAL) -> Verdict:
+    """Check ``formula``; ``entry`` matters only for EG."""
     if formula.modality == "EF":
-        return check_ef(lts, formula.proposition, entry)
+        return check_ef(lts, formula.proposition)
     return check_eg(lts, formula.proposition, entry)
 
 
-def check_ef(lts: ExplicitLts, proposition: str, entry: Entry = Entry.INITIAL) -> Verdict:
+def check_ef(lts: ExplicitLts, proposition: str) -> Verdict:
     """Can a state carrying ``proposition`` be reached?
 
     BFS from the initial state; the witness is a shortest path.  A
     proposition that occurs nowhere simply yields a negative verdict.  Both
-    entry modes coincide for EF.
+    entry modes coincide for EF: the glue step is an ordinary step for
+    reachability.
     """
-    del entry  # the glue step is an ordinary step for reachability
     if proposition in lts.labels[lts.initial]:
         return Verdict(True, Path((lts.initial,), ()))
     back: dict[int, tuple[int, str]] = {}

@@ -31,7 +31,7 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-from .checker import Entry, check_ef, check_eg
+from .checker import Entry, Formula, check
 from .errors import (
     OracleTooLarge,
     ParseError,
@@ -305,10 +305,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         lts = component_lts(component)
         side = "reduced component"
         entry = Entry.EPSILON_TRANSPARENT if stages else Entry.INITIAL
-    if modality == "EF":
-        verdict = check_ef(lts, proposition, entry)
-    else:
-        verdict = check_eg(lts, proposition, entry)
+    verdict = check(lts, Formula(modality, proposition), entry)
     print(f"{modality} {proposition!r} on {side}: {'HOLDS' if verdict.holds else 'does not hold'}")
     if args.witness and verdict.holds:
         print(f"witness: {prefix_of(lts, verdict.witness)}")

@@ -226,7 +226,6 @@ class SuiteReport:
 def equivalence_suite(
     net: Network,
     cap: int = DEFAULT_STATE_CAP,
-    check_lifting: bool = True,
 ) -> SuiteReport:
     """Compare the full-product oracle against the reduced component.
 
@@ -256,7 +255,7 @@ def equivalence_suite(
 
     top = stages[-1] if stages else None
     lift_target: ExplicitLts | None = None
-    if check_lifting and top is not None and not top.sq.root_upacts:
+    if top is not None and not top.sq.root_upacts:
         if top.net.components == net.components and top.net.silent == net.silent:
             lift_target = full
         else:

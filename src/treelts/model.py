@@ -131,13 +131,13 @@ def sharers_of(
 
 @dataclass(frozen=True)
 class Network:
-    """An ordered list of components with an inferred tree topology.
+    """An ordered list of components with a tree topology.
 
     All per-component data is stored in tuples aligned with ``components``:
     ``parent[i]`` is the parent index (``None`` for the root), ``children[i]``
-    the child indices in component order, ``upacts``/``downacts``/``locacts``
-    the action classification, and ``snd[i]`` maps each down action to the
-    child that synchronises over it.  Local actions include the silent ones.
+    the child indices in component order, and ``upacts``/``downacts``/
+    ``locacts`` the action classification, which ``_network`` alone computes.
+    Local actions include the silent ones.
     """
 
     components: tuple[Component, ...]
@@ -148,7 +148,6 @@ class Network:
     upacts: tuple[frozenset[str], ...]
     downacts: tuple[frozenset[str], ...]
     locacts: tuple[frozenset[str], ...]
-    snd: tuple[dict[str, int], ...]
 
     @property
     def root(self) -> Component:
@@ -169,20 +168,52 @@ class Network:
         return tuple(sorted(props))
 
 
+def _network(
+    comps: tuple[Component, ...],
+    root_index: int,
+    silent: frozenset[str],
+    parent: tuple[int | None, ...],
+    declared: Iterable[frozenset[str]],
+) -> Network:
+    """Classify every component's actions by the tree edge they lie on.
+
+    ``declared[i]``: the actions component ``i`` shares with its parent
+    (for the root, with one outside the network).  Upacts are the declared
+    actions a component uses, downacts those it uses that a child declares
+    (even one a reduced child no longer uses: it must not fire as a local
+    move), and the rest are local.
+    """
+    declared = tuple(declared)
+    children: tuple[list[int], ...] = tuple([] for _ in comps)
+    for j, p in enumerate(parent):
+        if p is not None:
+            children[p].append(j)
+    upacts = tuple(d & c.acts for d, c in zip(declared, comps))
+    downacts = tuple(c.acts & frozenset().union(*(declared[j] for j in kids))
+                     for c, kids in zip(comps, children))
+    return Network(
+        components=comps,
+        root_index=root_index,
+        silent=frozenset(silent),
+        parent=parent,
+        children=tuple(map(tuple, children)),
+        upacts=upacts,
+        downacts=downacts,
+        locacts=tuple(c.acts - up - down for c, up, down in zip(comps, upacts, downacts)),
+    )
+
+
 def infer_topology(
     components: Iterable[Component],
     root: str,
     silent: frozenset[str] = DEFAULT_SILENT,
-    root_upacts: frozenset[str] = frozenset(),
 ) -> Network:
     """Build a Network from components, rooting the shared-action tree.
 
     Two components are adjacent iff they share a non-silent action name.
     The graph must be a tree and no non-silent action may occur in three or
-    more components.  ``root_upacts`` declares actions of the root that are
-    shared with a parent outside this network (used when the network is a
-    subtree embedded in a larger one); they are classified as the root's
-    upstream actions instead of local ones.
+    more components.  Each component declares the non-silent actions it
+    shares with its parent; the root declares none.
 
     Raises NotATree or UnknownRoot accordingly.
     """
@@ -198,22 +229,17 @@ def infer_topology(
         raise UnknownRoot(f"no component named {root!r}") from None
 
     n = len(comps)
+    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
     sharers = sharers_of(comps, silent)
     for act in sorted(sharers):
         group = sharers[act]
         if len(group) > 2:
             shared_by = ", ".join(comps[i].name for i in group)
             raise NotATree(f"action {act!r} is shared by {len(group)} components ({shared_by})")
-
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    edges: set[frozenset[int]] = set()
-    for act in sorted(sharers):
-        group = sharers[act]
         if len(group) == 2:
             i, j = group
             adjacency[i].add(j)
             adjacency[j].add(i)
-            edges.add(frozenset(group))
 
     parent: list[int | None] = [None] * n
     seen = {root_index}
@@ -228,62 +254,13 @@ def infer_topology(
     if len(seen) != n:
         missing = ", ".join(comps[i].name for i in range(n) if i not in seen)
         raise NotATree(f"components not connected to the root: {missing}")
-    if len(edges) != n - 1:
-        raise NotATree(f"shared-action graph has a cycle ({len(edges)} edges over {n} components)")
+    edges = sum(map(len, adjacency.values())) // 2
+    if edges != n - 1:
+        raise NotATree(f"shared-action graph has a cycle ({edges} edges over {n} components)")
 
-    children: tuple[list[int], ...] = tuple([] for _ in range(n))
-    for j, p in enumerate(parent):
-        if p is not None:
-            children[p].append(j)
-
-    upacts: list[frozenset[str]] = []
-    downacts: list[frozenset[str]] = []
-    locacts: list[frozenset[str]] = []
-    snd: list[dict[str, int]] = []
-    root_upacts = frozenset(root_upacts)
-    for i, c in enumerate(comps):
-        up: set[str] = set()
-        down: set[str] = set()
-        for act in c.acts:
-            if act in silent:
-                continue
-            group = sharers[act]
-            if len(group) == 1:
-                continue
-            other = group[0] if group[1] == i else group[1]
-            if parent[i] == other:
-                up.add(act)
-            else:
-                down.add(act)
-        if i == root_index and root_upacts:
-            bad = root_upacts - c.acts
-            if bad:
-                raise ValueError(f"declared root upacts not used by the root: {sorted(bad)}")
-            clash = root_upacts & down
-            if clash:
-                raise ValueError(
-                    f"declared root upacts are already shared with children: {sorted(clash)}")
-            up |= root_upacts
-        upacts.append(frozenset(up))
-        downacts.append(frozenset(down))
-        locacts.append(c.acts - frozenset(up) - frozenset(down))
-        snd.append({})
-    for i in range(n):
-        for j in children[i]:
-            for act in sorted(upacts[j]):
-                snd[i][act] = j
-
-    return Network(
-        components=comps,
-        root_index=root_index,
-        silent=frozenset(silent),
-        parent=tuple(parent),
-        children=tuple(map(tuple, children)),
-        upacts=tuple(upacts),
-        downacts=tuple(downacts),
-        locacts=tuple(locacts),
-        snd=tuple(snd),
-    )
+    return _network(comps, root_index, silent, tuple(parent), (
+        frozenset() if p is None else (c.acts & comps[p].acts) - silent
+        for c, p in zip(comps, parent)))
 
 
 def two_level_network(
@@ -293,13 +270,14 @@ def two_level_network(
     root_upacts: frozenset[str] = frozenset(),
     silent: frozenset[str] = DEFAULT_SILENT,
 ) -> Network:
-    """Assemble a two-level network with an explicitly given classification.
+    """Assemble a two-level network whose children declare their upacts.
 
     Used when the children are already-reduced components: their action sets
     may have shrunk below the declared upstream actions, so inferring the
     topology from shared names again could misclassify.  The declared
-    classification is carried over instead; upstream actions a child no
-    longer uses simply never fire.
+    upstream actions of each child, and ``root_upacts`` of the root, are
+    classified as given; upstream actions a child no longer uses simply
+    never fire.
     """
     kids = tuple(children)
     ups = tuple(frozenset(u) for u in child_upacts)
@@ -309,49 +287,28 @@ def two_level_network(
     names = [c.name for c in comps]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate component names: {sorted(names)}")
-    n = len(comps)
-    upacts = [frozenset(root_upacts)] + [u & k.acts for u, k in zip(ups, kids)]
-    # root actions declared upstream by some child stay downacts even when
-    # the reduced child no longer offers them: without a partner they must
-    # never fire as local moves
-    declared = frozenset().union(*ups) if ups else frozenset()
-    downacts = [root.acts & declared] + [frozenset()] * len(kids)
-    locacts = [c.acts - upacts[i] - downacts[i] for i, c in enumerate(comps)]
-    snd: list[dict[str, int]] = [{} for _ in range(n)]
-    for j in range(1, n):
-        for act in sorted(upacts[j]):
-            snd[0][act] = j
-    return Network(
-        components=comps,
-        root_index=0,
-        silent=frozenset(silent),
-        parent=(None,) + (0,) * len(kids),
-        children=(tuple(range(1, n)),) + ((),) * len(kids),
-        upacts=tuple(upacts),
-        downacts=tuple(downacts),
-        locacts=tuple(locacts),
-        snd=tuple(snd),
-    )
+    return _network(comps, 0, silent, (None,) + (0,) * len(kids),
+                    (frozenset(root_upacts), *ups))
 
 
 def subnetwork(net: Network, index: int) -> Network:
     """The network induced by the subtree rooted at component ``index``.
 
-    The new root keeps its upstream actions (shared with its parent in the
-    enclosing network) as declared upacts.
+    Components keep their order and their classification: the new root
+    keeps the actions it shares with its parent in ``net`` as declared
+    upacts.
     """
-    keep: set[int] = set()
-    stack = [index]
-    while stack:
-        u = stack.pop()
-        keep.add(u)
-        stack.extend(net.children[u])
-    comps = tuple(c for i, c in enumerate(net.components) if i in keep)
-    return infer_topology(
-        comps,
-        net.components[index].name,
-        silent=net.silent,
-        root_upacts=net.upacts[index],
+    kept = [index]
+    for u in kept:
+        kept += net.children[u]
+    kept.sort()
+    new = {old: i for i, old in enumerate(kept)}
+    return _network(
+        tuple(net.components[i] for i in kept),
+        new[index],
+        net.silent,
+        tuple(None if i == index else new[net.parent[i]] for i in kept),
+        (net.upacts[i] for i in kept),
     )
 
 

@@ -412,14 +412,15 @@ def reduce_net_traced(
 
 def _squares(net: Network, epsilon: str, prune: bool) -> SumOfSquares:
     """The (pruned, unless ``prune`` is false) squares of a two-level stage."""
+    sq = build_sq_unreduced(net, epsilon)
     if not prune:
-        return build_sq_unreduced(net, epsilon)
+        return sq
     try:
-        return build_sq(net, epsilon)
+        return prune_locked(sq)
     except EmptyReduction:
         # every square is locked and label-free: nothing labelled is
         # reachable in this subtree, so the bare glue state is enough
-        return _glue_only(build_sq_unreduced(net, epsilon))
+        return _glue_only(sq)
 
 
 def _glue_only(sq: SumOfSquares) -> SumOfSquares:

@@ -59,7 +59,7 @@ class TestCheckEf:
     def test_squares_agree_with_the_product(self, gx):
         net = relabelled_gx(gx, "r1", "mid")
         sq = build_sq(net)
-        verdict = check_ef(sq.lts, "mid", Entry.EPSILON_TRANSPARENT)
+        verdict = check_ef(sq.lts, "mid")
         assert verdict.holds
         final = sq.lts.payloads[verdict.witness.states[-1]]
         assert final.root_state == "r1"

@@ -1,10 +1,13 @@
-"""Pinned `reduce` output text and the names the benchmark tracer patches.
+"""Pinned `reduce`/`validate` output text and the treelts names the
+benchmark uses.
 
 The golden files under ``tests/golden`` pin the canonical state numbering,
 which follows state declaration order, not state names.  Each pinned
 reduction is also checked against the full product of its source network.
 """
 
+import ast
+import importlib
 import os
 import re
 import subprocess
@@ -24,11 +27,12 @@ from treelts import (
     reduction,
 )
 from treelts.cli import load, main, save
-from treelts.fixtures import gx_path
+from treelts.fixtures import gx_path, gy_path
 from shapes import ring_chain, ring_tree
 
 GOLDEN = Path(__file__).parent / "golden"
-SPANS = Path(__file__).parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def chain_out_of_order():
@@ -118,6 +122,18 @@ def test_wide_golden_reduction_agrees_with_the_full_product():
         assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
 
 
+@pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])
+def test_validate_output_matches_golden_text(name, tmp_path, capsys):
+    if name in ("gx", "gy"):
+        src = gx_path() if name == "gx" else gy_path()
+    else:
+        src = tmp_path / f"{name}.json"
+        save(chain_out_of_order() if name == "chain" else wide_tree(), src)
+    assert main(["validate", str(src)]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / f"{name}-validate.txt").read_text(encoding="utf-8")
+
+
 def test_chain_reduction_text_ignores_the_hash_seed(tmp_path):
     src = tmp_path / "chain.json"
     save(ring_chain(5), src)
@@ -150,3 +166,15 @@ def test_names_patched_by_the_benchmark_tracer_exist():
     for mod, attrs in names.items():
         for attr in attrs:
             assert callable(getattr(modules[mod], attr, None)), f"{mod}.{attr}"
+
+
+def test_names_the_benchmark_imports_from_treelts_exist():
+    imported = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "treelts":
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    assert ("spans.py", "treelts.errors", "EmptyReduction") in imported
+    assert ("selfcheck.py", "treelts.cli", "save_string") in imported
+    for filename, module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{filename}: {module}.{name}"

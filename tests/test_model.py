@@ -13,6 +13,7 @@ from treelts import (
     gen_random_tree,
     infer_topology,
     subnetwork,
+    two_level_network,
     validate_live_reset,
 )
 from treelts.errors import LiveResetWarning
@@ -34,7 +35,7 @@ class TestInferTopology:
         assert gx.downacts[s1] == frozenset() and gx.locacts[s1] == frozenset()
         assert gx.upacts[s2] == {"chooseL", "chooseR"}
         assert gx.locacts[s2] == {"tau"}
-        assert gx.snd[r] == {"open": s1, "chooseL": s2, "chooseR": s2}
+        assert gx.upacts[s1] | gx.upacts[s2] == gx.downacts[r]
 
     def test_single_component_is_trivial_tree(self):
         c = Component("only", ("u0", "u1"), "u0", (("u0", "go", "u1"),))
@@ -79,17 +80,11 @@ class TestInferTopology:
         assert "tau" in net.locacts[0] and "tau" in net.locacts[1]
 
     def test_declared_root_upacts(self, gx):
-        net = infer_topology(gx.components, "R", root_upacts=frozenset({"beep"}))
+        r, s1, s2 = gx.components
+        net = two_level_network(r, [s1, s2], [gx.upacts[1], gx.upacts[2]],
+                                root_upacts=frozenset({"beep"}))
         assert net.upacts[net.root_index] == {"beep"}
         assert "beep" not in net.locacts[net.root_index]
-
-    def test_root_upacts_must_exist(self, gx):
-        with pytest.raises(ValueError):
-            infer_topology(gx.components, "R", root_upacts=frozenset({"zzz"}))
-
-    def test_root_upacts_cannot_shadow_downacts(self, gx):
-        with pytest.raises(ValueError):
-            infer_topology(gx.components, "R", root_upacts=frozenset({"open"}))
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_children_follow_component_order_on_an_out_of_order_tree(self, reverse):
@@ -225,6 +220,39 @@ class TestSubnetwork:
         assert len(sub.components) == 1
         assert sub.upacts[0] == {"y"}
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_every_subtree_keeps_the_classification(self, seed):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=3, max_states=3))
+        for index in range(len(net.components)):
+            sub = subnetwork(net, index)
+            kept = [net.index_of(c.name) for c in sub.components]
+            assert kept == sorted(kept) and sub.root_index == kept.index(index)
+            assert sub.silent == net.silent
+            for new, old in enumerate(kept):
+                assert sub.components[new] is net.components[old]
+                assert sub.upacts[new] == net.upacts[old]
+                assert sub.downacts[new] == net.downacts[old]
+                assert sub.locacts[new] == net.locacts[old]
+                assert [kept[j] for j in sub.children[new]] == list(net.children[old])
+                parent = sub.parent[new]
+                assert (None if parent is None else kept[parent]) == (
+                    None if old == index else net.parent[old])
+
+
+class TestTwoLevelNetwork:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_declared_upacts_give_the_inferred_network(self, seed):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=2, max_children=4, max_states=4))
+        kids = net.children[net.root_index]
+        built = two_level_network(
+            net.root, [net.components[k] for k in kids], [net.upacts[k] for k in kids],
+            frozenset(), net.silent)
+        inferred = infer_topology(
+            [net.root, *(net.components[k] for k in kids)], net.root.name, silent=net.silent)
+        assert built == inferred
+
 
 class TestGeneratedInvariants:
     @settings(max_examples=40, deadline=None)
@@ -237,9 +265,7 @@ class TestGeneratedInvariants:
             assert up & down == up & (loc - net.silent) == down & (loc - net.silent) == set()
             assert up | down | (loc - net.silent) == nonsilent
             for act in down:
-                child = net.snd[i][act]
-                assert net.parent[child] == i
-                assert act in net.upacts[child]
+                assert sum(act in net.upacts[j] for j in net.children[i]) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))

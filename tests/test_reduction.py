@@ -27,6 +27,7 @@ from treelts import (
     reduce_net,
     reduce_net_traced,
     subnetwork,
+    two_level_network,
     validate_live_reset,
 )
 from treelts import reduction as reduction_module
@@ -37,6 +38,15 @@ from shapes import ring_chain, ring_tree
 
 #: Largest product of subtree component sizes the per-stage oracle builds.
 ORACLE_CAP = 20_000
+
+
+def all_locked_tree():
+    """``t - r - c``: ``c`` never moves, so every square of both stages is
+    locked."""
+    top = Component("t", ("t0", "t1"), "t0", (("t0", "up", "t1"),))
+    root = Component("r", ("r0", "r1"), "r0", (("r0", "go", "r1"), ("r1", "up", "r0")))
+    child = Component("c", ("c0", "c1"), "c0", (("c1", "go", "c0"),))
+    return infer_topology([top, root, child], "t")
 
 
 def payload_names(sq):
@@ -223,7 +233,9 @@ class TestCompletion:
 
     def test_embedded_beep_is_retargeted(self, gx):
         # treat the network as a subtree whose parent synchronises on beep
-        net = infer_topology(gx.components, "R", root_upacts=frozenset({"beep"}))
+        r, s1, s2 = gx.components
+        net = two_level_network(r, [s1, s2], [gx.upacts[1], gx.upacts[2]],
+                                root_upacts=frozenset({"beep"}))
         sq = build_sq(net)
         comp = cmpl(sq)
         beeps = [t for t in comp.transitions if t[1] == "beep"]
@@ -243,9 +255,11 @@ class TestCompletion:
         # embed under a fictitious parent sharing one root action
         root_act = sorted(net.root.acts - net.silent - net.downacts[net.root_index])
         ups = frozenset(root_act[:1])
-        net = infer_topology(net.components, net.root.name, silent=net.silent, root_upacts=ups)
+        kids = net.children[net.root_index]
+        net = two_level_network(net.root, [net.components[k] for k in kids],
+                                [net.upacts[k] for k in kids], ups, net.silent)
         comp = cmpl(build_sq(net))
-        embedded = infer_topology([comp], comp.name, silent=net.silent, root_upacts=ups & comp.acts)
+        embedded = two_level_network(comp, [], [], ups, net.silent)
         assert validate_live_reset(embedded) == []
 
 
@@ -271,15 +285,20 @@ class TestReduceNet:
 
     def test_one_build_sq_call_per_internal_node(self, chain_net, monkeypatch):
         calls = []
-        original = reduction_module.build_sq
+        original = reduction_module.build_sq_unreduced
 
         def counting(net, epsilon=None):
             calls.append(net.root.name)
             return original(net, epsilon)
 
-        monkeypatch.setattr(reduction_module, "build_sq", counting)
+        monkeypatch.setattr(reduction_module, "build_sq_unreduced", counting)
         reduce_net(chain_net)
         assert sorted(calls) == ["A", "B"]
+        # every square is locked at both stages: the fallback to the bare
+        # glue state reuses the squares already built
+        calls.clear()
+        reduce_net(all_locked_tree())
+        assert sorted(calls) == ["r", "t"]
 
     def test_keep_locked_mode_skips_pruning(self, gx):
         comp = reduce_net(gx, prune=False)
@@ -297,10 +316,7 @@ class TestReduceNet:
     def test_hidden_name_is_silent_even_when_unused(self):
         # every square of r is locked, so its reduced component is the bare
         # glue state and no longer uses the name its moves were hidden under
-        top = Component("t", ("t0", "t1"), "t0", (("t0", "up", "t1"),))
-        root = Component("r", ("r0", "r1"), "r0", (("r0", "go", "r1"), ("r1", "up", "r0")))
-        child = Component("c", ("c0", "c1"), "c0", (("c1", "go", "c0"),))
-        _, stages = reduce_net_traced(infer_topology([top, root, child], "t"))
+        _, stages = reduce_net_traced(all_locked_tree())
         assert not stages[0].result.acts
         assert stages[0].sq.epsilon in stages[1].net.silent
 
@@ -375,8 +391,7 @@ class TestQuotient:
         _, stages = reduce_net_traced(net)
         for stage in stages:
             result, ups = stage.result, stage.sq.root_upacts
-            embedded = infer_topology([result], result.name, silent=stage.net.silent,
-                                      root_upacts=ups & result.acts)
+            embedded = two_level_network(result, [], [], ups, stage.net.silent)
             assert validate_live_reset(embedded) == []
             assert len(result.states) <= len(cmpl(stage.sq).states)
             sub = subnetwork(net, net.index_of(stage.sq.root_name))
