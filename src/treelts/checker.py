@@ -81,29 +81,27 @@ def check_ef(lts: ExplicitLts, proposition: str) -> Verdict:
     """
     if proposition in lts.labels[lts.initial]:
         return Verdict(True, Path((lts.initial,), ()))
-    back: dict[int, tuple[int, str]] = {}
-    seen = {lts.initial}
+    out, dst, labels = lts.out_edges, lts.dst, lts.labels
+    back = {lts.initial: -1}  # state -> index of the transition that found it
     queue = deque([lts.initial])
     while queue:
-        u = queue.popleft()
-        for t in lts.out(u):
-            if t.dst in seen:
+        for k in out[queue.popleft()]:
+            d = dst[k]
+            if d in back:
                 continue
-            seen.add(t.dst)
-            back[t.dst] = (u, t.action)
-            if proposition in lts.labels[t.dst]:
-                return Verdict(True, _backtrack(back, lts.initial, t.dst))
-            queue.append(t.dst)
+            back[d] = k
+            if proposition in labels[d]:
+                return Verdict(True, _backtrack(lts, back, d))
+            queue.append(d)
     return Verdict(False)
 
 
-def _backtrack(back: dict[int, tuple[int, str]], start: int, goal: int) -> Path:
+def _backtrack(lts: ExplicitLts, back: dict[int, int], goal: int) -> Path:
     states = [goal]
     actions: list[str] = []
-    while states[-1] != start:
-        prev, act = back[states[-1]]
-        actions.append(act)
-        states.append(prev)
+    while (k := back[states[-1]]) >= 0:
+        actions.append(lts.act[k])
+        states.append(lts.src[k])
     return Path(tuple(reversed(states)), tuple(reversed(actions)))
 
 
@@ -120,7 +118,7 @@ def check_eg(lts: ExplicitLts, proposition: str, entry: Entry = Entry.INITIAL) -
     if entry is Entry.INITIAL:
         entries = [lts.initial]
     else:
-        entries = list(dict.fromkeys(t.dst for t in lts.out(lts.initial)))
+        entries = list(dict.fromkeys(lts.dst[k] for k in lts.out_edges[lts.initial]))
     for e in entries:
         if not in_p[e]:
             continue
@@ -139,20 +137,21 @@ def _find_lasso(lts: ExplicitLts, start: int, in_p: list[bool]) -> Path | None:
     finished: set[int] = set()
     while path_nodes:
         node = path_nodes[-1]
-        outs = lts.out(node)
+        outs = lts.out_edges[node]
         advanced = False
         while next_branch[-1] < len(outs):
-            t = outs[next_branch[-1]]
+            k = outs[next_branch[-1]]
             next_branch[-1] += 1
-            if not in_p[t.dst]:
+            d = lts.dst[k]
+            if not in_p[d]:
                 continue
-            if t.dst in on_path:
-                return Path(tuple(path_nodes) + (t.dst,), tuple(path_acts) + (t.action,))
-            if t.dst in finished:
+            if d in on_path:
+                return Path(tuple(path_nodes) + (d,), tuple(path_acts) + (lts.act[k],))
+            if d in finished:
                 continue
-            path_nodes.append(t.dst)
-            path_acts.append(t.action)
-            on_path.add(t.dst)
+            path_nodes.append(d)
+            path_acts.append(lts.act[k])
+            on_path.add(d)
             next_branch.append(0)
             advanced = True
             break

@@ -222,9 +222,9 @@ def dot_string(lts: ExplicitLts, silent: frozenset[str] = frozenset()) -> str:
             label += "\\n{" + esc(",".join(sorted(lts.labels[i]))) + "}"
         lines.append(f'  s{i} [label="{label}"];')
     lines.append(f"  __start -> s{lts.initial};")
-    for t in lts.transitions:
-        style = ", style=dashed" if t.action in silent else ""
-        lines.append(f'  s{t.src} -> s{t.dst} [label="{esc(t.action)}"{style}];')
+    for src, act, dst in zip(lts.src, lts.act, lts.dst):
+        style = ", style=dashed" if act in silent else ""
+        lines.append(f'  s{src} -> s{dst} [label="{esc(act)}"{style}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -252,7 +252,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_product(args: argparse.Namespace) -> int:
     net = load(args.file)
     lts = full_product(net, cap=args.cap)
-    print(f"product: {lts.n_states} states, {len(lts.transitions)} transitions")
+    print(f"product: {lts.n_states} states, {len(lts.src)} transitions")
     if args.out:
         product_net = infer_topology(
             [lts_to_component(lts, "product", frozenset())], "product", silent=net.silent)

@@ -234,7 +234,8 @@ def equivalence_suite(
     divergence there is expected and only flagged.  Reachability witnesses
     found on the reduced side are lifted and replayed against the product of
     the top reduction stage.  The pruned and unpruned squares are compared
-    at every stage.  Raises OracleTooLarge when the product exceeds ``cap``.
+    at every stage where pruning deleted a state; elsewhere they are the
+    same system.  Raises OracleTooLarge when the product exceeds ``cap``.
     """
     try:
         full = full_product(net, cap=cap)
@@ -247,7 +248,7 @@ def equivalence_suite(
     eg_entry = Entry.EPSILON_TRANSPARENT if stages else Entry.INITIAL
     report = SuiteReport(
         full_states=full.n_states,
-        full_transitions=len(full.transitions),
+        full_transitions=len(full.src),
         reduced_states=reduced.n_states,
         reduced_transitions=len(component.transitions),
         stage_count=len(stages),
@@ -298,16 +299,18 @@ def equivalence_suite(
         report.propositions.append(result)
 
     for stage in stages:
-        unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
         n = len(stage.net.components)
         m = max(len(c.states) for c in stage.net.components)
-        if unpruned.lts.n_states > (n - 1) * m * m + 1:
+        if stage.sq.lts.n_states + stage.deleted > (n - 1) * m * m + 1:
             report.size_bound_ok = False
+        if not stage.deleted:  # the pruned squares are the unpruned ones
+            continue
+        unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon).lts
         stage_props = sorted(
             {p for c in stage.net.components for ps in c.labels.values() for p in ps})
         for prop in stage_props:
             pruned_holds = check_ef(stage.sq.lts, prop).holds
-            unpruned_holds = check_ef(unpruned.lts, prop).holds
+            unpruned_holds = check_ef(unpruned, prop).holds
             if pruned_holds != unpruned_holds:
                 report.divergences.append(Divergence(
                     stage_root=stage.sq.root_name,
@@ -371,7 +374,7 @@ def stats(net: Network, cap: int = DEFAULT_STATE_CAP, runs: int = 3) -> StatsRep
         try:
             full = full_product(net, cap=cap)
             full_states = full.n_states
-            full_transitions = len(full.transitions)
+            full_transitions = len(full.src)
         except StateLimitExceeded as exc:
             capped = True
             full_states = exc.seen

@@ -71,9 +71,16 @@ class ExplicitLts:
     """A flat transition graph with structured state payloads.
 
     States are consecutive integers; ``payloads[i]`` records where flat
-    state ``i`` came from and is unique per state; transitions are
-    ``Transition`` records.  Instances are immutable after construction and
-    safe to share; the per-state successor lists are built on first use.
+    state ``i`` came from and is unique per state.  Transition ``k`` is
+    ``src[k] -act[k]-> dst[k]``, moving the components in ``movers[k]`` (one
+    of a few shared frozensets): four parallel lists, no object per edge.
+    ``out_edges[i]`` lists the indices of the transitions leaving ``i``, in
+    order, and is built on first use.  Instances are immutable after
+    construction and safe to share.
+
+    The constructor takes ``Transition`` records and ``from_arrays`` the
+    lists; both run the same checks.  ``transitions`` and ``out(i)`` are
+    read-only views that build records on every call, and nothing else does.
     """
 
     def __init__(
@@ -83,6 +90,23 @@ class ExplicitLts:
         labels: Iterable[frozenset[str]],
         payloads: Iterable[Payload],
     ) -> None:
+        columns = [list(column) for column in zip(*transitions)] or [[], [], [], []]
+        self._fill(initial, *columns, labels, payloads)
+
+    @classmethod
+    def from_arrays(cls, initial: int, src: list[int], act: list[str], dst: list[int],
+                    movers: list[frozenset[int]], labels: Iterable[frozenset[str]],
+                    payloads: Iterable[Payload]) -> ExplicitLts:
+        """Build from parallel transition lists, which are taken over, not copied."""
+        if not len(src) == len(act) == len(dst) == len(movers):
+            raise ValueError("src, act, dst and movers must have the same length")
+        lts = cls.__new__(cls)
+        lts._fill(initial, src, act, dst, movers, labels, payloads)
+        return lts
+
+    def _fill(self, initial: int, src: list[int], act: list[str], dst: list[int],
+              movers: list[frozenset[int]], labels: Iterable[frozenset[str]],
+              payloads: Iterable[Payload]) -> None:
         self.payloads: tuple[Payload, ...] = tuple(payloads)
         n = self.n_states = len(self.payloads)
         self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
@@ -91,25 +115,38 @@ class ExplicitLts:
         if not 0 <= initial < n:
             raise ValueError(f"initial state {initial} out of range")
         self.initial = initial
-        self.transitions: tuple[Transition, ...] = tuple(transitions)
+        self.src, self.act, self.dst, self.movers = src, act, dst, movers
         self._ids: dict[Payload, int] = dict(zip(self.payloads, range(n)))
         if len(self._ids) != n:  # name the payload whose repeat comes first
             dup = next(p for i, p in enumerate(self.payloads) if self.payloads.index(p) != i)
             raise ValueError(f"duplicate payload {dup}")
-        ends = {*map(itemgetter(0), self.transitions), *map(itemgetter(2), self.transitions)}
-        if ends and (min(ends) < 0 or max(ends) >= n):
-            bad = next(t for t in self.transitions if not (0 <= t.src < n and 0 <= t.dst < n))
-            raise ValueError(f"transition endpoint out of range: {bad}")
+        if src and (min(min(src), min(dst)) < 0 or max(max(src), max(dst)) >= n):
+            bad = next(k for k, (s, d) in enumerate(zip(src, dst))
+                       if not (0 <= s < n and 0 <= d < n))
+            raise ValueError(f"transition endpoint out of range: {self._records((bad,))[0]}")
 
-    @cached_property
-    def _out(self) -> tuple[tuple[Transition, ...], ...]:
-        out: list[list[Transition]] = [[] for _ in range(self.n_states)]
-        for src, run in itertools.groupby(self.transitions, itemgetter(0)):
-            out[src] += run
-        return tuple(map(tuple, out))
+    def _records(self, edges: Iterable[int]) -> tuple[Transition, ...]:
+        src, act, dst, movers = self.src, self.act, self.dst, self.movers
+        return tuple(Transition(src[k], act[k], dst[k], movers[k]) for k in edges)
+
+    @property
+    def transitions(self) -> tuple[Transition, ...]:
+        return self._records(range(len(self.src)))
 
     def out(self, state: int) -> tuple[Transition, ...]:
-        return self._out[state]
+        return self._records(self.out_edges[state])
+
+    @cached_property
+    def out_edges(self) -> tuple[tuple[int, ...], ...]:
+        out: list[list[int]] = [[] for _ in range(self.n_states)]
+        for k, s in enumerate(self.src):
+            out[s].append(k)
+        return tuple(map(tuple, out))
+
+    def edge(self, src: int, act: str, dst: int) -> int | None:
+        """Index of the first transition ``src -act-> dst``, if there is one."""
+        return next((k for k in self.out_edges[src]
+                     if self.act[k] == act and self.dst[k] == dst), None)
 
     def id_of(self, payload: Payload) -> int:
         return self._ids[payload]
@@ -117,13 +154,9 @@ class ExplicitLts:
     def has_payload(self, payload: Payload) -> bool:
         return payload in self._ids
 
-    @cached_property
-    def transition_triples(self) -> frozenset[tuple[int, str, int]]:
-        return frozenset(map(itemgetter(0, 1, 2), self.transitions))
-
     def __repr__(self) -> str:
         return (f"ExplicitLts(states={self.n_states}, "
-                f"transitions={len(self.transitions)}, initial={self.initial})")
+                f"transitions={len(self.src)}, initial={self.initial})")
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +210,18 @@ def replay(lts: ExplicitLts, path: Path) -> bool:
     """Whether every step of ``path`` is a transition of ``lts``."""
     if not all(0 <= s < lts.n_states for s in path.states):
         return False
-    return all(
-        (src, act, dst) in lts.transition_triples
-        for src, act, dst in zip(path.states, path.actions, path.states[1:])
-    )
+    steps = zip(path.states, path.actions, path.states[1:])
+    return all(lts.edge(src, act, dst) is not None for src, act, dst in steps)
 
 
 def prefix_of(lts: ExplicitLts, path: Path) -> PathPrefix:
     """Resolve a flat path into a payload-level prefix with mover data."""
     movers: list[frozenset[int]] = []
     for src, act, dst in zip(path.states, path.actions, path.states[1:]):
-        for t in lts.out(src):
-            if t.action == act and t.dst == dst:
-                movers.append(t.movers)
-                break
-        else:
+        k = lts.edge(src, act, dst)
+        if k is None:
             raise InvalidWitness(f"step ({src}, {act!r}, {dst}) is not a transition")
+        movers.append(lts.movers[k])
     return PathPrefix(
         states=tuple(lts.payloads[s] for s in path.states),
         actions=path.actions,
@@ -244,7 +273,12 @@ def product_of(
     ids: dict[tuple[int, ...], int] = {init: 0}
     tuples: list[tuple[int, ...]] = [init]
     queue: deque[tuple[int, ...]] = deque([init])
-    transitions: list[Transition] = []
+    src_ids: list[int] = []
+    acts: list[str] = []
+    dst_ids: list[int] = []
+    movers: list[frozenset[int]] = []
+    alone = [frozenset((i,)) for i in range(n)]
+    together = {act: frozenset(group) for act, group in sharers.items()}
 
     def state_id(tup: tuple[int, ...]) -> int:
         sid = ids.get(tup)
@@ -264,35 +298,30 @@ def product_of(
             seen_shared: set[str] = set()
             for act, dst in succ[i][src[i]]:
                 if act in silent or len(sharers[act]) == 1:
-                    nxt = src[:i] + (dst,) + src[i + 1:]
-                    transitions.append(
-                        Transition(src_id, act, state_id(nxt), frozenset((i,))))
+                    src_ids.append(src_id)
+                    acts.append(act)
+                    dst_ids.append(state_id(src[:i] + (dst,) + src[i + 1:]))
+                    movers.append(alone[i])
                     continue
                 group = sharers[act]
                 if group[0] != i or act in seen_shared:
                     continue
                 seen_shared.add(act)
-                options = []
-                for j in group:
-                    targets = [d for a, d in succ[j][src[j]] if a == act]
-                    if not targets:
-                        options = None
-                        break
-                    options.append(targets)
-                if options is None:
-                    continue
+                # no combination when some member cannot take part
+                options = [[d for a, d in succ[j][src[j]] if a == act] for j in group]
                 for combo in itertools.product(*options):
                     nxt_list = list(src)
                     for j, d in zip(group, combo):
                         nxt_list[j] = d
-                    transitions.append(
-                        Transition(src_id, act, state_id(tuple(nxt_list)), frozenset(group)))
+                    src_ids.append(src_id)
+                    acts.append(act)
+                    dst_ids.append(state_id(tuple(nxt_list)))
+                    movers.append(together[act])
 
     names = [c.states for c in comps]
     labels = [[c.label_of(s) for s in c.states] for c in comps]
-    return ExplicitLts(
-        initial=0,
-        transitions=transitions,
+    return ExplicitLts.from_arrays(
+        0, src_ids, acts, dst_ids, movers,
         labels=[frozenset().union(*(labels[i][tup[i]] for i in range(n))) for tup in tuples],
         payloads=[GlobalTuple(tuple(names[i][tup[i]] for i in range(n))) for tup in tuples],
     )
@@ -305,11 +334,14 @@ def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
 
 def component_lts(component: Component) -> ExplicitLts:
     """A component viewed as an explicit graph over its declared states."""
-    ids = component.index
-    moved = frozenset((0,))
-    return ExplicitLts(
-        initial=ids[component.initial],
-        transitions=[Transition(ids[s], act, ids[d], moved) for s, act, d in component.transitions],
+    at = component.index.__getitem__
+    ts = component.transitions
+    return ExplicitLts.from_arrays(
+        at(component.initial),
+        list(map(at, map(itemgetter(0), ts))),
+        list(map(itemgetter(1), ts)),
+        list(map(at, map(itemgetter(2), ts))),
+        [frozenset((0,))] * len(ts),
         labels=map(component.label_of, component.states),
         payloads=[GlobalTuple((s,)) for s in component.states],
     )
@@ -320,18 +352,20 @@ def lts_to_component(lts: ExplicitLts, name: str, reset: frozenset[str]) -> Comp
 
     States become ``q0``, ``q1``, ... in id order.  Every transition
     labelled with an action in ``reset`` is retargeted to the initial state;
-    duplicates are dropped on the integer triples, before any name is made.
+    the duplicates this can make are dropped by ``Component``, which keeps
+    first occurrences.
     """
     init = lts.initial
-    triples = map(itemgetter(0, 1, 2), lts.transitions)
+    dst = lts.dst
     if reset:
-        triples = ((s, a, init if a in reset else d) for s, a, d in triples)
+        dst = [init if a in reset else d for a, d in zip(lts.act, dst)]
     names = tuple(f"q{i}" for i in range(lts.n_states))
     return Component(
         name=name,
         states=names,
         initial=names[init],
-        transitions=[(names[src], act, names[dst]) for src, act, dst in dict.fromkeys(triples)],
+        transitions=list(zip(map(names.__getitem__, lts.src), lts.act,
+                             map(names.__getitem__, dst))),
         labels={names[i]: lab for i, lab in enumerate(lts.labels) if lab},
     )
 

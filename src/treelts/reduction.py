@@ -12,18 +12,13 @@ result is quotiented down to what its parent can observe.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Iterable
 
 from .errors import EmptyReduction, NotTwoLevel
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
 from .model import Component, Network, subnetwork, two_level_network  # noqa: F401
-from .product import (
-    ExplicitLts,
-    FreshInit,
-    SquareOrigin,
-    Transition,
-    lts_to_component,
-)
+from .product import ExplicitLts, FreshInit, SquareOrigin, lts_to_component
 
 
 @dataclass(frozen=True)
@@ -120,22 +115,34 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     ordered = sorted(found)
     ids = dict(zip(ordered, range(1, len(ordered) + 1)))
     entry_ids = {rs: [ids[e + rs] for e in entries] for rs in entered}
-    transitions = [Transition(0, epsilon, dst, frozenset()) for dst in entry_ids[root_init]]
-    for src, code in enumerate(ordered, 1):
+    glue = entry_ids[root_init]
+    n_glue = len(glue)
+    src, act, dst, movers = [0] * n_glue, [epsilon] * n_glue, glue[:], [frozenset()] * n_glue
+    for s, code in enumerate(ordered, 1):
         row, rs = divmod(code, width)
-        transitions += [Transition(src, a, ids[code + d], m)
-                        for a, d, m in child_local[row] + root_local[rs]]
-        for act, movers in handoffs[row]:
-            for root_dst in root_dsts[rs].get(act, ()):
-                transitions += [Transition(src, act, dst, movers) for dst in entry_ids[root_dst]]
-        transitions += [Transition(src, a, ids[code + d], m) for a, d, m in root_up[rs]]
+        for a, d, m in child_local[row] + root_local[rs]:
+            src.append(s)
+            act.append(a)
+            dst.append(ids[code + d])
+            movers.append(m)
+        for a, m in handoffs[row]:
+            for root_dst in root_dsts[rs].get(a, ()):
+                targets = entry_ids[root_dst]
+                src += [s] * len(targets)
+                act += [a] * len(targets)
+                dst += targets
+                movers += [m] * len(targets)
+        for a, d, m in root_up[rs]:
+            src.append(s)
+            act.append(a)
+            dst.append(ids[code + d])
+            movers.append(m)
     keys = [rows[code // width] + (code % width,) for code in ordered]
     names = {i: comps[i].states for i in (r, *kids)}
     labels = {i: [comps[i].label_of(s) for s in comps[i].states] for i in (r, *kids)}
     return SumOfSquares(
-        lts=ExplicitLts(
-            0,
-            transitions,
+        lts=ExplicitLts.from_arrays(
+            0, src, act, dst, movers,
             [frozenset()] + [_union(labels[i][cs], labels[r][rs]) for i, cs, rs in keys],
             [FreshInit()] + [SquareOrigin(i, names[i][cs], names[r][rs]) for i, cs, rs in keys],
         ),
@@ -155,8 +162,8 @@ def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
 def _backward_closure(lts: ExplicitLts, seeds: Iterable[int]) -> set[int]:
     """The ``seeds`` together with every state that has a path into them."""
     rev: list[list[int]] = [[] for _ in range(lts.n_states)]
-    for t in lts.transitions:
-        rev[t.dst].append(t.src)
+    for s, d in zip(lts.src, lts.dst):
+        rev[d].append(s)
     closed = set(seeds)
     stack = list(closed)
     while stack:
@@ -175,8 +182,7 @@ def compute_locked(sq: SumOfSquares) -> frozenset[int]:
     locked.
     """
     lts = sq.lts
-    alive = _backward_closure(
-        lts, (t.src for t in lts.transitions if t.action in sq.root_acts))
+    alive = _backward_closure(lts, compress(lts.src, map(sq.root_acts.__contains__, lts.act)))
     return frozenset(i for i in range(lts.n_states) if i not in alive)
 
 
@@ -209,19 +215,19 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
         lts, (i for i in range(lts.n_states) if lts.labels[i]))
 
     deleted = locked - label_reaching - {lts.initial}
-    if all(t.dst in deleted for t in lts.out(lts.initial)):
+    if {d for s, d in zip(lts.src, lts.dst) if s == lts.initial} <= deleted:
         raise EmptyReduction("all squares are locked; the initial state would be isolated")
     if not deleted:
         return replace(sq, unreduced=False)
     remap = {old: new for new, old in
              enumerate(i for i in range(lts.n_states) if i not in deleted)}
-    pruned = ExplicitLts(
-        initial=remap[lts.initial],
-        transitions=[
-            Transition(remap[t.src], t.action, remap[t.dst], t.movers)
-            for t in lts.transitions
-            if t.src in remap and t.dst in remap
-        ],
+    kept = [s in remap and d in remap for s, d in zip(lts.src, lts.dst)]
+    pruned = ExplicitLts.from_arrays(
+        remap[lts.initial],
+        [remap[s] for s in compress(lts.src, kept)],
+        list(compress(lts.act, kept)),
+        [remap[d] for d in compress(lts.dst, kept)],
+        list(compress(lts.movers, kept)),
         labels=[lts.labels[i] for i in range(lts.n_states) if i not in deleted],
         payloads=[lts.payloads[i] for i in range(lts.n_states) if i not in deleted],
     )
@@ -341,12 +347,15 @@ class ReductionStage:
 
     ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
     below the top stage, so ``sq.lts.n_states`` against
-    ``len(result.states)`` is the quotient's shrink.
+    ``len(result.states)`` is the quotient's shrink.  ``deleted`` counts the
+    states pruning removed from the unpruned squares; when it is 0, ``sq``
+    holds the unpruned squares themselves.
     """
 
     net: Network
     sq: SumOfSquares
     result: Component
+    deleted: int
 
 
 def reduce_net(net: Network, prune: bool = True) -> Component:
@@ -400,33 +409,28 @@ def reduce_net_traced(
                 # silent here
                 silent=net.silent | {hidden.pop(k) for k in kids if k in hidden},
             )
-            sq = _squares(two_level, epsilon, prune)
+            sq, deleted = _squares(two_level, epsilon, prune)
             result = cmpl(sq)
             if level:
                 result = quotient(result, net.upacts[node], epsilon)
                 hidden[node] = epsilon
             reduced[node] = result
-            stages.append(ReductionStage(net=two_level, sq=sq, result=result))
+            stages.append(ReductionStage(two_level, sq, result, deleted))
     return reduced[net.root_index], tuple(stages)
 
 
-def _squares(net: Network, epsilon: str, prune: bool) -> SumOfSquares:
-    """The (pruned, unless ``prune`` is false) squares of a two-level stage."""
+def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int]:
+    """The (pruned, unless ``prune`` is false) squares of a two-level stage
+    and the number of states pruning deleted."""
     sq = build_sq_unreduced(net, epsilon)
     if not prune:
-        return sq
+        return sq, 0
     try:
-        return prune_locked(sq)
+        pruned = prune_locked(sq)
     except EmptyReduction:
         # every square is locked and label-free: nothing labelled is
         # reachable in this subtree, so the bare glue state is enough
-        return _glue_only(sq)
-
-
-def _glue_only(sq: SumOfSquares) -> SumOfSquares:
-    lts = sq.lts
-    return replace(
-        sq,
-        lts=ExplicitLts(0, (), [frozenset()], [lts.payloads[lts.initial]]),
-        unreduced=False,
-    )
+        glue = ExplicitLts.from_arrays(
+            0, [], [], [], [], [frozenset()], [sq.lts.payloads[sq.lts.initial]])
+        pruned = replace(sq, lts=glue, unreduced=False)
+    return pruned, sq.lts.n_states - pruned.lts.n_states

@@ -32,3 +32,12 @@ def ring_tree(parents, states=4, labelled=None):
 def ring_chain(depth, states=4, labelled=None):
     """The path ``n0 - n1 - ...`` of ``depth`` rings, as in ``ring_tree``."""
     return ring_tree([None, *range(depth - 1)], states, labelled)
+
+
+def all_locked_tree():
+    """``t - r - c``: ``c`` never moves, so every square of both stages is
+    locked."""
+    top = Component("t", ("t0", "t1"), "t0", (("t0", "up", "t1"),))
+    root = Component("r", ("r0", "r1"), "r0", (("r0", "go", "r1"), ("r1", "up", "r0")))
+    child = Component("c", ("c0", "c1"), "c0", (("c1", "go", "c0"),))
+    return infer_topology([top, root, child], "t")

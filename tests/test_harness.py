@@ -9,12 +9,15 @@ from treelts import (
     equivalence_suite,
     full_product,
     gen_random_tree,
+    harness,
     infer_topology,
     reduce_net,
+    reduce_net_traced,
     stats,
     validate_live_reset,
 )
 from treelts.cli import save_string
+from shapes import all_locked_tree, ring_tree
 
 
 class TestGenerator:
@@ -106,6 +109,25 @@ class TestEquivalenceSuite:
 
     def test_size_bound_is_recorded(self, gx):
         assert equivalence_suite(gx).size_bound_ok
+
+    def test_unpruned_squares_are_rebuilt_only_where_pruning_deleted(self, gx, monkeypatch):
+        calls = []
+        original = harness.build_sq_unreduced
+
+        def counting(net, epsilon=None):
+            calls.append(net.root.name)
+            return original(net, epsilon)
+
+        monkeypatch.setattr(harness, "build_sq_unreduced", counting)
+        # gx prunes its 9 locked square states; both all-locked stages fall
+        # back from two states to the bare glue state
+        for net, deleted in ((ring_tree([None, 0, 0]), [0]), (gx, [9]),
+                             (all_locked_tree(), [1, 1])):
+            calls.clear()
+            report = equivalence_suite(net)
+            assert [stage.deleted for stage in reduce_net_traced(net)[1]] == deleted
+            assert len(calls) == sum(map(bool, deleted))
+            assert report.size_bound_ok and not report.divergences
 
 
 class TestStats:

@@ -22,6 +22,7 @@ from treelts import (
     prefix_of,
     product_of,
     project_prefix,
+    reduce_net_traced,
     replay,
     resolve_prefix,
 )
@@ -255,6 +256,53 @@ class TestExplicitLtsChecks:
     def test_labels_and_payloads_must_have_the_same_length(self):
         with pytest.raises(ValueError, match="^labels and payloads must have the same length$"):
             self.lts(labels=1)
+
+
+class TestFromArraysChecks(TestExplicitLtsChecks):
+    """The same checks and messages through the array entry point."""
+
+    @staticmethod
+    def lts(initial=0, transitions=(), labels=2, payloads=("a", "b")):
+        columns = [list(column) for column in zip(*transitions)] or [[], [], [], []]
+        return ExplicitLts.from_arrays(initial, *columns, [frozenset()] * labels,
+                                       [GlobalTuple((p,)) for p in payloads])
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_arrays_of_unequal_length(self, column):
+        columns = [[0], ["x"], [1], [frozenset({0})]]
+        columns[column].append(columns[column][0])
+        with pytest.raises(ValueError,
+                           match="^src, act, dst and movers must have the same length$"):
+            ExplicitLts.from_arrays(0, *columns, [frozenset()] * 2,
+                                    [GlobalTuple(("a",)), GlobalTuple(("b",))])
+
+
+class TestRecordViews:
+    """``transitions`` and ``out`` are records built from the parallel lists."""
+
+    @staticmethod
+    def assert_views_match(lts):
+        records = tuple(map(Transition, lts.src, lts.act, lts.dst, lts.movers))
+        assert lts.transitions == records
+        by_src = [[] for _ in range(lts.n_states)]
+        for t in records:
+            by_src[t.src].append(t)
+        assert [lts.out(i) for i in range(lts.n_states)] == list(map(tuple, by_src))
+        again = ExplicitLts(lts.initial, records, lts.labels, lts.payloads)
+        assert (again.src, again.act, again.dst, again.movers) == \
+            (lts.src, lts.act, lts.dst, lts.movers)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_views_match_the_arrays(self, seed):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4))
+        systems = [stage.sq.lts for stage in reduce_net_traced(net)[1]]
+        try:
+            systems.append(full_product(net, cap=5_000))
+        except StateLimitExceeded:
+            pass
+        for lts in systems:
+            self.assert_views_match(lts)
 
 
 class TestTransition:

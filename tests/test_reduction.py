@@ -1,6 +1,7 @@
 """The square construction, locked-state pruning, completion, and the
 bottom-up reduction."""
 
+import gc
 from math import prod
 
 import pytest
@@ -34,19 +35,10 @@ from treelts import reduction as reduction_module
 from treelts.cli import main, save
 from treelts.reduction import quotient
 from oracles import naive_ef, naive_product
-from shapes import ring_chain, ring_tree
+from shapes import all_locked_tree, ring_chain, ring_tree
 
 #: Largest product of subtree component sizes the per-stage oracle builds.
 ORACLE_CAP = 20_000
-
-
-def all_locked_tree():
-    """``t - r - c``: ``c`` never moves, so every square of both stages is
-    locked."""
-    top = Component("t", ("t0", "t1"), "t0", (("t0", "up", "t1"),))
-    root = Component("r", ("r0", "r1"), "r0", (("r0", "go", "r1"), ("r1", "up", "r0")))
-    child = Component("c", ("c0", "c1"), "c0", (("c1", "go", "c0"),))
-    return infer_topology([top, root, child], "t")
 
 
 def payload_names(sq):
@@ -111,6 +103,22 @@ class TestUnreducedSquares:
         a, b = build_sq_unreduced(gx), build_sq_unreduced(gx)
         assert a.lts.payloads == b.lts.payloads
         assert a.lts.transitions == b.lts.transitions
+
+    def test_no_tracked_object_per_transition(self):
+        # transitions live in parallel lists; a record per edge would add at
+        # least one object the cyclic collector tracks per transition
+        net = ring_tree([None] + [0] * 20)
+        build_sq_unreduced(net)  # fills the components' cached views
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            sq = build_sq_unreduced(net)
+            gc.collect()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert added < len(sq.lts.transitions)
 
     def test_rejects_leaf_networks(self):
         c = Component("c", ("s0",), "s0", (("s0", "a", "s0"),))
