@@ -277,7 +277,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     component, stages = reduce_net_traced(net, prune=not args.keep_locked)
     print(f"reduced: {len(component.states)} states, "
           f"{len(component.transitions)} transitions ({len(stages)} reduction stage(s))")
-    silent = net.silent | {stage.sq.epsilon for stage in stages}
+    # every name a stage treats as silent, the one pre-minimised components
+    # hide their moves under included
+    silent = net.silent.union(*(stage.net.silent | {stage.sq.epsilon} for stage in stages))
     if args.out:
         reduced_net = infer_topology([component], component.name, silent=silent)
         save(reduced_net, args.out)

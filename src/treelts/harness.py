@@ -23,6 +23,7 @@ from .product import (
     component_lts,
     full_product,
     prefix_of,
+    product_of,
     resolve_prefix,
 )
 from .reduction import build_sq_unreduced, reduce_net, reduce_net_traced
@@ -233,7 +234,9 @@ def equivalence_suite(
     must agree between the two; the EG verdicts are recorded as well but
     divergence there is expected and only flagged.  Reachability witnesses
     found on the reduced side are lifted and replayed against the product of
-    the top reduction stage.  The pruned and unpruned squares are compared
+    the top reduction stage's original components: the full product on a
+    two-level network, and otherwise the original root and leaves with the
+    reduced inner children.  The pruned and unpruned squares are compared
     at every stage where pruning deleted a state; elsewhere they are the
     same system.  Raises OracleTooLarge when the product exceeds ``cap``.
     """
@@ -257,11 +260,11 @@ def equivalence_suite(
     top = stages[-1] if stages else None
     lift_target: ExplicitLts | None = None
     if top is not None and not top.sq.root_upacts:
-        if top.net.components == net.components and top.net.silent == net.silent:
+        if top.originals == net.components:
             lift_target = full
         else:
             try:
-                lift_target = full_product(top.net, cap=cap)
+                lift_target = product_of(top.originals, top.net.silent, cap=cap)
             except StateLimitExceeded:
                 lift_target = None
 
@@ -288,7 +291,8 @@ def equivalence_suite(
             report.witnesses_checked += 1
             ok = False
             try:
-                prefix = lift_witness(top.sq, top.net, vr.witness)
+                prefix = lift_witness(top.sq, top.net, vr.witness, prop,
+                                      top.originals, top.blocks)
                 lifted = resolve_prefix(lift_target, prefix)
                 ok = prop in lift_target.labels[lifted.states[-1]]
             except InvalidWitness:

@@ -12,7 +12,6 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -22,11 +21,6 @@ from .errors import LiveResetWarning, NotATree, UnknownRoot
 DEFAULT_SILENT = frozenset({"tau"})
 
 _NO_LABELS: frozenset[str] = frozenset()
-
-
-def _all_of(kind: type, items: Iterable[object]) -> bool:
-    """Whether every item is exactly of type ``kind``."""
-    return set(map(type, items)) <= {kind}
 
 
 @dataclass(frozen=True)
@@ -46,33 +40,38 @@ class Component:
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # whole-collection passes; str() only where needed, first duplicates kept
-        transitions = tuple(self.transitions)
-        if not (_all_of(tuple, transitions) and set(map(len, transitions)) <= {3}
-                and _all_of(str, chain.from_iterable(transitions))):
-            transitions = [(str(raw[0]), str(raw[1]), str(raw[2])) for raw in transitions]
-        labels = self.labels
-        if not (_all_of(str, labels) and _all_of(frozenset, labels.values())
-                and _all_of(str, chain.from_iterable(labels.values()))):
-            labels = {str(s): frozenset(map(str, ps)) for s, ps in labels.items() if ps}
-        object.__setattr__(self, "states", tuple(map(str, self.states)))
-        object.__setattr__(self, "transitions", tuple(dict.fromkeys(transitions)))
-        object.__setattr__(self, "labels", dict(filter(itemgetter(1), labels.items())))
-        state_set = set(self.states)
-        if len(state_set) != len(self.states):
+        # one pass per collection; str() only where an item is not one
+        # already, and the first of equal transitions is kept
+        transitions: dict[tuple[str, str, str], None] = {}
+        for raw in self.transitions:
+            src, act, dst = raw
+            if type(src) is not str or type(act) is not str or type(dst) is not str \
+                    or type(raw) is not tuple:
+                raw = (str(src), str(act), str(dst))
+            transitions[raw] = None
+        labels: dict[str, frozenset[str]] = {}
+        for s, ps in self.labels.items():
+            if ps:
+                if type(s) is not str or type(ps) is not frozenset \
+                        or not all(type(p) is str for p in ps):
+                    s, ps = str(s), frozenset(map(str, ps))
+                labels[s] = ps
+        states = tuple(map(str, self.states))
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "transitions", tuple(transitions))
+        object.__setattr__(self, "labels", labels)
+        state_set = set(states)
+        if len(state_set) != len(states):
             raise ValueError(f"duplicate state names in component {self.name!r}")
         if self.initial not in state_set:
             raise ValueError(
                 f"initial state {self.initial!r} is not a state of component {self.name!r}")
-        # checked by set inclusion; the loop only names the first offender
-        ends = {*map(itemgetter(0), self.transitions), *map(itemgetter(2), self.transitions)}
-        if not ends <= state_set:
-            for src, act, dst in self.transitions:
-                if src not in state_set or dst not in state_set:
-                    raise ValueError(
-                        f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
-                        f"in component {self.name!r}")
-        for s in self.labels:
+        for src, act, dst in transitions:
+            if src not in state_set or dst not in state_set:
+                raise ValueError(
+                    f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
+                    f"in component {self.name!r}")
+        for s in labels:
             if s not in state_set:
                 raise ValueError(f"label on unknown state {s!r} in component {self.name!r}")
 

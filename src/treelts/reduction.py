@@ -245,9 +245,11 @@ def cmpl(sq: SumOfSquares) -> Component:
     return lts_to_component(sq.lts, sq.root_name, sq.root_upacts)
 
 
-def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Component:
-    """Minimise a completed child as a parent synchronising over ``visible``
-    sees it.
+def quotient(
+    component: Component, visible: frozenset[str], epsilon: str, keep: bool = False,
+) -> tuple[Component, tuple[int, ...] | None]:
+    """Minimise a component as tree neighbours synchronising over
+    ``visible`` see it.
 
     Every action outside ``visible`` is renamed to ``epsilon``.  Each
     strongly connected component of ``epsilon`` moves collapses into one
@@ -257,14 +259,24 @@ def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Com
     numbered by the first state position each contains and transitions are
     emitted sorted, so the result never depends on hashing order.
 
-    Reachability of every single proposition is preserved inside any such
-    parent: a silent move never involves the parent, so all members of a
-    silent cycle are reachable alongside any parent state, and strong
+    Returns the minimised component and its block map: per state position
+    of ``component``, the position of the result state its silent SCC
+    merged into.  With ``keep``, a component whose silent moves contain no
+    cycle comes back as it is, with no block map, right after the SCC pass:
+    its SCC contraction merges nothing, and what bisimulation alone would
+    merge in it is not worth the refinement's cost.
+
+    Reachability of every single proposition is preserved inside any
+    network whose other components share only ``visible`` with this one: a
+    silent move involves no other component, so all members of a silent
+    cycle are reachable alongside any state of the others, and strong
     bisimulation is a congruence for synchronisation over ``visible``.
     """
-    moves = [[(a if a in visible else epsilon, d) for a, d in out] for out in component.succ]
-    scc = _sccs([[d for a, d in out if a == epsilon] for out in moves])
+    scc = _sccs([[d for a, d in out if a not in visible] for out in component.succ])
     n = max(scc) + 1
+    if keep and n == len(scc):
+        return component, None
+    moves = [[(a if a in visible else epsilon, d) for a, d in out] for out in component.succ]
     labels: list[frozenset[str]] = [frozenset()] * n
     edges: list[set[tuple[str, int]]] = [set() for _ in range(n)]
     for pos, out in enumerate(moves):
@@ -275,7 +287,7 @@ def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Com
     by_label: dict[frozenset[str], int] = {}
     block = [by_label.setdefault(lab, len(by_label)) for lab in labels]
     count = len(by_label)
-    while True:
+    while count < n:  # a partition into singletons is stable
         # a block splits by the blocks its members' moves reach
         sigs: dict[tuple[int, frozenset[tuple[str, int]]], int] = {}
         block = [sigs.setdefault((block[s], frozenset((a, block[d]) for a, d in edges[s])),
@@ -289,7 +301,7 @@ def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Com
         rank.setdefault(block[s], len(rank))
     of = [rank[b] for b in block]
     names = tuple(f"q{i}" for i in range(len(rank)))
-    return Component(
+    minimal = Component(
         name=component.name,
         states=names,
         initial=names[of[scc[component.index[component.initial]]]],
@@ -298,6 +310,19 @@ def quotient(component: Component, visible: frozenset[str], epsilon: str) -> Com
             sorted({(of[s], a, of[d]) for s in range(n) for a, d in edges[s]})),
         labels={names[of[s]]: labels[s] for s in range(n) if labels[s]},
     )
+    return minimal, tuple(of[s] for s in scc)
+
+
+def _premin(
+    component: Component, visible: frozenset[str], hide: str,
+) -> tuple[Component, tuple[int, ...] | None]:
+    """``component`` quotiented against its tree interface ``visible``, or
+    itself with no block map when its moves outside ``visible`` contain no
+    cycle.  A component with a single state or no action outside
+    ``visible`` is left as it is without a look."""
+    if len(component.states) < 2 or component.acts <= visible:
+        return component, None
+    return quotient(component, visible, hide, keep=True)
 
 
 def _sccs(succ: list[list[int]]) -> list[int]:
@@ -345,27 +370,38 @@ def _sccs(succ: list[list[int]]) -> list[int]:
 class ReductionStage:
     """One two-level collapse performed during a bottom-up reduction.
 
-    ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
-    below the top stage, so ``sq.lts.n_states`` against
-    ``len(result.states)`` is the quotient's shrink.  ``deleted`` counts the
-    states pruning removed from the unpruned squares; when it is 0, ``sq``
-    holds the unpruned squares themselves.
+    ``net`` is the network the squares ``sq`` were built from.  Its root
+    and its leaf children are pre-minimised: ``originals`` holds the
+    components as they entered the stage (the reduced inner children among
+    them), aligned with ``net.components``, and ``blocks[i]`` the block map
+    ``quotient`` gave for ``originals[i]``, or None where the component
+    entered as it is (see ``_premin``).  ``result`` is the component the parent
+    sees: ``cmpl(sq)``, quotiented below the top stage, so
+    ``sq.lts.n_states`` against ``len(result.states)`` is the quotient's
+    shrink.  ``deleted`` counts the states pruning removed from the
+    unpruned squares; when it is 0, ``sq`` holds the unpruned squares
+    themselves.
     """
 
     net: Network
     sq: SumOfSquares
     result: Component
     deleted: int
+    originals: tuple[Component, ...]
+    blocks: tuple[tuple[int, ...] | None, ...]
 
 
 def reduce_net(net: Network, prune: bool = True) -> Component:
     """Collapse a live-reset tree network into a single component.
 
-    Leaves are returned unchanged; every internal node is replaced by the
-    completed (and, unless ``prune`` is false, pruned) sum-of-squares of
-    itself and its already-reduced children, quotiented by ``quotient``
-    unless it is the root.  The result satisfies the same reachability
-    verdicts as the full product for every single proposition.
+    A lone component is returned unchanged.  Every internal node is
+    replaced by the completed (and, unless ``prune`` is false, pruned)
+    sum-of-squares of itself and its children, quotiented by ``quotient``
+    unless it is the root.  The node and its leaf children enter the
+    squares pre-minimised against their tree interface (upacts and
+    downacts); its inner children enter as already reduced.  The result
+    satisfies the same reachability verdicts as the full product for every
+    single proposition.
     """
     component, _ = reduce_net_traced(net, prune=prune)
     return component
@@ -379,14 +415,17 @@ def reduce_net_traced(
     Stages come in post-order over the original tree, children in network
     order.  Below the top, each stage's ``result`` is the quotiented
     component its parent's stage glues in.  The last stage is the top-level
-    one; its network consists of the original root and the reduced
-    children, which is what any witness found on the final component is
-    expressed over.
+    one; its ``originals`` are the original root and leaves and the reduced
+    inner children, which is what a witness found on the final component
+    lifts to (see ``lift_witness``).  Pre-minimised components hide their
+    moves under one of ``net.silent``, or under a fresh name that is then
+    silent in the stage networks.
     """
     stages: list[ReductionStage] = []
     reserved = frozenset(
         {a for c in net.components for a in c.acts} | net.silent
     )
+    hide = min(net.silent) if net.silent else fresh_action(reserved, "tau")
     reduced: dict[int, Component] = {}
     hidden: dict[int, str] = {}
     todo = [(net.root_index, 0, False)]
@@ -400,22 +439,31 @@ def reduce_net_traced(
             todo.extend((k, level + 1, False) for k in reversed(kids))
         else:
             epsilon = fresh_action(reserved, f"eps{level}")
+            originals = (net.components[node], *(reduced.pop(k) for k in kids))
+            premin = [
+                _premin(c, net.upacts[i] | net.downacts[i], hide)
+                if i == node or not net.children[i] else (c, None)
+                for i, c in zip((node, *kids), originals)]
+            blocks = tuple(b for _, b in premin)
+            # the names reduced children hide their moves under stay silent
+            # here, and so does the name pre-minimised components use
+            silent = net.silent | {hidden.pop(k) for k in kids if k in hidden}
+            if any(b is not None for b in blocks):
+                silent |= {hide}
             two_level = two_level_network(
-                net.components[node],
-                [reduced.pop(k) for k in kids],
+                premin[0][0],
+                [c for c, _ in premin[1:]],
                 child_upacts=[net.upacts[k] for k in kids],
                 root_upacts=net.upacts[node],
-                # the names reduced children hide their moves under stay
-                # silent here
-                silent=net.silent | {hidden.pop(k) for k in kids if k in hidden},
+                silent=silent,
             )
             sq, deleted = _squares(two_level, epsilon, prune)
             result = cmpl(sq)
             if level:
-                result = quotient(result, net.upacts[node], epsilon)
+                result, _ = quotient(result, net.upacts[node], epsilon)
                 hidden[node] = epsilon
             reduced[node] = result
-            stages.append(ReductionStage(two_level, sq, result, deleted))
+            stages.append(ReductionStage(two_level, sq, result, deleted, originals, blocks))
     return reduced[net.root_index], tuple(stages)
 
 

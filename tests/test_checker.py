@@ -186,6 +186,21 @@ class TestCheckerProperties:
                 assert prop in lts.labels[verdict.witness.states[-1]]
 
 
+def merging_two_level():
+    """A root over one leaf; both have a tau-cycle that pre-minimisation
+    collapses, and the leaf a local move ``l`` that it hides."""
+    root = Component(
+        "R", ("r0", "r1", "r2"), "r0",
+        (("r0", "tau", "r1"), ("r1", "tau", "r0"), ("r1", "up", "r2"), ("r2", "tau", "r0")),
+        labels={"r1": frozenset({"pr"}), "r2": frozenset({"done"})})
+    leaf = Component(
+        "C", ("c0", "c1", "c2"), "c0",
+        (("c0", "tau", "c1"), ("c1", "tau", "c0"), ("c1", "up", "c0"), ("c0", "l", "c2"),
+         ("c2", "up", "c0")),
+        labels={"c1": frozenset({"pc"}), "c2": frozenset({"deep"})})
+    return infer_topology([root, leaf], "R")
+
+
 class TestLiftWitness:
     def test_zero_length_witness_lifts_to_the_global_start(self, gx):
         sq = build_sq(gx)
@@ -225,6 +240,40 @@ class TestLiftWitness:
             assert prop in full.labels[resolved.states[-1]]
             lifted += 1
         assert lifted >= 4
+
+    def test_pre_minimised_coordinates_lift_to_the_full_product(self):
+        net = merging_two_level()
+        comp, stages = reduce_net_traced(net)
+        top = stages[-1]
+        assert top.originals == net.components
+        assert top.blocks == ((0, 0, 1), (0, 0, 1))
+        assert [len(c.states) for c in top.net.components] == [2, 2]
+        lts, full = component_lts(comp), full_product(net)
+        lifted = {}
+        for prop in net.propositions():
+            verdict = check_ef(lts, prop)
+            assert verdict.holds, prop
+            prefix = lift_witness(top.sq, top.net, verdict.witness, prop,
+                                  top.originals, top.blocks)
+            resolved = resolve_prefix(full, prefix)
+            assert prop in full.labels[resolved.states[-1]], prop
+            lifted[prop] = prefix
+        assert lifted["pc"].actions == ("tau",)
+        # the hidden step of the leaf is lifted to its original action
+        assert lifted["deep"].actions == ("l",)
+        # both coordinates walk their tau-cycle before synchronising
+        assert lifted["done"].actions == ("tau", "tau", "up")
+        assert [p.states for p in lifted["done"].states][-1] == ("r2", "c0")
+
+    def test_without_the_originals_a_lift_names_blocks(self):
+        net = merging_two_level()
+        comp, stages = reduce_net_traced(net)
+        top = stages[-1]
+        verdict = check_ef(component_lts(comp), "pc")
+        prefix = lift_witness(top.sq, top.net, verdict.witness)
+        with pytest.raises(InvalidWitness):
+            resolve_prefix(full_product(net), prefix)
+        resolve_prefix(full_product(top.net), prefix)
 
     def test_corrupted_paths_are_rejected(self, gx):
         sq = build_sq(gx)

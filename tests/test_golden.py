@@ -19,16 +19,18 @@ import pytest
 import treelts
 from treelts import (
     Component,
+    build_sq_unreduced,
     check_ef,
     component_lts,
     full_product,
     harness,
     infer_topology,
+    reduce_net_traced,
     reduction,
 )
 from treelts.cli import load, main, save
 from treelts.fixtures import gx_path, gy_path
-from shapes import ring_chain, ring_tree
+from shapes import all_locked_tree, ring_chain, ring_tree
 
 GOLDEN = Path(__file__).parent / "golden"
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
@@ -120,6 +122,20 @@ def test_wide_golden_reduction_agrees_with_the_full_product():
     assert len(source.propositions()) == 6
     for prop in source.propositions():
         assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+
+
+@pytest.mark.parametrize("make", [
+    lambda: load(gx_path()), chain_out_of_order, wide_tree, all_locked_tree,
+    lambda: ring_tree([None, 0, 1, 1, 0]),
+], ids=["gx", "chain", "wide", "all-locked", "ring-tree"])
+@pytest.mark.parametrize("prune", [True, False])
+def test_stage_squares_rebuild_from_the_stage_network(make, prune):
+    # the benchmark's per-stage records and equivalence_suite rebuild the
+    # unpruned squares from stage.net, so it must be the network the squares
+    # were built from, pre-minimised components included
+    for stage in reduce_net_traced(make(), prune=prune)[1]:
+        unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
+        assert unpruned.lts.n_states - stage.deleted == stage.sq.lts.n_states
 
 
 @pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])

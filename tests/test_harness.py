@@ -130,6 +130,43 @@ class TestEquivalenceSuite:
             assert report.size_bound_ok and not report.divergences
 
 
+#: Generator bounds of the acceptance suite (tests/test_acceptance.py).
+SUITE_CFG = dict(max_depth=3, max_children=3, max_states=5,
+                 max_local_actions=2, propositions=3, density=0.6)
+
+
+class TestLiftTarget:
+    def test_two_level_witnesses_lift_against_the_full_product(self):
+        two_level = expanded = 0
+        for seed in range(600):
+            net = gen_random_tree(GenConfig(seed=seed, **SUITE_CFG))
+            kids = net.children[net.root_index]
+            if not kids or any(net.children[k] for k in kids):
+                continue
+            two_level += 1
+            top = reduce_net_traced(net)[1][-1]
+            # equivalence_suite lifts against ``full`` exactly when this holds
+            assert top.originals == net.components
+            expanded += any(b is not None for b in top.blocks)
+            report = equivalence_suite(net, cap=300_000)
+            assert report.witnesses_checked
+            assert report.witnesses_lifted == report.witnesses_checked, seed
+        assert two_level == 67
+        assert expanded > 0
+
+    def test_deep_witnesses_lift_against_the_original_leaves(self):
+        net = ring_tree([None, 0, 1, 1, 0])
+        top = reduce_net_traced(net)[1][-1]
+        # n1 arrives reduced, the root and the leaf n4 as they were
+        names = [c.name for c in top.originals]
+        assert top.originals[names.index("n0")] is net.components[0]
+        assert top.originals[names.index("n4")] is net.components[4]
+        assert all(b is not None for b in top.blocks[:1] + top.blocks[2:])
+        report = equivalence_suite(net)
+        assert report.witnesses_checked == len(net.propositions()) == 5
+        assert report.witnesses_lifted == 5
+
+
 class TestStats:
     def test_gx_counts(self, gx):
         report = stats(gx, runs=1)

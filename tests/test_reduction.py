@@ -367,7 +367,8 @@ class TestQuotient:
             (("s0", "t", "s1"), ("s1", "l", "s0"), ("s1", "up", "s0"), ("s0", "t", "s2")),
             labels={"s0": frozenset({"q"}), "s1": frozenset({"p"}), "s2": frozenset({"r"})},
         )
-        got = quotient(c, frozenset({"up"}), "e")
+        got, block = quotient(c, frozenset({"up"}), "e")
+        assert block == (0, 0, 1)
         assert got.states == ("q0", "q1")
         assert got.transitions == (("q0", "e", "q1"), ("q0", "up", "q0"))
         assert got.labels == {"q0": frozenset({"p", "q"}), "q1": frozenset({"r"})}
@@ -379,18 +380,42 @@ class TestQuotient:
                 (("s0", "x", "s1"), ("s0", "y", "s2"), ("s1", "up", "s0"), ("s2", "up", "s0")),
                 labels=labels,
             )
-        merged = quotient(fan({}), frozenset({"up"}), "e")
+        merged, block = quotient(fan({}), frozenset({"up"}), "e")
         assert merged.transitions == (("q0", "e", "q1"), ("q1", "up", "q0"))
-        split = quotient(fan({"s2": frozenset({"p"})}), frozenset({"up"}), "e")
+        assert block == (0, 1, 1)
+        split, block = quotient(fan({"s2": frozenset({"p"})}), frozenset({"up"}), "e")
         assert len(split.states) == 3
+        assert block == (0, 1, 2)
 
     def test_blocks_follow_state_positions(self):
         # the initial state is declared last, the silent sink first
         c = Component("c", ("s2", "s1", "s0"), "s0",
                       (("s0", "a", "s1"), ("s1", "up", "s0"), ("s1", "b", "s2")))
-        got = quotient(c, frozenset({"up"}), "e")
+        got, block = quotient(c, frozenset({"up"}), "e")
+        assert block == (0, 1, 2)
         assert got.initial == "q2"
         assert got.transitions == (("q1", "e", "q0"), ("q1", "up", "q2"), ("q2", "e", "q1"))
+
+    def test_block_map_is_taken_after_scc_contraction(self):
+        # s1 and s2 form a silent cycle; s3 is bisimilar to their block
+        c = Component(
+            "c", ("s0", "s1", "s2", "s3"), "s0",
+            (("s0", "go", "s1"), ("s0", "go", "s3"), ("s1", "t", "s2"), ("s2", "t", "s1"),
+             ("s1", "up", "s0"), ("s3", "up", "s0")))
+        got, block = quotient(c, frozenset({"go", "up"}), "e", keep=True)
+        assert block == (0, 1, 1, 1)
+        assert got.transitions == (("q0", "go", "q1"), ("q1", "up", "q0"))
+
+    def test_keep_returns_a_component_without_silent_cycles_as_it_is(self):
+        # s1 and s2 are bisimilar, but no silent cycle merges anything
+        c = Component(
+            "c", ("s0", "s1", "s2"), "s0",
+            (("s0", "t", "s1"), ("s0", "t", "s2"), ("s1", "up", "s0"), ("s2", "up", "s0"),
+             ("s1", "t", "s1")))
+        assert quotient(c, frozenset({"up"}), "e", keep=True) == (c, None)
+        got, block = quotient(c, frozenset({"up"}), "e")
+        assert block == (0, 1, 1)
+        assert got.transitions == (("q0", "e", "q1"), ("q1", "up", "q0"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
@@ -424,6 +449,70 @@ class TestQuotient:
         save(net, path)
         assert main(["check", str(path), "--ef", "p1999", "--reduced"]) == 0
         assert "HOLDS" in capsys.readouterr().out
+
+
+def assert_agrees_with_the_full_product(net):
+    full = full_product(net)
+    lts = component_lts(reduce_net(net))
+    for prop in net.propositions():
+        assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+
+
+class TestInterfacePreminimisation:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_random_deep_trees_agree_with_the_full_product(self, seed):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=2, max_states=4))
+        if prod(len(c.states) for c in net.components) <= ORACLE_CAP:
+            assert_agrees_with_the_full_product(net)
+
+    @pytest.mark.parametrize("net", [
+        ring_tree([None] + [0] * 5),
+        ring_tree([None, 0, 0, 1, 1, 2]),
+        ring_tree([None, 0, 1, 1, 0], states=5, labelled={2, 4}),
+        ring_chain(3),
+        ring_chain(6, labelled={5}),
+    ], ids=["wide", "balanced", "mixed", "chain3", "chain6"])
+    def test_ring_shapes_agree_with_the_full_product(self, net):
+        _, stages = reduce_net_traced(net)
+        # every ring is one silent cycle: each root and leaf merges
+        for stage in stages:
+            for c, block in zip(stage.originals, stage.blocks):
+                assert (block is not None) == (c in net.components)
+        assert_agrees_with_the_full_product(net)
+
+    def test_stage_networks_hold_the_minimised_components(self):
+        net = ring_tree([None, 0, 0], states=3)
+        _, (stage,) = reduce_net_traced(net)
+        assert stage.originals == net.components
+        assert stage.blocks == ((0, 0, 0),) * 3
+        assert [len(c.states) for c in stage.net.components] == [1, 1, 1]
+        assert stage.sq.lts.n_states == 3
+
+    def test_a_fresh_silent_name_hides_moves_when_none_is_declared(self):
+        root = Component("r", ("r0", "r1"), "r0",
+                         (("r0", "loop", "r1"), ("r1", "loop", "r0"), ("r1", "u", "r1")))
+        leaf = Component("c", ("c0", "c1", "c2"), "c0",
+                         (("c0", "step", "c1"), ("c1", "step", "c0"), ("c1", "u", "c0"),
+                          ("c0", "exit", "c2"), ("c2", "u", "c0")),
+                         labels={"c1": frozenset({"p"}), "c2": frozenset({"q"})})
+        net = infer_topology([root, leaf], "r", silent=frozenset())
+        _, (stage,) = reduce_net_traced(net)
+        assert stage.net.silent == {"tau"}
+        assert stage.blocks == ((0, 0), (0, 0, 1))
+        assert {a for c in stage.net.components for a in c.acts} == {"tau", "u"}
+        assert_agrees_with_the_full_product(net)
+
+    def test_components_that_merge_nothing_are_kept(self, gx):
+        _, (stage,) = reduce_net_traced(gx)
+        assert stage.net.components == stage.originals == gx.components
+        assert stage.blocks == (None, None, None)
+        assert stage.net.silent == gx.silent
+
+    def test_lone_component_is_returned_as_it_is(self):
+        net = ring_tree([None])
+        component, stages = reduce_net_traced(net)
+        assert component is net.components[0] and stages == ()
 
 
 class TestFullPipelineAgainstProduct:
