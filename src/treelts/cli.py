@@ -88,7 +88,7 @@ def network_from_doc(doc: object) -> Network:
     if "root" not in doc or "components" not in doc:
         raise ValidationError("both 'root' and 'components' are required")
     silent = doc.get("silent", ["tau"])
-    if not isinstance(silent, list) or not all(isinstance(s, str) for s in silent):
+    if not _is_str_list(silent):
         raise ValidationError("'silent' must be a list of action names")
     raw_components = doc["components"]
     if not isinstance(raw_components, list) or not raw_components:
@@ -103,9 +103,7 @@ def network_from_doc(doc: object) -> Network:
 
     try:
         net = infer_topology(components, str(doc["root"]), silent=frozenset(silent))
-    except TreeLtsError as exc:
-        raise ValidationError(str(exc)) from exc
-    except ValueError as exc:
+    except (TreeLtsError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
 
     for i, marks in enumerate(annotations):
@@ -130,9 +128,13 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
     for key in ("name", "states", "initial"):
         if key not in raw:
             raise ValidationError(f"component is missing required key {key!r}")
+    name = raw["name"]
+    if not _is_str_list(raw["states"]):
+        raise ValidationError(f"'states' of component {name!r} must be a list of state names")
     labels = raw.get("labels", {})
-    if not isinstance(labels, dict):
-        raise ValidationError("'labels' must be an object mapping states to lists")
+    if not (isinstance(labels, dict) and all(map(_is_str_list, labels.values()))):
+        raise ValidationError(
+            f"'labels' of component {name!r} must map states to lists of propositions")
     transitions = raw.get("transitions", [])
     if not isinstance(transitions, list):
         raise ValidationError("'transitions' must be a list of [src, action, dst] triples")
@@ -151,21 +153,24 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
             previous = marks.get(act)
             if previous is not None and previous != mark:
                 raise ValidationError(
-                    f"action {act!r} is marked both '?' and '!' in component "
-                    f"{raw.get('name')!r}")
+                    f"action {act!r} is marked both '?' and '!' in component {name!r}")
             marks[act] = mark
         cleaned.append((src, act, dst))
     try:
         comp = Component(
-            name=str(raw["name"]),
-            states=tuple(map(str, raw["states"])),
+            name=str(name),
+            states=tuple(raw["states"]),
             initial=str(raw["initial"]),
             transitions=tuple(cleaned),
-            labels={str(s): frozenset(map(str, ps)) for s, ps in labels.items()},
+            labels={s: frozenset(ps) for s, ps in labels.items()},
         )
     except (ValueError, TypeError) as exc:
         raise ValidationError(str(exc)) from exc
     return comp, marks
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def network_to_doc(net: Network) -> dict:
@@ -442,9 +447,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (StateLimitExceeded, OracleTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

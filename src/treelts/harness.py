@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
-from .checker import Entry, Verdict, check_ef, check_eg, lift_witness
+from .checker import Entry, Verdict, check_ef, check_eg
 from .errors import InvalidWitness, OracleTooLarge, StateLimitExceeded
 from .model import Component, Network, infer_topology
 from .product import (
@@ -26,7 +26,7 @@ from .product import (
     product_of,
     resolve_prefix,
 )
-from .reduction import build_sq_unreduced, reduce_net, reduce_net_traced
+from .reduction import build_sq_unreduced, lift_witness, reduce_net, reduce_net_traced
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +233,12 @@ def equivalence_suite(
     For every proposition occurring in the network the reachability verdict
     must agree between the two; the EG verdicts are recorded as well but
     divergence there is expected and only flagged.  Reachability witnesses
-    found on the reduced side are lifted and replayed against the product of
-    the top reduction stage's original components: the full product on a
-    two-level network, and otherwise the original root and leaves with the
-    reduced inner children.  The pruned and unpruned squares are compared
-    at every stage where pruning deleted a state; elsewhere they are the
-    same system.  Raises OracleTooLarge when the product exceeds ``cap``.
+    found on the reduced side are lifted by ``lift_witness`` through the top
+    reduction stage and replayed against the product of its original
+    components: the full product on a two-level network, and otherwise the
+    original root and leaves with the reduced inner children.  The pruned
+    and unpruned squares are compared at every stage where pruning deleted
+    a state; elsewhere they are the same system.  Raises OracleTooLarge when the product exceeds ``cap``.
     """
     try:
         full = full_product(net, cap=cap)
@@ -291,8 +291,7 @@ def equivalence_suite(
             report.witnesses_checked += 1
             ok = False
             try:
-                prefix = lift_witness(top.sq, top.net, vr.witness, prop,
-                                      top.originals, top.blocks)
+                prefix = lift_witness(top, vr.witness, prop)
                 lifted = resolve_prefix(lift_target, prefix)
                 ok = prop in lift_target.labels[lifted.states[-1]]
             except InvalidWitness:

@@ -6,19 +6,31 @@ synchronisations become handoffs that may pass control to any square.
 States from which the root can never act again are pruned, and the result
 can be completed into a live-reset component so the construction nests
 bottom-up over trees of any height.  Below the top stage each completed
-result is quotiented down to what its parent can observe.
+result is quotiented down to what its parent can observe.  A path of any
+stage's squares lifts back to the components that entered the stage.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterable
+from typing import Callable, Iterable
 
-from .errors import EmptyReduction, NotTwoLevel
+from .errors import EmptyReduction, InvalidWitness, NotTwoLevel
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
 from .model import Component, Network, subnetwork, two_level_network  # noqa: F401
-from .product import ExplicitLts, FreshInit, SquareOrigin, lts_to_component
+from .product import (
+    ExplicitLts,
+    FreshInit,
+    GlobalTuple,
+    Path,
+    PathPrefix,
+    Payload,
+    SquareOrigin,
+    lts_to_component,
+    prefix_of,
+)
 
 
 @dataclass(frozen=True)
@@ -30,7 +42,6 @@ class SumOfSquares:
     root_name: str
     root_acts: frozenset[str]
     root_upacts: frozenset[str]
-    unreduced: bool
 
 
 def fresh_action(taken: frozenset[str] | set[str], base: str) -> str:
@@ -150,7 +161,6 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
         root_name=root.name,
         root_acts=root.acts,
         root_upacts=up_root,
-        unreduced=True,
     )
 
 
@@ -209,7 +219,7 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     locked = compute_locked(sq)
     lts = sq.lts
     if not locked:
-        return replace(sq, unreduced=False)
+        return sq
 
     label_reaching = _backward_closure(
         lts, (i for i in range(lts.n_states) if lts.labels[i]))
@@ -218,7 +228,7 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     if {d for s, d in zip(lts.src, lts.dst) if s == lts.initial} <= deleted:
         raise EmptyReduction("all squares are locked; the initial state would be isolated")
     if not deleted:
-        return replace(sq, unreduced=False)
+        return sq
     remap = {old: new for new, old in
              enumerate(i for i in range(lts.n_states) if i not in deleted)}
     kept = [s in remap and d in remap for s, d in zip(lts.src, lts.dst)]
@@ -231,7 +241,7 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
         labels=[lts.labels[i] for i in range(lts.n_states) if i not in deleted],
         payloads=[lts.payloads[i] for i in range(lts.n_states) if i not in deleted],
     )
-    return replace(sq, lts=pruned, unreduced=False)
+    return replace(sq, lts=pruned)
 
 
 def cmpl(sq: SumOfSquares) -> Component:
@@ -313,6 +323,12 @@ def quotient(
     return minimal, tuple(of[s] for s in scc)
 
 
+def _interface(net: Network, i: int) -> frozenset[str]:
+    """The actions component ``i`` of ``net`` shares with its tree
+    neighbours: its upacts and downacts."""
+    return net.upacts[i] | net.downacts[i]
+
+
 def _premin(
     component: Component, visible: frozenset[str], hide: str,
 ) -> tuple[Component, tuple[int, ...] | None]:
@@ -375,9 +391,10 @@ class ReductionStage:
     components as they entered the stage (the reduced inner children among
     them), aligned with ``net.components``, and ``blocks[i]`` the block map
     ``quotient`` gave for ``originals[i]``, or None where the component
-    entered as it is (see ``_premin``).  ``result`` is the component the parent
-    sees: ``cmpl(sq)``, quotiented below the top stage, so
-    ``sq.lts.n_states`` against ``len(result.states)`` is the quotient's
+    entered as it is (see ``_premin``).  ``lift_witness`` reads all three
+    to map a path of ``sq`` onto states of ``originals``.  ``result`` is the
+    component the parent sees: ``cmpl(sq)``, quotiented below the top stage,
+    so ``sq.lts.n_states`` against ``len(result.states)`` is the quotient's
     shrink.  ``deleted`` counts the states pruning removed from the
     unpruned squares; when it is 0, ``sq`` holds the unpruned squares
     themselves.
@@ -389,6 +406,108 @@ class ReductionStage:
     deleted: int
     originals: tuple[Component, ...]
     blocks: tuple[tuple[int, ...] | None, ...]
+
+
+def lift_witness(
+    stage: ReductionStage, path: Path, proposition: str | None = None,
+) -> PathPrefix:
+    """Map a path of ``stage.sq`` onto global states of ``stage.originals``.
+
+    The glue step is dropped.  Each square state places the root and the
+    active child at their square coordinates and every other component at
+    its initial state, so a handoff, which resets the active child, sends
+    the old child home; every step keeps the movers the squares recorded.
+    A pre-minimised component (one with a block map) sits at an original
+    state of its current block, starting at its original initial state.  A
+    step that moves it becomes hidden moves (on actions outside its tree
+    interface in ``stage.net``) through members of the block, up to a
+    member with an original move into the target block on the step's
+    action, or on any hidden action when the step's is hidden; that move
+    follows.  Such a member is reachable inside the silent SCC the walk
+    starts in, because the blocks are a bisimulation of the SCC-contracted
+    component.  With ``proposition``, unless some coordinate carries it at
+    the end already, one pre-minimised component whose block carries it
+    walks the same way to a member that does.
+
+    The result replays on the product of ``stage.originals``: the full
+    product when the stage is the top one of a two-level network.  Raises
+    InvalidWitness when a step is not a transition of the squares, or when
+    no hidden walk completes a step.
+    """
+    net, originals, blocks = stage.net, stage.originals, stage.blocks
+    prefix = prefix_of(stage.sq.lts, path)
+    payloads, actions, movers = prefix.states, prefix.actions, prefix.movers
+    if actions and isinstance(payloads[0], FreshInit):
+        payloads, actions, movers = payloads[1:], actions[1:], movers[1:]
+
+    def place(p: Payload, i: int) -> str:
+        # only a zero-length path stays at the glue state: the global start
+        if isinstance(p, SquareOrigin):
+            if i == net.root_index:
+                return p.root_state
+            if i == p.child_index:
+                return p.child_state
+        return net.components[i].initial
+
+    # original state position of each pre-minimised component
+    at = {i: c.index[c.initial] for i, (c, b) in enumerate(zip(originals, blocks))
+          if b is not None}
+    coords = [originals[i].states[at[i]] if i in at else place(payloads[0], i)
+              for i in range(len(originals))]
+    states = [GlobalTuple(tuple(coords))]
+    lifted_actions: list[str] = []
+    lifted_movers: list[frozenset[int]] = []
+
+    def take(moved: frozenset[int], act: str, to: dict[int, int]) -> None:
+        for i, p in to.items():
+            at[i] = p
+            coords[i] = originals[i].states[p]
+        lifted_actions.append(act)
+        lifted_movers.append(moved)
+        states.append(GlobalTuple(tuple(coords)))
+
+    def walk(i: int, goal: Callable[[int], tuple | None]) -> tuple:
+        """Take the hidden moves of ``i``, breadth-first, up to the first
+        state for which ``goal`` is not None; return what it gave there."""
+        comp, block, visible = originals[i], blocks[i], _interface(net, i)
+        back: dict[int, tuple[int, str] | None] = {at[i]: None}
+        queue = deque(back)
+        while queue:
+            p = queue.popleft()
+            if (found := goal(p)) is not None:
+                hidden = []
+                while (step := back[p]) is not None:
+                    hidden.append((step[1], p))
+                    p = step[0]
+                for act, p in reversed(hidden):
+                    take(frozenset((i,)), act, {i: p})
+                return found
+            for a, d in comp.succ[p]:
+                if d not in back and a not in visible and block[d] == block[p]:
+                    back[d] = (p, a)
+                    queue.append(d)
+        raise InvalidWitness(f"no hidden walk in component {comp.name!r} completes the step")
+
+    for act, moved, target in zip(actions, movers, payloads[1:]):
+        last: dict[int, int] = {}
+        for i in sorted(moved & at.keys()):
+            succ, block, visible = originals[i].succ, blocks[i], _interface(net, i)
+            goal = net.components[i].index[place(target, i)]
+            # on a hidden step ``act`` becomes the original action taken
+            act, last[i] = walk(i, lambda p: next(
+                ((a, d) for a, d in succ[p] if block[d] == goal
+                 and (a == act if act in visible else a not in visible)), None))
+        for i in moved - at.keys():
+            coords[i] = place(target, i)
+        take(moved, act, last)
+    if proposition is not None and not any(
+            proposition in c.label_of(s) for c, s in zip(originals, coords)):
+        for i in at:
+            if proposition in net.components[i].label_of(place(payloads[-1], i)):
+                comp = originals[i]
+                walk(i, lambda p: () if proposition in comp.label_of(comp.states[p]) else None)
+                break
+    return PathPrefix(tuple(states), tuple(lifted_actions), tuple(lifted_movers))
 
 
 def reduce_net(net: Network, prune: bool = True) -> Component:
@@ -441,7 +560,7 @@ def reduce_net_traced(
             epsilon = fresh_action(reserved, f"eps{level}")
             originals = (net.components[node], *(reduced.pop(k) for k in kids))
             premin = [
-                _premin(c, net.upacts[i] | net.downacts[i], hide)
+                _premin(c, _interface(net, i), hide)
                 if i == node or not net.children[i] else (c, None)
                 for i, c in zip((node, *kids), originals)]
             blocks = tuple(b for _, b in premin)
@@ -480,5 +599,5 @@ def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int
         # reachable in this subtree, so the bare glue state is enough
         glue = ExplicitLts.from_arrays(
             0, [], [], [], [], [frozenset()], [sq.lts.payloads[sq.lts.initial]])
-        pruned = replace(sq, lts=glue, unreduced=False)
+        pruned = replace(sq, lts=glue)
     return pruned, sq.lts.n_states - pruned.lts.n_states

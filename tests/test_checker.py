@@ -25,6 +25,7 @@ from treelts import (
     infer_topology,
     lift_witness,
     prefix_of,
+    product_of,
     reduce_net_traced,
     replay,
     resolve_prefix,
@@ -203,19 +204,20 @@ def merging_two_level():
 
 class TestLiftWitness:
     def test_zero_length_witness_lifts_to_the_global_start(self, gx):
-        sq = build_sq(gx)
-        start = sq.lts.id_of(SquareOrigin(1, "s0", "r0"))
-        prefix = lift_witness(sq, gx, Path((start,), ()))
+        top = reduce_net_traced(gx)[1][-1]
+        start = top.sq.lts.id_of(SquareOrigin(1, "s0", "r0"))
+        prefix = lift_witness(top, Path((start,), ()))
         assert prefix.states == (GlobalTuple(("r0", "s0", "t0")),)
 
     def test_open_step_lifts_with_the_idle_child_at_initial(self, gx):
-        sq = build_sq(gx)
+        top = reduce_net_traced(gx)[1][-1]
+        sq = top.sq
         path = Path(
             (sq.lts.initial,
              sq.lts.id_of(SquareOrigin(1, "s0", "r0")),
              sq.lts.id_of(SquareOrigin(2, "t0", "r1"))),
             (sq.epsilon, "open"))
-        prefix = lift_witness(sq, gx, path)
+        prefix = lift_witness(top, path)
         assert [p.states for p in prefix.states] == [("r0", "s0", "t0"), ("r1", "s0", "t0")]
         assert prefix.actions == ("open",)
         resolved = resolve_prefix(full_product(gx), prefix)
@@ -235,7 +237,7 @@ class TestLiftWitness:
             verdict = check_ef(lts, prop)
             if not verdict.holds:
                 continue
-            prefix = lift_witness(stages[-1].sq, stages[-1].net, verdict.witness)
+            prefix = lift_witness(stages[-1], verdict.witness)
             resolved = resolve_prefix(full, prefix)
             assert prop in full.labels[resolved.states[-1]]
             lifted += 1
@@ -253,8 +255,7 @@ class TestLiftWitness:
         for prop in net.propositions():
             verdict = check_ef(lts, prop)
             assert verdict.holds, prop
-            prefix = lift_witness(top.sq, top.net, verdict.witness, prop,
-                                  top.originals, top.blocks)
+            prefix = lift_witness(top, verdict.witness, prop)
             resolved = resolve_prefix(full, prefix)
             assert prop in full.labels[resolved.states[-1]], prop
             lifted[prop] = prefix
@@ -265,22 +266,35 @@ class TestLiftWitness:
         assert lifted["done"].actions == ("tau", "tau", "up")
         assert [p.states for p in lifted["done"].states][-1] == ("r2", "c0")
 
-    def test_without_the_originals_a_lift_names_blocks(self):
-        net = merging_two_level()
-        comp, stages = reduce_net_traced(net)
-        top = stages[-1]
-        verdict = check_ef(component_lts(comp), "pc")
-        prefix = lift_witness(top.sq, top.net, verdict.witness)
-        with pytest.raises(InvalidWitness):
-            resolve_prefix(full_product(net), prefix)
-        resolve_prefix(full_product(top.net), prefix)
+    def test_witnesses_lift_at_every_stage(self):
+        # inner stages too: their pre-minimised leaves lift to original
+        # states, against the product of the components that entered the stage
+        lifted = premin_lifted = 0
+        for seed in range(300):
+            net = gen_random_tree(GenConfig(seed, max_depth=4, max_children=2,
+                                            max_states=4, density=0.6))
+            for stage in reduce_net_traced(net)[1]:
+                props = sorted({p for c in stage.originals for ps in c.labels.values()
+                                for p in ps})
+                target = None
+                for prop in props:
+                    verdict = check_ef(stage.sq.lts, prop)
+                    if not verdict.holds:
+                        continue
+                    if target is None:
+                        target = product_of(stage.originals, stage.net.silent, cap=20_000)
+                    resolved = resolve_prefix(target, lift_witness(stage, verdict.witness, prop))
+                    assert prop in target.labels[resolved.states[-1]], (seed, prop)
+                    lifted += 1
+                    premin_lifted += any(b is not None for b in stage.blocks)
+        assert lifted and premin_lifted, (lifted, premin_lifted)
 
     def test_corrupted_paths_are_rejected(self, gx):
-        sq = build_sq(gx)
-        a = sq.lts.id_of(SquareOrigin(1, "s0", "r0"))
-        b = sq.lts.id_of(SquareOrigin(2, "t1", "r1"))
+        top = reduce_net_traced(gx)[1][-1]
+        a = top.sq.lts.id_of(SquareOrigin(1, "s0", "r0"))
+        b = top.sq.lts.id_of(SquareOrigin(2, "t1", "r1"))
         with pytest.raises(InvalidWitness):
-            lift_witness(sq, gx, Path((a, b), ("open",)))
+            lift_witness(top, Path((a, b), ("open",)))
 
     def test_square_paths_transfer_from_prefix_helpers(self, gx):
         # a witness extracted from the squares resolves against them

@@ -157,6 +157,19 @@ class TestMain:
         assert main(["validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("states", "ab"), ("labels", {"b": "goal"}), ("labels", {"b": ["goal", 1]}),
+    ])
+    def test_strings_are_not_split_into_names(self, field, value, tmp_path, capsys):
+        # "ab" must not load as the states a and b, nor "goal" as g, o, a, l
+        comp = {"name": "c", "states": ["a", "b"], "initial": "a",
+                "transitions": [["a", "tau", "b"]], field: value}
+        src = tmp_path / "strings.json"
+        src.write_text(json.dumps({"root": "c", "components": [comp]}), encoding="utf-8")
+        assert main(["check", str(src), "--ef", "g", "--full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "component 'c'" in err
+
     def test_cap_exit_code(self, capsys):
         assert main(["product", str(gx_path()), "--cap", "3"]) == 3
         assert "error:" in capsys.readouterr().err

@@ -33,6 +33,7 @@ from treelts.fixtures import gx_path, gy_path
 from shapes import all_locked_tree, ring_chain, ring_tree
 
 GOLDEN = Path(__file__).parent / "golden"
+PACKAGE = Path(treelts.__file__).parent
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 
@@ -194,3 +195,25 @@ def test_names_the_benchmark_imports_from_treelts_exist():
     assert ("selfcheck.py", "treelts.cli", "save_string") in imported
     for filename, module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{filename}: {module}.{name}"
+
+
+def treelts_imports(module):
+    """The treelts modules ``treelts/<module>.py`` imports from."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("treelts."):
+            found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("treelts.")}
+    return found
+
+
+def test_core_modules_do_not_import_the_layers_above():
+    # the fixtures package is left out: it still imports cli.load until file
+    # I/O is split out of cli
+    assert treelts_imports("checker") == {"product"}
+    for module in ("model", "product", "reduction"):
+        assert not treelts_imports(module) & {"checker", "harness", "cli"}, module

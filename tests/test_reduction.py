@@ -165,7 +165,6 @@ class TestPrunedSquares:
     def test_gx_has_12_states(self, gx):
         sq = build_sq(gx)
         assert sq.lts.n_states == 12
-        assert not sq.unreduced
         unreduced = build_sq_unreduced(gx)
         assert payload_names(sq) == payload_names(unreduced) - GX_LOCKED
 
@@ -312,7 +311,8 @@ class TestReduceNet:
         comp = reduce_net(gx, prune=False)
         assert len(comp.states) == 21
         _, stages = reduce_net_traced(gx, prune=False)
-        assert all(stage.sq.unreduced for stage in stages)
+        assert all(stage.deleted == 0 for stage in stages)
+        assert stages[-1].sq.lts.n_states == 21
 
     def test_stages_are_post_order_in_network_order(self):
         # n0 has children n1 and n4; n1 has n2, which has n3; n4 has n5
