@@ -1,8 +1,8 @@
 """EF/EG checking over explicit graphs, with witness extraction.
 
-Formulas are a single modality applied to a single atomic proposition:
-reachability of labellings is what the reduction preserves, conjunctions
-and nesting are not.
+Each check, ``check_ef`` or ``check_eg``, applies one modality to a single
+atomic proposition: reachability of labellings is what the reduction
+preserves, conjunctions and nesting are not.
 """
 
 from __future__ import annotations
@@ -28,19 +28,6 @@ class Entry(Enum):
 
 
 @dataclass(frozen=True)
-class Formula:
-    modality: str  # "EF" or "EG"
-    proposition: str
-
-    def __post_init__(self) -> None:
-        if self.modality not in ("EF", "EG"):
-            raise ValueError(f"unsupported modality {self.modality!r}")
-
-    def __str__(self) -> str:
-        return f"{self.modality} {self.proposition}"
-
-
-@dataclass(frozen=True)
 class Verdict:
     """Outcome of a check; the witness replays on the checked system.
 
@@ -51,13 +38,6 @@ class Verdict:
 
     holds: bool
     witness: Path | None = None
-
-
-def check(lts: ExplicitLts, formula: Formula, entry: Entry = Entry.INITIAL) -> Verdict:
-    """Check ``formula``; ``entry`` matters only for EG."""
-    if formula.modality == "EF":
-        return check_ef(lts, formula.proposition)
-    return check_eg(lts, formula.proposition, entry)
 
 
 def check_ef(lts: ExplicitLts, proposition: str) -> Verdict:

@@ -31,7 +31,7 @@ import json
 import sys
 from pathlib import Path as FsPath
 
-from .checker import Entry, Formula, check
+from .checker import Entry, check_ef, check_eg
 from .errors import (
     OracleTooLarge,
     ParseError,
@@ -44,12 +44,11 @@ from .model import Component, Network, infer_topology, validate_live_reset
 from .product import (
     DEFAULT_STATE_CAP,
     ExplicitLts,
-    component_lts,
     full_product,
     lts_to_component,
     prefix_of,
 )
-from .reduction import reduce_net_traced
+from .reduction import reduce_net_traced, reduced_lts
 
 _TOP_KEYS = {"root", "silent", "components"}
 _COMPONENT_KEYS = {"name", "states", "initial", "labels", "transitions"}
@@ -87,6 +86,8 @@ def network_from_doc(doc: object) -> Network:
         raise ValidationError(f"unknown keys: {sorted(unknown)}")
     if "root" not in doc or "components" not in doc:
         raise ValidationError("both 'root' and 'components' are required")
+    if not isinstance(doc["root"], str):
+        raise ValidationError("'root' must be a component name")
     silent = doc.get("silent", ["tau"])
     if not _is_str_list(silent):
         raise ValidationError("'silent' must be a list of action names")
@@ -102,7 +103,7 @@ def network_from_doc(doc: object) -> Network:
         annotations.append(marks)
 
     try:
-        net = infer_topology(components, str(doc["root"]), silent=frozenset(silent))
+        net = infer_topology(components, doc["root"], silent=frozenset(silent))
     except (TreeLtsError, ValueError) as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -129,8 +130,12 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
         if key not in raw:
             raise ValidationError(f"component is missing required key {key!r}")
     name = raw["name"]
+    if not isinstance(name, str):
+        raise ValidationError(f"'name' {name!r} of a component must be a string")
     if not _is_str_list(raw["states"]):
         raise ValidationError(f"'states' of component {name!r} must be a list of state names")
+    if not isinstance(raw["initial"], str):
+        raise ValidationError(f"'initial' of component {name!r} must be a state name")
     labels = raw.get("labels", {})
     if not (isinstance(labels, dict) and all(map(_is_str_list, labels.values()))):
         raise ValidationError(
@@ -158,9 +163,9 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
         cleaned.append((src, act, dst))
     try:
         comp = Component(
-            name=str(name),
+            name=name,
             states=tuple(raw["states"]),
-            initial=str(raw["initial"]),
+            initial=raw["initial"],
             transitions=tuple(cleaned),
             labels={s: frozenset(ps) for s, ps in labels.items()},
         )
@@ -290,11 +295,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         save(reduced_net, args.out)
         print(f"wrote {args.out}")
     if args.dot:
-        # loaded networks have no upstream root actions, so the final
-        # component equals the top-stage squares, whose payloads name the
-        # child and root coordinates
-        lts = stages[-1].sq.lts if stages else component_lts(component)
-        export_dot(lts, args.dot, silent=silent)
+        export_dot(reduced_lts(component, stages), args.dot, silent=silent)
         print(f"wrote {args.dot}")
     return 0
 
@@ -309,10 +310,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     else:
         _require_live_reset(net)
         component, stages = reduce_net_traced(net)
-        lts = component_lts(component)
+        lts = reduced_lts(component, stages)
         side = "reduced component"
         entry = Entry.EPSILON_TRANSPARENT if stages else Entry.INITIAL
-    verdict = check(lts, Formula(modality, proposition), entry)
+    verdict = check_ef(lts, proposition) if modality == "EF" else check_eg(lts, proposition, entry)
     print(f"{modality} {proposition!r} on {side}: {'HOLDS' if verdict.holds else 'does not hold'}")
     if args.witness and verdict.holds:
         print(f"witness: {prefix_of(lts, verdict.witness)}")

@@ -34,7 +34,8 @@ class NotTwoLevel(TreeLtsError):
 
 
 class EmptyReduction(TreeLtsError):
-    """Pruning removed every square, leaving the initial state isolated."""
+    """No longer raised: when pruning removes every square, the bare glue
+    state is the result.  Kept for callers that still catch it."""
 
 
 class InvalidWitness(TreeLtsError):

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 from .checker import Entry, Verdict, check_ef, check_eg
 from .errors import InvalidWitness, OracleTooLarge, StateLimitExceeded
 from .model import Component, Network, infer_topology
-from .product import (
+# component_lts is not called here; perfbench/spans.py patches it in this namespace
+from .product import (  # noqa: F401
     DEFAULT_STATE_CAP,
     ExplicitLts,
     component_lts,
@@ -26,7 +27,7 @@ from .product import (
     product_of,
     resolve_prefix,
 )
-from .reduction import build_sq_unreduced, lift_witness, reduce_net, reduce_net_traced
+from .reduction import build_sq_unreduced, lift_witness, reduce_net, reduce_net_traced, reduced_lts
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +234,13 @@ def equivalence_suite(
     For every proposition occurring in the network the reachability verdict
     must agree between the two; the EG verdicts are recorded as well but
     divergence there is expected and only flagged.  Reachability witnesses
-    found on the reduced side are lifted by ``lift_witness`` through the top
-    reduction stage and replayed against the product of its original
-    components: the full product on a two-level network, and otherwise the
-    original root and leaves with the reduced inner children.  The pruned
-    and unpruned squares are compared at every stage where pruning deleted
-    a state; elsewhere they are the same system.  Raises OracleTooLarge when the product exceeds ``cap``.
+    found on ``reduced_lts`` are lifted by ``lift_witness`` when it is the
+    top stage's squares, and replayed against the product of the stage's
+    original components: the full product on a two-level network, and
+    otherwise the original root and leaves with the reduced inner children.
+    The pruned and unpruned squares are compared at every stage where
+    pruning deleted a state; elsewhere they are the same system.  Raises
+    OracleTooLarge when the product exceeds ``cap``.
     """
     try:
         full = full_product(net, cap=cap)
@@ -247,7 +249,7 @@ def equivalence_suite(
             f"full product exceeds the cap of {cap} states") from exc
 
     component, stages = reduce_net_traced(net)
-    reduced = component_lts(component)
+    reduced = reduced_lts(component, stages)
     eg_entry = Entry.EPSILON_TRANSPARENT if stages else Entry.INITIAL
     report = SuiteReport(
         full_states=full.n_states,
@@ -259,7 +261,7 @@ def equivalence_suite(
 
     top = stages[-1] if stages else None
     lift_target: ExplicitLts | None = None
-    if top is not None and not top.sq.root_upacts:
+    if top is not None and reduced is top.sq.lts:
         if top.originals == net.components:
             lift_target = full
         else:

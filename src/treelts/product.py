@@ -78,35 +78,16 @@ class ExplicitLts:
     order, and is built on first use.  Instances are immutable after
     construction and safe to share.
 
-    The constructor takes ``Transition`` records and ``from_arrays`` the
-    lists; both run the same checks.  ``transitions`` and ``out(i)`` are
-    read-only views that build records on every call, and nothing else does.
+    The constructor takes the lists over, not copies.  ``transitions`` and
+    ``out(i)`` are read-only views that build records on every call, and
+    nothing else does.
     """
 
-    def __init__(
-        self,
-        initial: int,
-        transitions: Iterable[Transition],
-        labels: Iterable[frozenset[str]],
-        payloads: Iterable[Payload],
-    ) -> None:
-        columns = [list(column) for column in zip(*transitions)] or [[], [], [], []]
-        self._fill(initial, *columns, labels, payloads)
-
-    @classmethod
-    def from_arrays(cls, initial: int, src: list[int], act: list[str], dst: list[int],
-                    movers: list[frozenset[int]], labels: Iterable[frozenset[str]],
-                    payloads: Iterable[Payload]) -> ExplicitLts:
-        """Build from parallel transition lists, which are taken over, not copied."""
+    def __init__(self, initial: int, src: list[int], act: list[str], dst: list[int],
+                 movers: list[frozenset[int]], labels: Iterable[frozenset[str]],
+                 payloads: Iterable[Payload]) -> None:
         if not len(src) == len(act) == len(dst) == len(movers):
             raise ValueError("src, act, dst and movers must have the same length")
-        lts = cls.__new__(cls)
-        lts._fill(initial, src, act, dst, movers, labels, payloads)
-        return lts
-
-    def _fill(self, initial: int, src: list[int], act: list[str], dst: list[int],
-              movers: list[frozenset[int]], labels: Iterable[frozenset[str]],
-              payloads: Iterable[Payload]) -> None:
         self.payloads: tuple[Payload, ...] = tuple(payloads)
         n = self.n_states = len(self.payloads)
         self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
@@ -320,7 +301,7 @@ def product_of(
 
     names = [c.states for c in comps]
     labels = [[c.label_of(s) for s in c.states] for c in comps]
-    return ExplicitLts.from_arrays(
+    return ExplicitLts(
         0, src_ids, acts, dst_ids, movers,
         labels=[frozenset().union(*(labels[i][tup[i]] for i in range(n))) for tup in tuples],
         payloads=[GlobalTuple(tuple(names[i][tup[i]] for i in range(n))) for tup in tuples],
@@ -336,7 +317,7 @@ def component_lts(component: Component) -> ExplicitLts:
     """A component viewed as an explicit graph over its declared states."""
     at = component.index.__getitem__
     ts = component.transitions
-    return ExplicitLts.from_arrays(
+    return ExplicitLts(
         at(component.initial),
         list(map(at, map(itemgetter(0), ts))),
         list(map(itemgetter(1), ts)),

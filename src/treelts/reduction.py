@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Iterable
 
-from .errors import EmptyReduction, InvalidWitness, NotTwoLevel
+from .errors import InvalidWitness, NotTwoLevel
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
 from .model import Component, Network, subnetwork, two_level_network  # noqa: F401
 from .product import (
@@ -28,6 +28,7 @@ from .product import (
     PathPrefix,
     Payload,
     SquareOrigin,
+    component_lts,
     lts_to_component,
     prefix_of,
 )
@@ -152,7 +153,7 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     names = {i: comps[i].states for i in (r, *kids)}
     labels = {i: [comps[i].label_of(s) for s in comps[i].states] for i in (r, *kids)}
     return SumOfSquares(
-        lts=ExplicitLts.from_arrays(
+        lts=ExplicitLts(
             0, src, act, dst, movers,
             [frozenset()] + [_union(labels[i][cs], labels[r][rs]) for i, cs, rs in keys],
             [FreshInit()] + [SquareOrigin(i, names[i][cs], names[r][rs]) for i, cs, rs in keys],
@@ -197,11 +198,8 @@ def compute_locked(sq: SumOfSquares) -> frozenset[int]:
 
 
 def build_sq(net: Network, epsilon: str | None = None) -> SumOfSquares:
-    """The pruned sum-of-squares: locked states removed, ids renumbered.
-
-    Raises EmptyReduction when pruning would leave the initial state with no
-    surviving square to enter.
-    """
+    """The pruned sum-of-squares: locked states removed, ids renumbered
+    (see ``prune_locked``)."""
     return prune_locked(build_sq_unreduced(net, epsilon))
 
 
@@ -213,8 +211,8 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     a reachable labelling unreachable and flip a verdict.  On systems whose
     locked states carry no reachable labelling (all the bundled fixtures)
     this deletes exactly the locked set.  The glue initial state is never
-    deleted; if every square it enters is deleted, EmptyReduction is raised
-    instead of emitting a system with a dangling initial state.
+    deleted; when every square is locked and label-free, it is all that is
+    left, with no transitions.
     """
     locked = compute_locked(sq)
     lts = sq.lts
@@ -225,14 +223,12 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
         lts, (i for i in range(lts.n_states) if lts.labels[i]))
 
     deleted = locked - label_reaching - {lts.initial}
-    if {d for s, d in zip(lts.src, lts.dst) if s == lts.initial} <= deleted:
-        raise EmptyReduction("all squares are locked; the initial state would be isolated")
     if not deleted:
         return sq
     remap = {old: new for new, old in
              enumerate(i for i in range(lts.n_states) if i not in deleted)}
     kept = [s in remap and d in remap for s, d in zip(lts.src, lts.dst)]
-    pruned = ExplicitLts.from_arrays(
+    pruned = ExplicitLts(
         remap[lts.initial],
         [remap[s] for s in compress(lts.src, kept)],
         list(compress(lts.act, kept)),
@@ -586,18 +582,22 @@ def reduce_net_traced(
     return reduced[net.root_index], tuple(stages)
 
 
+def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> ExplicitLts:
+    """The explicit graph of a reduction, given ``reduce_net_traced``'s
+    ``(component, stages)``.
+
+    It is the top stage's squares, whose paths ``lift_witness`` lifts, when
+    the root has no upacts and ``cmpl`` retargeted nothing, as in every
+    network ``infer_topology`` builds.  Otherwise, for a lone component or a
+    root that keeps upacts, it is ``component_lts(component)``."""
+    if stages and not stages[-1].sq.root_upacts:
+        return stages[-1].sq.lts
+    return component_lts(component)
+
+
 def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int]:
     """The (pruned, unless ``prune`` is false) squares of a two-level stage
     and the number of states pruning deleted."""
     sq = build_sq_unreduced(net, epsilon)
-    if not prune:
-        return sq, 0
-    try:
-        pruned = prune_locked(sq)
-    except EmptyReduction:
-        # every square is locked and label-free: nothing labelled is
-        # reachable in this subtree, so the bare glue state is enough
-        glue = ExplicitLts.from_arrays(
-            0, [], [], [], [], [frozenset()], [sq.lts.payloads[sq.lts.initial]])
-        pruned = replace(sq, lts=glue)
+    pruned = prune_locked(sq) if prune else sq
     return pruned, sq.lts.n_states - pruned.lts.n_states

@@ -8,15 +8,12 @@ from treelts import (
     Component,
     Entry,
     ExplicitLts,
-    Formula,
     GenConfig,
     GlobalTuple,
     InvalidWitness,
     Path,
     SquareOrigin,
-    Transition,
     build_sq,
-    check,
     check_ef,
     check_eg,
     component_lts,
@@ -82,13 +79,6 @@ class TestCheckEf:
         assert len(verdict.witness) == 4
         assert verdict.witness.actions == ("open", "tau", "chooseL", "open")
 
-    def test_formula_dispatch(self, gx):
-        lts = full_product(gx)
-        assert check(lts, Formula("EF", "r3_reached")).holds
-        assert not check(lts, Formula("EG", "r3_reached")).holds
-        with pytest.raises(ValueError):
-            Formula("AG", "p")
-
 
 class TestCheckEg:
     def test_gy_full_product_satisfies_eg(self, gy):
@@ -152,9 +142,9 @@ class TestCheckerProperties:
         for old, new in enumerate(perm):
             inverse[new] = old
         shuffled = ExplicitLts(
-            initial=perm[lts.initial],
-            transitions=[Transition(perm[t.src], t.action, perm[t.dst], t.movers)
-                         for t in lts.transitions],
+            perm[lts.initial],
+            [perm[s] for s in lts.src], list(lts.act), [perm[d] for d in lts.dst],
+            list(lts.movers),
             labels=[lts.labels[inverse[i]] for i in range(n)],
             payloads=[lts.payloads[inverse[i]] for i in range(n)],
         )
@@ -166,11 +156,13 @@ class TestCheckerProperties:
     def test_adding_transitions_never_loses_reachability(self, seed):
         net = gen_random_tree(GenConfig(seed=seed, max_depth=2, max_children=2, max_states=4))
         lts = full_product(net, cap=50_000)
-        extra = [Transition((seed + k) % lts.n_states, "shortcut",
-                            (seed * 3 + k * 5) % lts.n_states, frozenset())
-                 for k in range(3)]
-        bigger = ExplicitLts(lts.initial, lts.transitions + tuple(extra),
-                             lts.labels, lts.payloads)
+        bigger = ExplicitLts(
+            lts.initial,
+            lts.src + [(seed + k) % lts.n_states for k in range(3)],
+            lts.act + ["shortcut"] * 3,
+            lts.dst + [(seed * 3 + k * 5) % lts.n_states for k in range(3)],
+            lts.movers + [frozenset()] * 3,
+            lts.labels, lts.payloads)
         for prop in net.propositions():
             if check_ef(lts, prop).holds:
                 assert check_ef(bigger, prop).holds

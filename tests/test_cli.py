@@ -170,6 +170,19 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "component 'c'" in err
 
+    @pytest.mark.parametrize("root, name, initial, message", [
+        (["c"], "['c']", "0", "'root' must be a component name"),
+        ("['c']", ["c"], "0", "'name' ['c'] of a component must be a string"),
+        ("c", "c", 0, "'initial' of component 'c' must be a state name"),
+    ], ids=["root", "name", "initial"])
+    def test_names_must_be_strings(self, root, name, initial, message, tmp_path, capsys):
+        # str() would turn each into a name that matches: ['c'] and 0
+        comp = {"name": name, "states": ["0"], "initial": initial}
+        src = tmp_path / "names.json"
+        src.write_text(json.dumps({"root": root, "components": [comp]}), encoding="utf-8")
+        assert main(["validate", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_cap_exit_code(self, capsys):
         assert main(["product", str(gx_path()), "--cap", "3"]) == 3
         assert "error:" in capsys.readouterr().err

@@ -116,6 +116,13 @@ def test_wide_top_stage_matches_golden_text(tmp_path, capsys):
         GOLDEN / "wide-check-ef-p3.txt").read_text(encoding="utf-8")
 
 
+def test_gx_reduced_witness_matches_golden_text(capsys):
+    # gx has no silent cycles, so the square payloads name original states
+    assert main(["check", str(gx_path()), "--reduced", "--ef", "r3_reached", "--witness"]) == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / "gx-check-ef-r3.txt").read_text(encoding="utf-8")
+
+
 def test_wide_golden_reduction_agrees_with_the_full_product():
     source = wide_tree()
     full = full_product(source)
@@ -195,6 +202,14 @@ def test_names_the_benchmark_imports_from_treelts_exist():
     assert ("selfcheck.py", "treelts.cli", "save_string") in imported
     for filename, module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{filename}: {module}.{name}"
+
+
+def test_package_exports_are_listed_and_resolve():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported - set(treelts.__all__) == set()
+    assert [name for name in treelts.__all__ if not hasattr(treelts, name)] == []
 
 
 def treelts_imports(module):

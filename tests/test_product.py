@@ -226,7 +226,8 @@ class TestExplicitLtsChecks:
 
     @staticmethod
     def lts(initial=0, transitions=(), labels=2, payloads=("a", "b")):
-        return ExplicitLts(initial, transitions, [frozenset()] * labels,
+        columns = [list(column) for column in zip(*transitions)] or [[], [], [], []]
+        return ExplicitLts(initial, *columns, [frozenset()] * labels,
                            [GlobalTuple((p,)) for p in payloads])
 
     def test_a_well_formed_graph_is_accepted(self):
@@ -258,14 +259,8 @@ class TestExplicitLtsChecks:
             self.lts(labels=1)
 
 
-class TestFromArraysChecks(TestExplicitLtsChecks):
-    """The same checks and messages through the array entry point."""
-
-    @staticmethod
-    def lts(initial=0, transitions=(), labels=2, payloads=("a", "b")):
-        columns = [list(column) for column in zip(*transitions)] or [[], [], [], []]
-        return ExplicitLts.from_arrays(initial, *columns, [frozenset()] * labels,
-                                       [GlobalTuple((p,)) for p in payloads])
+class TestFromArraysChecks:
+    """The parallel transition lists must have the same length."""
 
     @pytest.mark.parametrize("column", range(4))
     def test_arrays_of_unequal_length(self, column):
@@ -273,8 +268,8 @@ class TestFromArraysChecks(TestExplicitLtsChecks):
         columns[column].append(columns[column][0])
         with pytest.raises(ValueError,
                            match="^src, act, dst and movers must have the same length$"):
-            ExplicitLts.from_arrays(0, *columns, [frozenset()] * 2,
-                                    [GlobalTuple(("a",)), GlobalTuple(("b",))])
+            ExplicitLts(0, *columns, [frozenset()] * 2,
+                        [GlobalTuple(("a",)), GlobalTuple(("b",))])
 
 
 class TestRecordViews:
@@ -288,9 +283,6 @@ class TestRecordViews:
         for t in records:
             by_src[t.src].append(t)
         assert [lts.out(i) for i in range(lts.n_states)] == list(map(tuple, by_src))
-        again = ExplicitLts(lts.initial, records, lts.labels, lts.payloads)
-        assert (again.src, again.act, again.dst, again.movers) == \
-            (lts.src, lts.act, lts.dst, lts.movers)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))

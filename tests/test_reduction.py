@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from treelts import (
     Component,
-    EmptyReduction,
+    Entry,
     FreshInit,
     GenConfig,
+    GlobalTuple,
     NotTwoLevel,
     SquareOrigin,
     build_sq,
     build_sq_unreduced,
     check_ef,
+    check_eg,
     cmpl,
     component_lts,
     compute_locked,
@@ -27,6 +29,7 @@ from treelts import (
     prune_locked,
     reduce_net,
     reduce_net_traced,
+    reduced_lts,
     subnetwork,
     two_level_network,
     validate_live_reset,
@@ -208,14 +211,15 @@ class TestPrunedSquares:
         pruned = prune_locked(unreduced)
         assert check_ef(pruned.lts, "p").holds == check_ef(unreduced.lts, "p").holds
 
-    def test_all_squares_locked_raises(self):
+    def test_all_squares_locked_leaves_the_glue_state(self):
         # the child's only synchronisation source is unreachable, so no
         # square ever offers a root action
         root = Component("r", ("r0", "r1"), "r0", (("r0", "go", "r1"),))
         child = Component("c", ("c0", "c1"), "c0", (("c1", "go", "c0"),))
         net = infer_topology([root, child], "r")
-        with pytest.raises(EmptyReduction):
-            build_sq(net)
+        lts = build_sq(net).lts
+        assert (lts.n_states, lts.initial, lts.payloads) == (1, 0, (FreshInit(),))
+        assert lts.src == [] and lts.labels == (frozenset(),)
 
     def test_ef_verdicts_match_unreduced_on_gx(self, gx):
         # relabel every root state so each one is its own target
@@ -526,3 +530,46 @@ class TestFullPipelineAgainstProduct:
         full = full_product(net)
         for prop in net.propositions():
             assert check_ef(lts, prop).holds == check_ef(full, prop).holds
+
+
+class TestReducedLts:
+    """``check --reduced`` checks ``reduced_lts``, the benchmark's verdict
+    path ``component_lts`` of the reduced component: both answer alike."""
+
+    @staticmethod
+    def reduce_and_compare(net):
+        component, stages = reduce_net_traced(net)
+        lts, flat = reduced_lts(component, stages), component_lts(component)
+        for prop in [*net.propositions(), "never_heard_of_it"]:
+            assert check_ef(lts, prop) == check_ef(flat, prop), prop
+            assert check_eg(lts, prop, Entry.EPSILON_TRANSPARENT) == \
+                check_eg(flat, prop, Entry.EPSILON_TRANSPARENT), prop
+        return lts, stages
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_random_trees_are_checked_on_the_top_squares(self, seed):
+        lts, stages = self.reduce_and_compare(
+            gen_random_tree(GenConfig(seed=seed, max_depth=4)))
+        assert lts is stages[-1].sq.lts
+
+    @pytest.mark.parametrize("make", [
+        lambda: ring_chain(5), lambda: ring_tree([None, 0, 1, 1, 0]),
+        lambda: ring_tree([None] + [0] * 5), all_locked_tree,
+    ], ids=["ring-chain", "ring-tree", "wide", "all-locked"])
+    def test_shapes_are_checked_on_the_top_squares(self, make):
+        lts, stages = self.reduce_and_compare(make())
+        assert lts is stages[-1].sq.lts
+
+    def test_a_lone_component_is_its_own_graph(self):
+        lts, stages = self.reduce_and_compare(ring_tree([None]))
+        assert stages == () and lts.payloads[lts.initial] == GlobalTuple(("s0",))
+
+    def test_a_root_with_upacts_falls_back_to_the_component(self):
+        # n1 keeps u1, shared with n0 in the full chain, as a declared upact
+        # whose transitions cmpl retargets
+        net = ring_chain(3)
+        lts, stages = self.reduce_and_compare(subnetwork(net, net.index_of("n1")))
+        assert stages[-1].sq.root_upacts == {"u1"}
+        assert lts is not stages[-1].sq.lts
+        assert all(isinstance(p, GlobalTuple) for p in lts.payloads)
