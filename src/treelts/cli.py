@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path as FsPath
 
 from .checker import Entry, check_ef, check_eg
@@ -287,9 +288,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     component, stages = reduce_net_traced(net, prune=not args.keep_locked)
     print(f"reduced: {len(component.states)} states, "
           f"{len(component.transitions)} transitions ({len(stages)} reduction stage(s))")
-    # every name a stage treats as silent, the one pre-minimised components
-    # hide their moves under included
-    silent = net.silent.union(*(stage.net.silent | {stage.sq.epsilon} for stage in stages))
+    # the top stage's silent names and its glue name
+    silent = stages[-1].net.silent | {stages[-1].sq.epsilon} if stages else net.silent
     if args.out:
         reduced_net = infer_topology([component], component.name, silent=silent)
         save(reduced_net, args.out)
@@ -326,18 +326,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+#: The GenConfig bounds, one command-line flag each (see _add_gen_bounds).
+_GEN_BOUNDS = tuple(f for f in fields(GenConfig) if f.name != "seed")
+
+
 def _gen_config(args: argparse.Namespace, seed: int) -> GenConfig:
-    return GenConfig(
-        seed=seed,
-        max_depth=args.max_depth,
-        max_children=args.max_children,
-        max_states=args.max_states,
-        max_local_actions=args.max_local_actions,
-        propositions=args.props,
-        density=args.density,
-        min_children=args.min_children,
-        min_states=args.min_states,
-    )
+    return GenConfig(seed, **{f.name: getattr(args, f.name) for f in _GEN_BOUNDS})
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -375,14 +369,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _add_gen_bounds(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-depth", type=int, default=3)
-    parser.add_argument("--max-children", type=int, default=3)
-    parser.add_argument("--max-states", type=int, default=4)
-    parser.add_argument("--max-local-actions", type=int, default=2)
-    parser.add_argument("--props", type=int, default=2)
-    parser.add_argument("--density", type=float, default=0.5)
-    parser.add_argument("--min-children", type=int, default=1)
-    parser.add_argument("--min-states", type=int, default=1)
+    for f in _GEN_BOUNDS:
+        flag = "--props" if f.name == "propositions" else "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
 
 
 def build_parser() -> argparse.ArgumentParser:

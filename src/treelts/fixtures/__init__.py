@@ -11,9 +11,6 @@ from __future__ import annotations
 from importlib.resources import files
 from pathlib import Path
 
-from ..cli import load
-from ..model import Network
-
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a bundled fixture, e.g. ``gx.json``."""
@@ -26,11 +23,3 @@ def gx_path() -> Path:
 
 def gy_path() -> Path:
     return fixture_path("gy.json")
-
-
-def gx_network() -> Network:
-    return load(gx_path())
-
-
-def gy_network() -> Network:
-    return load(gy_path())

@@ -255,7 +255,7 @@ def equivalence_suite(
         full_states=full.n_states,
         full_transitions=len(full.src),
         reduced_states=reduced.n_states,
-        reduced_transitions=len(component.transitions),
+        reduced_transitions=len(reduced.src),
         stage_count=len(stages),
     )
 
@@ -311,9 +311,7 @@ def equivalence_suite(
         if not stage.deleted:  # the pruned squares are the unpruned ones
             continue
         unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon).lts
-        stage_props = sorted(
-            {p for c in stage.net.components for ps in c.labels.values() for p in ps})
-        for prop in stage_props:
+        for prop in stage.net.propositions():
             pruned_holds = check_ef(stage.sq.lts, prop).holds
             unpruned_holds = check_ef(unpruned, prop).holds
             if pruned_holds != unpruned_holds:

@@ -41,7 +41,7 @@ class SumOfSquares:
     lts: ExplicitLts
     epsilon: str
     root_name: str
-    root_acts: frozenset[str]
+    root_index: int
     root_upacts: frozenset[str]
 
 
@@ -160,7 +160,7 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
         ),
         epsilon=epsilon,
         root_name=root.name,
-        root_acts=root.acts,
+        root_index=r,
         root_upacts=up_root,
     )
 
@@ -186,14 +186,17 @@ def _backward_closure(lts: ExplicitLts, seeds: Iterable[int]) -> set[int]:
 
 
 def compute_locked(sq: SumOfSquares) -> frozenset[int]:
-    """States from which no finite path reaches a root-labelled transition.
+    """States from which no finite path reaches a transition the root takes
+    part in.
 
-    Computed by reverse reachability from the sources of transitions
-    labelled with an action of the root component; everything else is
-    locked.
+    Computed by reverse reachability from the sources of transitions whose
+    movers contain the root's index; everything else is locked.  Who moved
+    is read from the movers, never from the action name: a leaf may use a
+    name the root uses too, a silent one such as ``tau`` most often.
     """
     lts = sq.lts
-    alive = _backward_closure(lts, compress(lts.src, map(sq.root_acts.__contains__, lts.act)))
+    r = sq.root_index
+    alive = _backward_closure(lts, compress(lts.src, [r in m for m in lts.movers]))
     return frozenset(i for i in range(lts.n_states) if i not in alive)
 
 
@@ -532,51 +535,50 @@ def reduce_net_traced(
     component its parent's stage glues in.  The last stage is the top-level
     one; its ``originals`` are the original root and leaves and the reduced
     inner children, which is what a witness found on the final component
-    lifts to (see ``lift_witness``).  Pre-minimised components hide their
-    moves under one of ``net.silent``, or under a fresh name that is then
-    silent in the stage networks.
+    lifts to (see ``lift_witness``).
+
+    Every stage glues its squares under one fresh name, ``eps0`` unless the
+    network uses it.  Pre-minimised components and reduced children hide
+    their moves under one name too: one of ``net.silent``, or a fresh one
+    that is then silent in the stage networks.  Sharing these names is
+    safe because pruning reads who moved from the squares' movers.
     """
     stages: list[ReductionStage] = []
     reserved = frozenset(
         {a for c in net.components for a in c.acts} | net.silent
     )
     hide = min(net.silent) if net.silent else fresh_action(reserved, "tau")
+    epsilon = fresh_action(reserved, "eps0")
     reduced: dict[int, Component] = {}
-    hidden: dict[int, str] = {}
-    todo = [(net.root_index, 0, False)]
+    todo = [(net.root_index, False)]
     while todo:
-        node, level, ready = todo.pop()
+        node, ready = todo.pop()
         kids = net.children[node]
         if not kids:
             reduced[node] = net.components[node]
         elif not ready:
-            todo.append((node, level, True))
-            todo.extend((k, level + 1, False) for k in reversed(kids))
+            todo.append((node, True))
+            todo.extend((k, False) for k in reversed(kids))
         else:
-            epsilon = fresh_action(reserved, f"eps{level}")
             originals = (net.components[node], *(reduced.pop(k) for k in kids))
             premin = [
                 _premin(c, _interface(net, i), hide)
                 if i == node or not net.children[i] else (c, None)
                 for i, c in zip((node, *kids), originals)]
             blocks = tuple(b for _, b in premin)
-            # the names reduced children hide their moves under stay silent
-            # here, and so does the name pre-minimised components use
-            silent = net.silent | {hidden.pop(k) for k in kids if k in hidden}
-            if any(b is not None for b in blocks):
-                silent |= {hide}
+            # pre-minimised components and reduced children hide moves under ``hide``
+            hiding = any(b is not None for b in blocks) or any(net.children[k] for k in kids)
             two_level = two_level_network(
                 premin[0][0],
                 [c for c, _ in premin[1:]],
                 child_upacts=[net.upacts[k] for k in kids],
                 root_upacts=net.upacts[node],
-                silent=silent,
+                silent=net.silent | {hide} if hiding else net.silent,
             )
             sq, deleted = _squares(two_level, epsilon, prune)
             result = cmpl(sq)
-            if level:
-                result, _ = quotient(result, net.upacts[node], epsilon)
-                hidden[node] = epsilon
+            if node != net.root_index:
+                result, _ = quotient(result, net.upacts[node], hide)
             reduced[node] = result
             stages.append(ReductionStage(two_level, sq, result, deleted, originals, blocks))
     return reduced[net.root_index], tuple(stages)

@@ -1,17 +1,18 @@
 import pytest
 
 from treelts import Component, infer_topology
-from treelts.fixtures import gx_network, gy_network
+from treelts.cli import load
+from treelts.fixtures import gx_path, gy_path
 
 
 @pytest.fixture(scope="session")
 def gx():
-    return gx_network()
+    return load(gx_path())
 
 
 @pytest.fixture(scope="session")
 def gy():
-    return gy_network()
+    return load(gy_path())
 
 
 @pytest.fixture(scope="session")

@@ -2,11 +2,14 @@
 
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
 from treelts import Component, GenConfig, ParseError, ValidationError, gen_random_tree
 from treelts.cli import (
+    _gen_config,
+    build_parser,
     dot_string,
     export_dot,
     load,
@@ -236,6 +239,20 @@ class TestMain:
         assert main(["gen", "--seed", "5", "-o", str(b)]) == 0
         assert a.read_text(encoding="utf-8") == b.read_text(encoding="utf-8")
         assert main(["validate", str(a)]) == 0
+
+    def test_gen_bounds_default_to_gen_config_and_each_flag_sets_its_field(self):
+        parser = build_parser()
+        for argv in (["gen", "--seed", "0", "-o", "x"], ["suite", "--seeds", "1"]):
+            assert _gen_config(parser.parse_args(argv), 5) == GenConfig(seed=5)
+        flags = {
+            "--max-depth": ("max_depth", 9), "--max-children": ("max_children", 9),
+            "--max-states": ("max_states", 9), "--max-local-actions": ("max_local_actions", 9),
+            "--props": ("propositions", 9), "--density": ("density", 0.25),
+            "--min-children": ("min_children", 9), "--min-states": ("min_states", 9),
+        }
+        for flag, (name, value) in flags.items():
+            args = parser.parse_args(["suite", "--seeds", "1", flag, str(value)])
+            assert _gen_config(args, 5) == replace(GenConfig(seed=5), **{name: value}), flag
 
     def test_suite_runs_clean(self, tmp_path, capsys):
         report = tmp_path / "suite.json"

@@ -182,6 +182,28 @@ def test_chain_exercises_pruning_and_declaration_order(tmp_path):
     assert dot.index(",a2)#1") < dot.index(",a0)#1")
 
 
+@pytest.mark.parametrize("make", [lambda: ring_chain(4), chain_out_of_order],
+                         ids=["ring-chain", "chain"])
+def test_one_glue_name_and_one_hiding_name_for_the_whole_reduction(make, tmp_path):
+    net = make()
+    _, stages = reduce_net_traced(net)
+    assert len(stages) >= 2
+    assert {stage.sq.epsilon for stage in stages} == {"eps0"}
+    hide = min(net.silent)
+    for stage in stages[:-1]:  # each enters its parent's stage as a reduced child
+        assert stage.result.acts <= stage.net.upacts[stage.net.root_index] | {hide}
+    src, out = tmp_path / "net.json", tmp_path / "out.json"
+    save(net, src)
+    assert main(["reduce", str(src), "-o", str(out)]) == 0
+    assert main(["validate", str(out)]) == 0
+    reduced = load(out)
+    # exactly the silent names the transitions use
+    assert reduced.silent == {"eps0", hide} == reduced.silent & reduced.root.acts
+    full, lts = full_product(net), component_lts(reduced.root)
+    for prop in net.propositions():
+        assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+
+
 def test_names_patched_by_the_benchmark_tracer_exist():
     patched = re.findall(r'\((reduction|harness), "(\w+)"', SPANS.read_text(encoding="utf-8"))
     modules = {"reduction": reduction, "harness": harness}
@@ -227,8 +249,6 @@ def treelts_imports(module):
 
 
 def test_core_modules_do_not_import_the_layers_above():
-    # the fixtures package is left out: it still imports cli.load until file
-    # I/O is split out of cli
     assert treelts_imports("checker") == {"product"}
-    for module in ("model", "product", "reduction"):
+    for module in ("model", "product", "reduction", "fixtures/__init__"):
         assert not treelts_imports(module) & {"checker", "harness", "cli"}, module

@@ -13,6 +13,7 @@ from treelts import (
     infer_topology,
     reduce_net,
     reduce_net_traced,
+    reduced_lts,
     stats,
     validate_live_reset,
 )
@@ -133,6 +134,19 @@ class TestEquivalenceSuite:
 #: Generator bounds of the acceptance suite (tests/test_acceptance.py).
 SUITE_CFG = dict(max_depth=3, max_children=3, max_states=5,
                  max_local_actions=2, propositions=3, density=0.6)
+
+
+class TestSuiteReportSizes:
+    def test_reduced_sizes_come_from_the_checked_graph(self):
+        # on this seed the top squares hold a transition twice, which the
+        # completed component keeps once
+        net = gen_random_tree(GenConfig(seed=127, **SUITE_CFG))
+        component, stages = reduce_net_traced(net)
+        reduced = reduced_lts(component, stages)
+        assert len(reduced.src) != len(component.transitions)
+        report = equivalence_suite(net)
+        assert (report.reduced_states, report.reduced_transitions) == (
+            reduced.n_states, len(reduced.src))
 
 
 class TestLiftTarget:

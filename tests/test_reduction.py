@@ -163,6 +163,24 @@ class TestLockedStates:
         assert locked == GX_LOCKED | {
             "(s0,r3)#1", "(t0,r3)#2", "(t1,r3)#2", "(t2,r3)#2"}
 
+    def test_a_leaf_move_on_a_root_action_name_is_not_a_root_move(self):
+        # root and child both use tau; after the handoff on u the root is
+        # stuck at r1 while the child keeps cycling on tau
+        root = Component("r", ("r0", "r1"), "r0",
+                         (("r0", "tau", "r0"), ("r0", "u", "r1")),
+                         labels={"r0": frozenset({"home"})})
+        child = Component("c", ("c0", "c1"), "c0",
+                          (("c0", "u", "c0"), ("c0", "tau", "c1"), ("c1", "tau", "c0")))
+        net = infer_topology([root, child], "r")
+        unreduced = build_sq_unreduced(net)
+        locked = {str(unreduced.lts.payloads[i]) for i in compute_locked(unreduced)}
+        assert locked == {"(c0,r1)#1", "(c1,r1)#1"}
+        pruned = build_sq(net)
+        assert pruned.lts.n_states == 3
+        full = full_product(net)
+        for prop in net.propositions():
+            assert check_ef(pruned.lts, prop).holds == check_ef(full, prop).holds
+
 
 class TestPrunedSquares:
     def test_gx_has_12_states(self, gx):
@@ -323,21 +341,31 @@ class TestReduceNet:
         net = ring_tree([None, 0, 1, 2, 0, 4])
         _, stages = reduce_net_traced(net)
         assert [stage.sq.root_name for stage in stages] == ["n2", "n1", "n4", "n0"]
-        assert [stage.sq.epsilon for stage in stages] == ["eps2", "eps1", "eps1", "eps0"]
+        assert [stage.sq.epsilon for stage in stages] == ["eps0"] * 4
 
     def test_hidden_name_is_silent_even_when_unused(self):
         # every square of r is locked, so its reduced component is the bare
-        # glue state and no longer uses the name its moves were hidden under
-        _, stages = reduce_net_traced(all_locked_tree())
+        # glue state and does not use the fresh name reduced children hide
+        # their moves under; the stage it enters still lists that name
+        net = all_locked_tree()
+        net = infer_topology(net.components, net.root.name, silent=frozenset())
+        _, stages = reduce_net_traced(net)
         assert not stages[0].result.acts
-        assert stages[0].sq.epsilon in stages[1].net.silent
+        assert stages[0].net.silent == frozenset()
+        assert stages[1].net.silent == {"tau"}
 
-    def test_epsilon_names_are_registered_per_level(self, chain_net):
+    def test_one_epsilon_name_is_registered_for_every_level(self, chain_net):
         _, stages = reduce_net_traced(chain_net)
-        assert stages[0].sq.epsilon == "eps1"  # inner stage first
-        assert stages[-1].sq.epsilon == "eps0"
-        # the inner glue action is silent at the outer stage
-        assert "eps1" in stages[-1].net.silent
+        assert [stage.sq.epsilon for stage in stages] == ["eps0", "eps0"]
+        # the inner stage's result hides its glue moves under tau, which is
+        # silent at the outer stage
+        assert stages[0].result.acts <= {"tau", "x"}
+        assert "tau" in stages[-1].net.silent
+        # a name the network uses is not taken
+        a, b, c = chain_net.components
+        a = Component(a.name, a.states, a.initial, a.transitions + (("a0", "eps0", "a0"),))
+        taken = infer_topology([a, b, c], "A")
+        assert {stage.sq.epsilon for stage in reduce_net_traced(taken)[1]} == {"eps0_1"}
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
