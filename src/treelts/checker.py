@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from .product import ExplicitLts, Path
+from .product import ExplicitLts, Path, prefix_of
 
 
 class Entry(Enum):
@@ -38,6 +38,12 @@ class Verdict:
 
     holds: bool
     witness: Path | None = None
+
+
+def render_witness(lts: ExplicitLts, verdict: Verdict) -> str | None:
+    """The witness of ``verdict`` as the payloads and actions of ``lts`` it
+    passes through, or None when the verdict has none."""
+    return None if verdict.witness is None else str(prefix_of(lts, verdict.witness))
 
 
 def check_ef(lts: ExplicitLts, proposition: str) -> Verdict:

@@ -32,7 +32,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path as FsPath
 
-from .checker import Entry, check_ef, check_eg
+from .checker import Entry, check_ef, check_eg, render_witness
 from .errors import (
     OracleTooLarge,
     ParseError,
@@ -47,7 +47,6 @@ from .product import (
     ExplicitLts,
     full_product,
     lts_to_component,
-    prefix_of,
 )
 from .reduction import reduce_net_traced, reduced_lts
 
@@ -103,10 +102,7 @@ def network_from_doc(doc: object) -> Network:
         components.append(comp)
         annotations.append(marks)
 
-    try:
-        net = infer_topology(components, doc["root"], silent=frozenset(silent))
-    except (TreeLtsError, ValueError) as exc:
-        raise ValidationError(str(exc)) from exc
+    net = infer_topology(components, doc["root"], silent=frozenset(silent))
 
     for i, marks in enumerate(annotations):
         for act, mark in sorted(marks.items()):
@@ -162,16 +158,13 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
                     f"action {act!r} is marked both '?' and '!' in component {name!r}")
             marks[act] = mark
         cleaned.append((src, act, dst))
-    try:
-        comp = Component(
-            name=name,
-            states=tuple(raw["states"]),
-            initial=raw["initial"],
-            transitions=tuple(cleaned),
-            labels={s: frozenset(ps) for s, ps in labels.items()},
-        )
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(str(exc)) from exc
+    comp = Component(
+        name=name,
+        states=tuple(raw["states"]),
+        initial=raw["initial"],
+        transitions=tuple(cleaned),
+        labels={s: frozenset(ps) for s, ps in labels.items()},
+    )
     return comp, marks
 
 
@@ -316,7 +309,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     verdict = check_ef(lts, proposition) if modality == "EF" else check_eg(lts, proposition, entry)
     print(f"{modality} {proposition!r} on {side}: {'HOLDS' if verdict.holds else 'does not hold'}")
     if args.witness and verdict.holds:
-        print(f"witness: {prefix_of(lts, verdict.witness)}")
+        print(f"witness: {render_witness(lts, verdict)}")
     return 0 if verdict.holds else 1
 
 

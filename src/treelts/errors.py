@@ -7,14 +7,6 @@ class TreeLtsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotATree(TreeLtsError):
-    """The shared-action graph of the components is not a tree."""
-
-
-class UnknownRoot(TreeLtsError):
-    """The requested root does not name any component."""
-
-
 class StateLimitExceeded(TreeLtsError):
     """An explicit construction hit the configured state cap."""
 
@@ -57,8 +49,17 @@ class ParseError(TreeLtsError):
         self.column = column
 
 
-class ValidationError(TreeLtsError):
-    """A model file parsed but does not describe a valid network."""
+class ValidationError(TreeLtsError, ValueError):
+    """A component, a network or a parsed model file is invalid.  It is a
+    ValueError too."""
+
+
+class NotATree(ValidationError):
+    """The shared-action graph of the components is not a tree."""
+
+
+class UnknownRoot(ValidationError):
+    """The requested root does not name any component."""
 
 
 class LiveResetWarning(UserWarning):

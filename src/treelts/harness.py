@@ -14,7 +14,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
-from .checker import Entry, Verdict, check_ef, check_eg
+from .checker import Entry, check_ef, check_eg, render_witness
 from .errors import InvalidWitness, OracleTooLarge, StateLimitExceeded
 from .model import Component, Network, infer_topology
 # component_lts is not called here; perfbench/spans.py patches it in this namespace
@@ -23,11 +23,10 @@ from .product import (  # noqa: F401
     ExplicitLts,
     component_lts,
     full_product,
-    prefix_of,
     product_of,
     resolve_prefix,
 )
-from .reduction import build_sq_unreduced, lift_witness, reduce_net, reduce_net_traced, reduced_lts
+from .reduction import build_sq_unreduced, lift_witness, reduce_net_traced, reduced_lts
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +286,8 @@ def equivalence_suite(
         )
         if not agree:
             report.disagreements += 1
-            result.full_witness = _render(full, vf)
-            result.reduced_witness = _render(reduced, vr)
+            result.full_witness = render_witness(full, vf)
+            result.reduced_witness = render_witness(reduced, vr)
         if vr.holds and vr.witness is not None and lift_target is not None:
             report.witnesses_checked += 1
             ok = False
@@ -322,10 +321,6 @@ def equivalence_suite(
                     unpruned_holds=unpruned_holds,
                 ))
     return report
-
-
-def _render(lts: ExplicitLts, verdict: Verdict) -> str | None:
-    return None if verdict.witness is None else str(prefix_of(lts, verdict.witness))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +361,9 @@ class StatsReport:
 def stats(net: Network, cap: int = DEFAULT_STATE_CAP, runs: int = 3) -> StatsReport:
     """Build both structures and report sizes and per-phase median times.
 
-    A capped product is reported as a lower bound instead of failing.
+    The reduced sizes are those of ``reduced_lts``, the graph that
+    ``check --reduced`` checks.  A capped product is reported as a lower
+    bound instead of failing.
     """
     full_times: list[float] = []
     full_states = 0
@@ -386,10 +383,11 @@ def stats(net: Network, cap: int = DEFAULT_STATE_CAP, runs: int = 3) -> StatsRep
     reduce_times: list[float] = []
     for _ in range(max(1, runs)):
         t0 = time.perf_counter()
-        component = reduce_net(net)
+        component, stages = reduce_net_traced(net)
         reduce_times.append(time.perf_counter() - t0)
-    reduced_states = len(component.states)
-    reduced_transitions = len(component.transitions)
+    reduced = reduced_lts(component, stages)
+    reduced_states = reduced.n_states
+    reduced_transitions = len(reduced.src)
 
     return StatsReport(
         full_states=full_states,

@@ -12,10 +12,11 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import LiveResetWarning, NotATree, UnknownRoot
+from .errors import LiveResetWarning, NotATree, UnknownRoot, ValidationError
 
 #: Action names that never synchronise and never create topology edges.
 DEFAULT_SILENT = frozenset({"tau"})
@@ -27,10 +28,10 @@ _NO_LABELS: frozenset[str] = frozenset()
 class Component:
     """A finite labelled transition system.
 
-    The action set is implicit: it is derived from the transitions, so a
-    component cannot declare actions it never uses.  States keep their
-    declaration order, which downstream constructions rely on for
-    deterministic numbering.
+    The action set ``acts`` is implicit: it is derived from the transitions
+    at construction, so a component cannot declare actions it never uses.
+    States keep their declaration order, which downstream constructions
+    rely on for deterministic numbering.
     """
 
     name: str
@@ -40,45 +41,39 @@ class Component:
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # one pass per collection; str() only where an item is not one
-        # already, and the first of equal transitions is kept
-        transitions: dict[tuple[str, str, str], None] = {}
-        for raw in self.transitions:
-            src, act, dst = raw
-            if type(src) is not str or type(act) is not str or type(dst) is not str \
-                    or type(raw) is not tuple:
-                raw = (str(src), str(act), str(dst))
-            transitions[raw] = None
-        labels: dict[str, frozenset[str]] = {}
-        for s, ps in self.labels.items():
-            if ps:
-                if type(s) is not str or type(ps) is not frozenset \
-                        or not all(type(p) is str for p in ps):
-                    s, ps = str(s), frozenset(map(str, ps))
-                labels[s] = ps
-        states = tuple(map(str, self.states))
+        # one pass per collection: tuples, the first of equal transitions
+        # kept, empty label sets dropped, a given frozenset kept as it is
+        states = tuple(self.states)
+        transitions = tuple(dict.fromkeys(map(tuple, self.transitions)))
+        labels = {s: ps if type(ps) is frozenset else frozenset(ps)
+                  for s, ps in self.labels.items() if ps}
+        acts = frozenset(map(itemgetter(1), transitions))
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "transitions", tuple(transitions))
+        object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "acts", acts)
+        # endpoints and label keys are checked by membership below
+        names = (states, (self.initial,), acts, *labels.values())
+        if not {str}.issuperset(map(type, chain.from_iterable(names))):
+            bad = [name for name in chain.from_iterable(names) if not isinstance(name, str)]
+            if bad:
+                raise ValidationError(
+                    f"name {bad[0]!r} in component {self.name!r} is not a string")
         state_set = set(states)
         if len(state_set) != len(states):
-            raise ValueError(f"duplicate state names in component {self.name!r}")
+            raise ValidationError(f"duplicate state names in component {self.name!r}")
         if self.initial not in state_set:
-            raise ValueError(
+            raise ValidationError(
                 f"initial state {self.initial!r} is not a state of component {self.name!r}")
         for src, act, dst in transitions:
             if src not in state_set or dst not in state_set:
-                raise ValueError(
+                raise ValidationError(
                     f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
                     f"in component {self.name!r}")
         for s in labels:
             if s not in state_set:
-                raise ValueError(f"label on unknown state {s!r} in component {self.name!r}")
-
-    @cached_property
-    def acts(self) -> frozenset[str]:
-        """All action names occurring on transitions."""
-        return frozenset(map(itemgetter(1), self.transitions))
+                raise ValidationError(
+                    f"label on unknown state {s!r} in component {self.name!r}")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -153,10 +148,8 @@ class Network:
         return self.components[self.root_index]
 
     def index_of(self, name: str) -> int:
-        for i, c in enumerate(self.components):
-            if c.name == name:
-                return i
-        raise KeyError(name)
+        """Position of the component ``name``; KeyError if there is none."""
+        return {c.name: i for i, c in enumerate(self.components)}[name]
 
     def propositions(self) -> tuple[str, ...]:
         """All proposition names occurring in the network, sorted."""
@@ -221,7 +214,7 @@ def infer_topology(
         raise UnknownRoot("network has no components")
     names = [c.name for c in comps]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate component names: {sorted(names)}")
+        raise ValidationError(f"duplicate component names: {sorted(names)}")
     try:
         root_index = names.index(root)
     except ValueError:
@@ -281,11 +274,11 @@ def two_level_network(
     kids = tuple(children)
     ups = tuple(frozenset(u) for u in child_upacts)
     if len(kids) != len(ups):
-        raise ValueError("one upact set per child is required")
+        raise ValidationError("one upact set per child is required")
     comps = (root, *kids)
     names = [c.name for c in comps]
     if len(set(names)) != len(names):
-        raise ValueError(f"duplicate component names: {sorted(names)}")
+        raise ValidationError(f"duplicate component names: {sorted(names)}")
     return _network(comps, 0, silent, (None,) + (0,) * len(kids),
                     (frozenset(root_upacts), *ups))
 

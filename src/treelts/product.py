@@ -57,30 +57,17 @@ class FreshInit:
 Payload = Union[GlobalTuple, SquareOrigin, FreshInit]
 
 
-class Transition(NamedTuple):
-    """One step of an ExplicitLts: a tuple record, equal and hashed by value."""
-
-    src: int
-    action: str
-    dst: int
-    #: Indices of the components that moved; empty for glue transitions.
-    movers: frozenset[int]
-
-
 class ExplicitLts:
     """A flat transition graph with structured state payloads.
 
     States are consecutive integers; ``payloads[i]`` records where flat
     state ``i`` came from and is unique per state.  Transition ``k`` is
     ``src[k] -act[k]-> dst[k]``, moving the components in ``movers[k]`` (one
-    of a few shared frozensets): four parallel lists, no object per edge.
-    ``out_edges[i]`` lists the indices of the transitions leaving ``i``, in
-    order, and is built on first use.  Instances are immutable after
-    construction and safe to share.
-
-    The constructor takes the lists over, not copies.  ``transitions`` and
-    ``out(i)`` are read-only views that build records on every call, and
-    nothing else does.
+    of a few shared frozensets, empty for glue transitions): four parallel
+    lists, no object per edge.  ``out_edges[i]`` lists the indices of the
+    transitions leaving ``i``, in order, and is built on first use.
+    Instances are immutable after construction and safe to share.  The
+    constructor takes the lists over, not copies.
     """
 
     def __init__(self, initial: int, src: list[int], act: list[str], dst: list[int],
@@ -102,20 +89,20 @@ class ExplicitLts:
             dup = next(p for i, p in enumerate(self.payloads) if self.payloads.index(p) != i)
             raise ValueError(f"duplicate payload {dup}")
         if src and (min(min(src), min(dst)) < 0 or max(max(src), max(dst)) >= n):
-            bad = next(k for k, (s, d) in enumerate(zip(src, dst))
-                       if not (0 <= s < n and 0 <= d < n))
-            raise ValueError(f"transition endpoint out of range: {self._records((bad,))[0]}")
-
-    def _records(self, edges: Iterable[int]) -> tuple[Transition, ...]:
-        src, act, dst, movers = self.src, self.act, self.dst, self.movers
-        return tuple(Transition(src[k], act[k], dst[k], movers[k]) for k in edges)
+            k = next(k for k, (s, d) in enumerate(zip(src, dst))
+                     if not (0 <= s < n and 0 <= d < n))
+            raise ValueError(
+                f"transition {k} endpoint out of range: {src[k]} -{act[k]}-> {dst[k]}")
 
     @property
-    def transitions(self) -> tuple[Transition, ...]:
-        return self._records(range(len(self.src)))
+    def transitions(self) -> tuple[tuple[int, str, int, frozenset[int]], ...]:
+        """``(src, act, dst, movers)`` per transition, built on every call.
 
-    def out(self, state: int) -> tuple[Transition, ...]:
-        return self._records(self.out_edges[state])
+        Kept only because ``perfbench`` takes its ``len`` in
+        ``spans.Tracer._square`` and ``run.stage_records``; read the lists
+        instead.
+        """
+        return tuple(zip(self.src, self.act, self.dst, self.movers))
 
     @cached_property
     def out_edges(self) -> tuple[tuple[int, ...], ...]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from itertools import compress
 from typing import Callable, Iterable
 
-from .errors import InvalidWitness, NotTwoLevel
+from .errors import InvalidWitness, NotTwoLevel, ValidationError
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
 from .model import Component, Network, subnetwork, two_level_network  # noqa: F401
 from .product import (
@@ -85,7 +85,7 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     if epsilon is None:
         epsilon = fresh_action(all_acts | set(net.silent), "eps")
     elif epsilon in all_acts:
-        raise ValueError(f"epsilon name {epsilon!r} collides with an existing action")
+        raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
 
     # per root position and per row (child index, child state position): the
     # moves of each rule as (action, code offset, movers), the handoffs as
@@ -509,26 +509,25 @@ def lift_witness(
     return PathPrefix(tuple(states), tuple(lifted_actions), tuple(lifted_movers))
 
 
-def reduce_net(net: Network, prune: bool = True) -> Component:
+def reduce_net(net: Network) -> Component:
     """Collapse a live-reset tree network into a single component.
 
     A lone component is returned unchanged.  Every internal node is
-    replaced by the completed (and, unless ``prune`` is false, pruned)
-    sum-of-squares of itself and its children, quotiented by ``quotient``
-    unless it is the root.  The node and its leaf children enter the
-    squares pre-minimised against their tree interface (upacts and
-    downacts); its inner children enter as already reduced.  The result
-    satisfies the same reachability verdicts as the full product for every
-    single proposition.
+    replaced by the completed and pruned sum-of-squares of itself and its
+    children, quotiented by ``quotient`` unless it is the root.  The node
+    and its leaf children enter the squares pre-minimised against their
+    tree interface (upacts and downacts); its inner children enter as
+    already reduced.  The result satisfies the same reachability verdicts
+    as the full product for every single proposition.
     """
-    component, _ = reduce_net_traced(net, prune=prune)
-    return component
+    return reduce_net_traced(net)[0]
 
 
 def reduce_net_traced(
     net: Network, prune: bool = True,
 ) -> tuple[Component, tuple[ReductionStage, ...]]:
-    """Like reduce_net but also returns the per-node stages, bottom-up.
+    """Like reduce_net but also returns the per-node stages, bottom-up;
+    with ``prune`` false, no stage prunes its locked states.
 
     Stages come in post-order over the original tree, children in network
     order.  Below the top, each stage's ``result`` is the quotiented

@@ -1,6 +1,9 @@
 """Generator soundness, the oracle-equivalence suite, and statistics."""
 
 import json
+from functools import partial
+
+import pytest
 
 from treelts import (
     Component,
@@ -18,7 +21,7 @@ from treelts import (
     validate_live_reset,
 )
 from treelts.cli import save_string
-from shapes import all_locked_tree, ring_tree
+from shapes import all_locked_tree, ring_chain, ring_tree
 
 
 class TestGenerator:
@@ -147,6 +150,34 @@ class TestSuiteReportSizes:
         report = equivalence_suite(net)
         assert (report.reduced_states, report.reduced_transitions) == (
             reduced.n_states, len(reduced.src))
+
+    def test_stats_counts_the_checked_graph(self):
+        # the same seed: stats counts the squares check --reduced checks,
+        # not the completed component, which keeps the doubled transition once
+        net = gen_random_tree(GenConfig(seed=127, **SUITE_CFG))
+        reduced = reduced_lts(*reduce_net_traced(net))
+        report = stats(net, runs=1)
+        assert (report.reduced_states, report.reduced_transitions) == (
+            reduced.n_states, len(reduced.src)) == (2, 5)
+
+
+class TestShapeFamilies:
+    @pytest.mark.parametrize("make, witnesses", [
+        *((partial(ring_chain, depth), depth) for depth in range(3, 7)),
+        (lambda: ring_tree([None] + [0] * 5), 6),
+        (lambda: ring_tree([None, 0, 0, 1, 1, 2, 2]), 7),
+        (lambda: ring_tree([None, 0, 1, 1, 0]), 5),
+        (all_locked_tree, 0),
+    ], ids=["chain-3", "chain-4", "chain-5", "chain-6", "wide", "balanced", "mixed",
+            "all-locked"])
+    def test_suite_agrees_and_lifts_every_witness(self, make, witnesses):
+        # every label of a ring shape is reachable, so each gives a witness;
+        # all_locked_tree carries no label
+        net = make()
+        report = equivalence_suite(net)
+        assert report.disagreements == 0 and report.divergences == []
+        assert len(net.propositions()) == witnesses
+        assert report.witnesses_lifted == report.witnesses_checked == witnesses
 
 
 class TestLiftTarget:

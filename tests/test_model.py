@@ -1,5 +1,8 @@
 """Topology inference, classification, and the reset-discipline validator."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from treelts import (
     GenConfig,
     NotATree,
     UnknownRoot,
+    ValidationError,
     Violation,
     gen_random_tree,
     infer_topology,
@@ -16,6 +20,7 @@ from treelts import (
     two_level_network,
     validate_live_reset,
 )
+from treelts import errors, model
 from treelts.errors import LiveResetWarning
 from shapes import ring_tree
 
@@ -112,32 +117,41 @@ class TestComponent:
         assert Component("e", ("s0",), "s0").acts == frozenset()
 
     def test_duplicate_states_rejected(self):
-        with pytest.raises(ValueError, match="duplicate state"):
+        with pytest.raises(ValidationError, match="duplicate state"):
             Component("c", ("s0", "s0"), "s0")
 
     def test_initial_must_be_a_state(self):
-        with pytest.raises(ValueError, match="initial state"):
+        with pytest.raises(ValidationError, match="initial state"):
             Component("c", ("s0",), "s1")
 
     def test_transition_endpoints_checked(self):
-        with pytest.raises(ValueError, match="unknown states"):
+        with pytest.raises(ValidationError, match="unknown states"):
             Component("c", ("s0",), "s0", (("s0", "a", "s9"),))
 
     def test_labels_checked(self):
-        with pytest.raises(ValueError, match="unknown state"):
+        with pytest.raises(ValidationError, match="unknown state"):
             Component("c", ("s0",), "s0", labels={"s9": {"p"}})
 
     def test_duplicate_transitions_collapse(self):
         c = Component("c", ("s0",), "s0", (("s0", "a", "s0"), ("s0", "a", "s0")))
         assert len(c.transitions) == 1
 
-    def test_non_str_states_transitions_and_labels_are_coerced(self):
-        c = Component("c", (0, 1), "0", ((0, 5, 1), ("1", "b", 0)),
-                      labels={1: [2, "q"], "0": {"r"}})
-        assert c.states == ("0", "1")
-        assert c.transitions == (("0", "5", "1"), ("1", "b", "0"))
-        assert c.labels == {"1": frozenset({"2", "q"}), "0": frozenset({"r"})}
-        assert all(type(ps) is frozenset for ps in c.labels.values())
+    @pytest.mark.parametrize("states, initial, transitions, labels, bad", [
+        (("s0", 1), "s0", (), {}, 1),
+        (("s0",), 0, (), {}, 0),
+        (("s0",), "s0", (("s0", 5, "s0"),), {}, 5),
+        (("s0",), "s0", (), {"s0": [2, "q"]}, 2),
+    ], ids=["state", "initial", "action", "proposition"])
+    def test_non_str_names_are_rejected(self, states, initial, transitions, labels, bad):
+        with pytest.raises(ValidationError) as info:
+            Component("c", states, initial, transitions, labels=labels)
+        assert str(info.value) == f"name {bad!r} in component 'c' is not a string"
+
+    def test_non_str_endpoints_and_label_keys_are_unknown_states(self):
+        with pytest.raises(ValidationError, match="^transition \\(0, 'a', 's0'\\) uses unknown"):
+            Component("c", ("s0",), "s0", ((0, "a", "s0"),))
+        with pytest.raises(ValidationError, match="^label on unknown state 0 "):
+            Component("c", ("s0",), "s0", labels={0: {"p"}})
 
     def test_transitions_given_as_lists(self):
         c = Component("c", ["s0", "s1"], "s0", [["s0", "a", "s1"], ["s1", "b", "s0"]])
@@ -146,12 +160,11 @@ class TestComponent:
 
     def test_duplicate_transitions_keep_the_first_occurrence_order(self):
         c = Component("c", ("s0", "s1"), "s0", (
-            ("s1", "b", "s0"), ("s0", "a", "s1"), ("s1", "b", "s0"),
-            ("s0", 1, "s0"), ("s0", "1", "s0"), ("s0", "a", "s1")))
-        assert c.transitions == (("s1", "b", "s0"), ("s0", "a", "s1"), ("s0", "1", "s0"))
+            ("s1", "b", "s0"), ("s0", "a", "s1"), ("s1", "b", "s0"), ("s0", "a", "s1")))
+        assert c.transitions == (("s1", "b", "s0"), ("s0", "a", "s1"))
 
     def test_the_first_offending_transition_is_named(self):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValidationError) as info:
             Component("c", ("s0",), "s0",
                       (("s0", "a", "s0"), ("s0", "b", "s9"), ("s8", "c", "s0")))
         assert str(info.value) == (
@@ -159,11 +172,12 @@ class TestComponent:
 
     def test_str_label_sets_are_kept_and_empty_ones_dropped(self):
         ps = frozenset({"p", "q"})
-        given = {"s0": ps, "s1": frozenset()}
-        c = Component("c", ("s0", "s1"), "s0", labels=given)
-        assert c.labels == {"s0": ps} and c.labels["s0"] is ps
+        given = {"s0": ps, "s1": frozenset(), "s2": ["r", "q"]}
+        c = Component("c", ("s0", "s1", "s2"), "s0", labels=given)
+        assert c.labels == {"s0": ps, "s2": {"q", "r"}} and c.labels["s0"] is ps
+        assert all(type(ps) is frozenset for ps in c.labels.values())
         given["s1"] = frozenset({"r"})
-        assert c.labels == {"s0": ps}
+        assert c.labels == {"s0": ps, "s2": {"q", "r"}}
 
 
 class TestLiveReset:
@@ -280,3 +294,34 @@ class TestGeneratedInvariants:
             if len(group) == 2:
                 i, j = group
                 assert net.parent[i] == j or net.parent[j] == i
+
+
+class TestValidationErrors:
+    def test_bases(self):
+        assert issubclass(ValidationError, errors.TreeLtsError)
+        assert issubclass(ValidationError, ValueError)
+        assert issubclass(NotATree, ValidationError) and issubclass(UnknownRoot, ValidationError)
+
+    def test_network_constructors_raise_them_with_their_messages(self):
+        c = Component("a", ("s0",), "s0")
+        with pytest.raises(ValidationError, match=r"^duplicate component names: \['a', 'a'\]$"):
+            infer_topology([c, c], "a")
+        with pytest.raises(ValidationError, match=r"^duplicate component names: \['a', 'a'\]$"):
+            two_level_network(c, [c], [frozenset()])
+        with pytest.raises(ValidationError, match="^one upact set per child is required$"):
+            two_level_network(c, [c], [])
+
+
+def test_model_raises_only_treelts_errors():
+    # library callers get the exit-code contract of the command line: each
+    # raise in model.py names a TreeLtsError subclass
+    tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
+    raised = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            raised.append(exc.id if isinstance(exc, ast.Name) else ast.unparse(node))
+    assert len(raised) >= 10
+    for name in raised:
+        cls = getattr(errors, name, None)
+        assert isinstance(cls, type) and issubclass(cls, errors.TreeLtsError), name

@@ -13,7 +13,6 @@ from treelts import (
     GlobalTuple,
     Path,
     StateLimitExceeded,
-    Transition,
     component_lts,
     full_product,
     gen_random_tree,
@@ -35,8 +34,8 @@ def as_tuple_set(lts):
 
 def as_triple_set(lts):
     return {
-        (lts.payloads[t.src].states, t.action, lts.payloads[t.dst].states)
-        for t in lts.transitions
+        (lts.payloads[s].states, a, lts.payloads[d].states)
+        for s, a, d in zip(lts.src, lts.act, lts.dst)
     }
 
 
@@ -77,7 +76,7 @@ class TestFullProduct:
         a = full_product(gx)
         b = full_product(gx)
         assert a.payloads == b.payloads
-        assert a.transitions == b.transitions
+        assert (a.src, a.act, a.dst, a.movers) == (b.src, b.act, b.dst, b.movers)
 
 
 class TestPairProduct:
@@ -115,7 +114,7 @@ class TestProductProperties:
         net2 = infer_topology(rotated, net.root.name, silent=net.silent)
         lts2 = full_product(net2, cap=50_000)
         assert lts.n_states == lts2.n_states
-        assert len(lts.transitions) == len(lts2.transitions)
+        assert len(lts.src) == len(lts2.src)
         # the coordinate permutation is a payload bijection
         order = [net2.components.index(c) for c in net.components]
         remapped = {tuple(p.states[i] for i in order) for p in lts2.payloads}
@@ -137,12 +136,12 @@ class TestProductProperties:
     def test_transitions_move_only_their_movers(self, seed):
         net = gen_random_tree(GenConfig(seed=seed, max_depth=3, max_children=2, max_states=4))
         lts = full_product(net, cap=50_000)
-        for t in lts.transitions:
-            src = lts.payloads[t.src].states
-            dst = lts.payloads[t.dst].states
+        for s, act, d, movers in zip(lts.src, lts.act, lts.dst, lts.movers):
+            src = lts.payloads[s].states
+            dst = lts.payloads[d].states
             for i, c in enumerate(net.components):
-                if i in t.movers:
-                    assert (src[i], t.action, dst[i]) in c.transition_set
+                if i in movers:
+                    assert (src[i], act, dst[i]) in c.transition_set
                 else:
                     assert src[i] == dst[i]
 
@@ -194,12 +193,12 @@ class TestProjection:
         # deterministic pseudo-random walk through the product
         states, actions = [lts.initial], []
         for step in range(12):
-            outs = lts.out(states[-1])
+            outs = lts.out_edges[states[-1]]
             if not outs:
                 break
-            t = outs[(seed + step) % len(outs)]
-            actions.append(t.action)
-            states.append(t.dst)
+            k = outs[(seed + step) % len(outs)]
+            actions.append(lts.act[k])
+            states.append(lts.dst[k])
         prefix = prefix_of(lts, Path(tuple(states), tuple(actions)))
         indices = data.draw(st.sets(
             st.integers(min_value=0, max_value=len(net.components) - 1), min_size=1))
@@ -231,9 +230,9 @@ class TestExplicitLtsChecks:
                            [GlobalTuple((p,)) for p in payloads])
 
     def test_a_well_formed_graph_is_accepted(self):
-        t = Transition(0, "x", 1, frozenset({0}))
-        lts = self.lts(transitions=[t])
-        assert lts.out(0) == (t,) and lts.out(1) == ()
+        lts = self.lts(transitions=[(0, "x", 1, frozenset({0}))])
+        assert (lts.src, lts.act, lts.dst, lts.movers) == ([0], ["x"], [1], [{0}])
+        assert lts.out_edges == ((0,), ())
         assert lts.id_of(GlobalTuple(("b",))) == 1
 
     def test_a_duplicate_payload_is_named(self):
@@ -243,11 +242,11 @@ class TestExplicitLtsChecks:
 
     @pytest.mark.parametrize("src, dst", [(0, 2), (2, 0), (-1, 0), (0, -1)])
     def test_an_out_of_range_endpoint_is_named(self, src, dst):
-        fine = Transition(0, "x", 1, frozenset({0}))
-        bad = Transition(src, "y", dst, frozenset({0}))
+        # the first bad transition is named: 1, not 2
         with pytest.raises(ValueError) as info:
-            self.lts(transitions=[fine, bad, Transition(5, "z", 5, frozenset())])
-        assert str(info.value) == f"transition endpoint out of range: {bad}"
+            self.lts(transitions=[(0, "x", 1, frozenset({0})), (src, "y", dst, frozenset({0})),
+                                  (5, "z", 5, frozenset())])
+        assert str(info.value) == f"transition 1 endpoint out of range: {src} -y-> {dst}"
 
     @pytest.mark.parametrize("initial", [2, -1])
     def test_an_out_of_range_initial_state(self, initial):
@@ -272,21 +271,21 @@ class TestFromArraysChecks:
                         [GlobalTuple(("a",)), GlobalTuple(("b",))])
 
 
-class TestRecordViews:
-    """``transitions`` and ``out`` are records built from the parallel lists."""
+class TestEdgeIndex:
+    """``out_edges`` lists each state's transitions in order, and the
+    ``transitions`` view the benchmark counts is as long as the lists."""
 
     @staticmethod
-    def assert_views_match(lts):
-        records = tuple(map(Transition, lts.src, lts.act, lts.dst, lts.movers))
-        assert lts.transitions == records
+    def assert_index_matches(lts):
         by_src = [[] for _ in range(lts.n_states)]
-        for t in records:
-            by_src[t.src].append(t)
-        assert [lts.out(i) for i in range(lts.n_states)] == list(map(tuple, by_src))
+        for k, s in enumerate(lts.src):
+            by_src[s].append(k)
+        assert lts.out_edges == tuple(map(tuple, by_src))
+        assert len(lts.transitions) == len(lts.src)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
-    def test_views_match_the_arrays(self, seed):
+    def test_index_matches_the_lists(self, seed):
         net = gen_random_tree(GenConfig(seed=seed, max_depth=4))
         systems = [stage.sq.lts for stage in reduce_net_traced(net)[1]]
         try:
@@ -294,20 +293,4 @@ class TestRecordViews:
         except StateLimitExceeded:
             pass
         for lts in systems:
-            self.assert_views_match(lts)
-
-
-class TestTransition:
-    def test_compares_and_hashes_by_value(self):
-        a = Transition(1, "x", 2, frozenset({0}))
-        b = Transition(1, "x", 2, frozenset({0}))
-        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
-        assert a != Transition(1, "x", 3, frozenset({0}))
-        assert a != Transition(1, "x", 2, frozenset({1}))
-
-    def test_keeps_its_attribute_names(self):
-        t = Transition(1, "x", 2, frozenset({0, 3}))
-        assert (t.src, t.action, t.dst, t.movers) == (1, "x", 2, {0, 3})
-        assert Transition(src=1, action="x", dst=2, movers=frozenset({0, 3})) == t
-        with pytest.raises(AttributeError):
-            t.src = 4
+            self.assert_index_matches(lts)

@@ -16,6 +16,7 @@ from treelts import (
     GlobalTuple,
     NotTwoLevel,
     SquareOrigin,
+    ValidationError,
     build_sq,
     build_sq_unreduced,
     check_ef,
@@ -71,22 +72,22 @@ class TestUnreducedSquares:
     def test_glue_state_structure(self, gx):
         sq = build_sq_unreduced(gx)
         assert isinstance(sq.lts.payloads[sq.lts.initial], FreshInit)
-        outs = sq.lts.out(sq.lts.initial)
-        assert [t.action for t in outs] == [sq.epsilon, sq.epsilon]
-        assert {str(sq.lts.payloads[t.dst]) for t in outs} == {"(s0,r0)#1", "(t0,r0)#2"}
-        assert all(t.dst != sq.lts.initial for t in sq.lts.transitions)
+        outs = sq.lts.out_edges[sq.lts.initial]
+        assert [sq.lts.act[k] for k in outs] == [sq.epsilon, sq.epsilon]
+        assert {str(sq.lts.payloads[sq.lts.dst[k]]) for k in outs} == {"(s0,r0)#1", "(t0,r0)#2"}
+        assert sq.lts.initial not in sq.lts.dst
 
     def test_handoff_broadcasts_to_every_square(self, gx):
         sq = build_sq_unreduced(gx)
         src = sq.lts.id_of(SquareOrigin(2, "t1", "r4"))
-        targets = {str(sq.lts.payloads[t.dst])
-                   for t in sq.lts.out(src) if t.action == "chooseL"}
+        targets = {str(sq.lts.payloads[sq.lts.dst[k]])
+                   for k in sq.lts.out_edges[src] if sq.lts.act[k] == "chooseL"}
         assert targets == {"(s0,r0)#1", "(t0,r0)#2"}
 
     def test_s0_r1_has_no_moves(self, gx):
         # r1 only offers chooseL/chooseR, which belong to the other child
         sq = build_sq_unreduced(gx)
-        assert sq.lts.out(sq.lts.id_of(SquareOrigin(1, "s0", "r1"))) == ()
+        assert sq.lts.out_edges[sq.lts.id_of(SquareOrigin(1, "s0", "r1"))] == ()
 
     def test_square_labels_are_pair_unions(self, gx):
         sq = build_sq_unreduced(gx)
@@ -100,12 +101,13 @@ class TestUnreducedSquares:
         child = Component("c", ("c0",), "c0", (("c0", "a", "c0"),))
         sq = build_sq_unreduced(infer_topology([root, child], "r"))
         assert payload_names(sq) == {"init", "(c0,r0)#1", "(c0,r1)#1"}
-        assert {t.action for t in sq.lts.transitions} == {sq.epsilon, "a"}
+        assert set(sq.lts.act) == {sq.epsilon, "a"}
 
     def test_deterministic_rebuild(self, gx):
         a, b = build_sq_unreduced(gx), build_sq_unreduced(gx)
         assert a.lts.payloads == b.lts.payloads
-        assert a.lts.transitions == b.lts.transitions
+        assert (a.lts.src, a.lts.act, a.lts.dst, a.lts.movers) == (
+            b.lts.src, b.lts.act, b.lts.dst, b.lts.movers)
 
     def test_no_tracked_object_per_transition(self):
         # transitions live in parallel lists; a record per edge would add at
@@ -121,7 +123,7 @@ class TestUnreducedSquares:
             added = len(gc.get_objects()) - before
         finally:
             gc.enable()
-        assert added < len(sq.lts.transitions)
+        assert added < len(sq.lts.src)
 
     def test_rejects_leaf_networks(self):
         c = Component("c", ("s0",), "s0", (("s0", "a", "s0"),))
@@ -133,7 +135,8 @@ class TestUnreducedSquares:
             build_sq_unreduced(chain_net)
 
     def test_epsilon_name_must_be_fresh(self, gx):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError,
+                           match="^epsilon name 'open' collides with an existing action$"):
             build_sq_unreduced(gx, epsilon="open")
 
 
@@ -200,8 +203,8 @@ class TestPrunedSquares:
     def test_surviving_chooseL_handoff(self, gx):
         sq = build_sq(gx)
         src = sq.lts.id_of(SquareOrigin(2, "t1", "r4"))
-        targets = [str(sq.lts.payloads[t.dst])
-                   for t in sq.lts.out(src) if t.action == "chooseL"]
+        targets = [str(sq.lts.payloads[sq.lts.dst[k]])
+                   for k in sq.lts.out_edges[src] if sq.lts.act[k] == "chooseL"]
         assert targets == ["(s0,r0)#1"]
 
     def test_no_locked_states_means_no_change(self):
@@ -212,7 +215,7 @@ class TestPrunedSquares:
         net = infer_topology([root, child], "r")
         a, b = build_sq_unreduced(net), build_sq(net)
         assert payload_names(a) == payload_names(b)
-        assert len(a.lts.transitions) == len(b.lts.transitions)
+        assert len(a.lts.src) == len(b.lts.src)
 
     def test_label_bearing_locked_states_survive(self):
         # the child can move into a labelled state after the root deadlocks;
@@ -257,8 +260,7 @@ class TestCompletion:
         comp = cmpl(sq)
         lts = component_lts(comp)
         assert lts.n_states == sq.lts.n_states
-        assert {(t.src, t.action, t.dst) for t in lts.transitions} == \
-            {(t.src, t.action, t.dst) for t in sq.lts.transitions}
+        assert set(zip(lts.src, lts.act, lts.dst)) == set(zip(sq.lts.src, sq.lts.act, sq.lts.dst))
 
     def test_embedded_beep_is_retargeted(self, gx):
         # treat the network as a subtree whose parent synchronises on beep
@@ -330,9 +332,8 @@ class TestReduceNet:
         assert sorted(calls) == ["r", "t"]
 
     def test_keep_locked_mode_skips_pruning(self, gx):
-        comp = reduce_net(gx, prune=False)
+        comp, stages = reduce_net_traced(gx, prune=False)
         assert len(comp.states) == 21
-        _, stages = reduce_net_traced(gx, prune=False)
         assert all(stage.deleted == 0 for stage in stages)
         assert stages[-1].sq.lts.n_states == 21
 
@@ -386,9 +387,9 @@ class TestReduceNet:
         if len(net.components) == 1:
             return
         sq = build_sq_unreduced(net)
-        for t in sq.lts.transitions:
-            if len(t.movers) == 2:  # a handoff moves the child and the root
-                dst = sq.lts.payloads[t.dst]
+        for d, movers in zip(sq.lts.dst, sq.lts.movers):
+            if len(movers) == 2:  # a handoff moves the child and the root
+                dst = sq.lts.payloads[d]
                 assert dst.child_state == net.components[dst.child_index].initial
 
 
