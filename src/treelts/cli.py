@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path as FsPath
 
 from .checker import Entry, check_ef, check_eg, render_witness
@@ -198,7 +199,42 @@ def save(net: Network, path: str | FsPath) -> None:
 
 
 def save_string(net: Network) -> str:
-    return json.dumps(network_to_doc(net), indent=2) + "\n"
+    """``json.dumps(network_to_doc(net), indent=2)`` and a newline, laid out
+    by hand: the standard library indents with its pure-Python encoder."""
+    doc = network_to_doc(net)
+
+    def strings(names: list[str], indent: str) -> str:
+        return _nested(list(map(_quote, names)), indent)
+
+    at = " " * 6  # the indent of a component's keys
+    step, close = "\n" + at + "    ", "\n" + at + "  ]"
+    comps = []
+    for c in doc["components"]:
+        labels = [f"{_quote(s)}: {strings(ps, at + '  ')}" for s, ps in c["labels"].items()]
+        # every transition is a [src, act, dst] triple
+        transitions = [f"[{step}{_quote(s)},{step}{_quote(a)},{step}{_quote(d)}{close}"
+                       for s, a, d in c["transitions"]]
+        comps.append(_nested([
+            f'"name": {_quote(c["name"])}',
+            f'"states": {strings(c["states"], at)}',
+            f'"initial": {_quote(c["initial"])}',
+            f'"labels": {_nested(labels, at, "{}")}',
+            f'"transitions": {_nested(transitions, at)}',
+        ], " " * 4, "{}"))
+    return _nested([
+        f'"root": {_quote(doc["root"])}',
+        f'"silent": {strings(doc["silent"], "  ")}',
+        f'"components": {_nested(comps, "  ")}',
+    ], "", "{}") + "\n"
+
+
+def _nested(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Encoded ``items`` as a JSON list (or object) nested at ``indent``,
+    in the layout of ``json.dumps(..., indent=2)``."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +315,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     net = load(args.file)
     _require_live_reset(net)
     component, stages = reduce_net_traced(net, prune=not args.keep_locked)
-    print(f"reduced: {len(component.states)} states, "
-          f"{len(component.transitions)} transitions ({len(stages)} reduction stage(s))")
+    lts = reduced_lts(component, stages)
+    print(f"reduced: {lts.n_states} states, "
+          f"{len(lts.src)} transitions ({len(stages)} reduction stage(s))")
     # the top stage's silent names and its glue name
     silent = stages[-1].net.silent | {stages[-1].sq.epsilon} if stages else net.silent
     if args.out:
@@ -288,7 +325,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         save(reduced_net, args.out)
         print(f"wrote {args.out}")
     if args.dot:
-        export_dot(reduced_lts(component, stages), args.dot, silent=silent)
+        export_dot(lts, args.dot, silent=silent)
         print(f"wrote {args.dot}")
     return 0
 

@@ -237,8 +237,9 @@ def equivalence_suite(
     top stage's squares, and replayed against the product of the stage's
     original components: the full product on a two-level network, and
     otherwise the original root and leaves with the reduced inner children.
-    The pruned and unpruned squares are compared at every stage where
-    pruning deleted a state; elsewhere they are the same system.  Raises
+    The stage's squares and the unpruned ones are compared at every stage
+    where pruning deleted a state; elsewhere the squares are the unpruned
+    ones with their home copies merged, which reach the same labels.  Raises
     OracleTooLarge when the product exceeds ``cap``.
     """
     try:
@@ -307,7 +308,7 @@ def equivalence_suite(
         m = max(len(c.states) for c in stage.net.components)
         if stage.sq.lts.n_states + stage.deleted > (n - 1) * m * m + 1:
             report.size_bound_ok = False
-        if not stage.deleted:  # the pruned squares are the unpruned ones
+        if not stage.deleted:  # nothing pruned: the squares reach what the unpruned reach
             continue
         unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon).lts
         for prop in stage.net.propositions():

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import EmptyProjection, InvalidWitness, StateLimitExceeded
+from .errors import EmptyProjection, InvalidWitness, StateLimitExceeded, ValidationError
 from .model import DEFAULT_SILENT, Component, Network, sharers_of
 
 DEFAULT_STATE_CAP = 10**6
@@ -74,24 +74,24 @@ class ExplicitLts:
                  movers: list[frozenset[int]], labels: Iterable[frozenset[str]],
                  payloads: Iterable[Payload]) -> None:
         if not len(src) == len(act) == len(dst) == len(movers):
-            raise ValueError("src, act, dst and movers must have the same length")
+            raise ValidationError("src, act, dst and movers must have the same length")
         self.payloads: tuple[Payload, ...] = tuple(payloads)
         n = self.n_states = len(self.payloads)
         self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
         if len(self.labels) != n:
-            raise ValueError("labels and payloads must have the same length")
+            raise ValidationError("labels and payloads must have the same length")
         if not 0 <= initial < n:
-            raise ValueError(f"initial state {initial} out of range")
+            raise ValidationError(f"initial state {initial} out of range")
         self.initial = initial
         self.src, self.act, self.dst, self.movers = src, act, dst, movers
         self._ids: dict[Payload, int] = dict(zip(self.payloads, range(n)))
         if len(self._ids) != n:  # name the payload whose repeat comes first
             dup = next(p for i, p in enumerate(self.payloads) if self.payloads.index(p) != i)
-            raise ValueError(f"duplicate payload {dup}")
+            raise ValidationError(f"duplicate payload {dup}")
         if src and (min(min(src), min(dst)) < 0 or max(max(src), max(dst)) >= n):
             k = next(k for k, (s, d) in enumerate(zip(src, dst))
                      if not (0 <= s < n and 0 <= d < n))
-            raise ValueError(
+            raise ValidationError(
                 f"transition {k} endpoint out of range: {src[k]} -{act[k]}-> {dst[k]}")
 
     @property
@@ -141,7 +141,7 @@ class Path:
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.actions) + 1:
-            raise ValueError("a path needs exactly one more state than actions")
+            raise ValidationError("a path needs exactly one more state than actions")
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -161,7 +161,7 @@ class PathPrefix:
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.actions) + 1 or len(self.actions) != len(self.movers):
-            raise ValueError("prefix lengths are inconsistent")
+            raise ValidationError("prefix lengths are inconsistent")
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -357,11 +357,11 @@ def prefix_from_states(
     """
     tuples = [s.states if isinstance(s, GlobalTuple) else tuple(s) for s in states]
     if len(tuples) != len(actions) + 1:
-        raise ValueError("a prefix needs exactly one more state than actions")
+        raise ValidationError("a prefix needs exactly one more state than actions")
     n = len(net.components)
     for tup in tuples:
         if len(tup) != n:
-            raise ValueError(f"state tuple {tup} does not match the network arity")
+            raise ValidationError(f"state tuple {tup} does not match the network arity")
     sharers = sharers_of(net.components, net.silent)
 
     movers: list[frozenset[int]] = []
@@ -370,7 +370,7 @@ def prefix_from_states(
         if act in net.silent:
             changed = [i for i in range(n) if src[i] != dst[i]]
             if len(changed) > 1:
-                raise ValueError(f"silent step {k} moves several components")
+                raise ValidationError(f"silent step {k} moves several components")
             if changed:
                 group: tuple[int, ...] = (changed[0],)
             else:
@@ -379,22 +379,22 @@ def prefix_from_states(
                     if (src[i], act, src[i]) in net.components[i].transition_set
                 )
                 if len(loopers) != 1:
-                    raise ValueError(
+                    raise ValidationError(
                         f"silent self-loop at step {k} cannot be attributed to one component")
                 group = loopers
         else:
             group = sharers.get(act, ())
             if not group:
-                raise ValueError(f"action {act!r} does not belong to the network")
+                raise ValidationError(f"action {act!r} does not belong to the network")
         for i in range(n):
             if i in group:
                 if (src[i], act, dst[i]) not in net.components[i].transition_set:
-                    raise ValueError(
+                    raise ValidationError(
                         f"step {k}: ({src[i]!r}, {act!r}, {dst[i]!r}) is not a transition "
                         f"of component {net.components[i].name!r}")
             elif src[i] != dst[i]:
-                raise ValueError(f"step {k}: component {net.components[i].name!r} moved "
-                                 f"without participating in {act!r}")
+                raise ValidationError(f"step {k}: component {net.components[i].name!r} "
+                                      f"moved without participating in {act!r}")
         movers.append(frozenset(group))
     return PathPrefix(
         states=tuple(GlobalTuple(t) for t in tuples),
@@ -416,7 +416,7 @@ def project_prefix(prefix: PathPrefix, selected: Iterable[int]) -> PathPrefix:
 
     def shrink(payload: Payload) -> GlobalTuple:
         if not isinstance(payload, GlobalTuple):
-            raise ValueError("projection is defined on product states only")
+            raise ValidationError("projection is defined on product states only")
         return GlobalTuple(tuple(payload.states[i] for i in sel))
 
     sel_set = set(sel)

@@ -3,11 +3,13 @@
 A two-level tree is collapsed into the disjoint union of the child-root
 pairwise products, glued at a fresh silent initial state.  Upstream child
 synchronisations become handoffs that may pass control to any square.
-States from which the root can never act again are pruned, and the result
-can be completed into a live-reset component so the construction nests
-bottom-up over trees of any height.  Below the top stage each completed
-result is quotiented down to what its parent can observe.  A path of any
-stage's squares lifts back to the components that entered the stage.
+States from which the root can never act again are pruned.  The squares'
+copies of each state with every child at home, one per child and root
+position, then merge into one.  The result can be completed into a
+live-reset component so the construction nests bottom-up over trees of any
+height.  Below the top stage each completed result is quotiented down to
+what its parent can observe.  A path of any stage's squares lifts back to
+the components that entered the stage.
 """
 
 from __future__ import annotations
@@ -243,6 +245,49 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     return replace(sq, lts=pruned)
 
 
+def merge_home(sq: SumOfSquares, net: Network) -> SumOfSquares:
+    """Merge the squares' copies of each all-children-home state.
+
+    A handoff enters every square at ``(child k, initial of k, rs)``; these
+    copies, one per child, are one global state: the root at ``rs`` and
+    every child at its initial state.  Each root position's surviving
+    copies become one state that keeps the payload of the lowest-id copy
+    and the union of the copies' labels.  The other states keep their
+    order; transitions keep theirs, renumbered, with exact repeats of
+    ``(src, act, dst, movers)`` dropped.  ``net`` is the two-level network
+    the squares were built from.
+
+    Merging is sound for every single proposition's reachability: every
+    square state is reachable, so the merged state adds no reachable state
+    or label, and its moves are exactly the copies' moves.  ``lift_witness``
+    places every child but the payload's at its initial state already.
+    Squares with fewer than two copies at every root position come back as
+    they are.
+    """
+    home = {k: net.components[k].initial for k in net.children[net.root_index]}
+    lts = sq.lts
+    first: dict[str, int] = {}
+    to = list(range(lts.n_states))
+    for i, p in enumerate(lts.payloads):
+        if type(p) is SquareOrigin and home[p.child_index] == p.child_state:
+            to[i] = first.setdefault(p.root_state, i)
+    kept = [i for i, t in enumerate(to) if t == i]
+    if len(kept) == lts.n_states:
+        return sq
+    new_id = {old: new for new, old in enumerate(kept)}
+    remap = [new_id[t] for t in to]
+    labels = [lts.labels[i] for i in kept]
+    for i, t in enumerate(to):
+        if t != i:
+            labels[remap[i]] = _union(labels[remap[i]], lts.labels[i])
+    edges = dict.fromkeys(zip(map(remap.__getitem__, lts.src), lts.act,
+                              map(remap.__getitem__, lts.dst), lts.movers))
+    src, act, dst, movers = (list(col) for col in zip(*edges)) if edges else ([], [], [], [])
+    return replace(sq, lts=ExplicitLts(
+        remap[lts.initial], src, act, dst, movers,
+        labels=labels, payloads=[lts.payloads[i] for i in kept]))
+
+
 def cmpl(sq: SumOfSquares) -> Component:
     """Close a sum-of-squares under upstream synchronisation of its root.
 
@@ -391,12 +436,14 @@ class ReductionStage:
     them), aligned with ``net.components``, and ``blocks[i]`` the block map
     ``quotient`` gave for ``originals[i]``, or None where the component
     entered as it is (see ``_premin``).  ``lift_witness`` reads all three
-    to map a path of ``sq`` onto states of ``originals``.  ``result`` is the
-    component the parent sees: ``cmpl(sq)``, quotiented below the top stage,
-    so ``sq.lts.n_states`` against ``len(result.states)`` is the quotient's
-    shrink.  ``deleted`` counts the states pruning removed from the
-    unpruned squares; when it is 0, ``sq`` holds the unpruned squares
-    themselves.
+    to map a path of ``sq`` onto states of ``originals``.  ``sq`` is the
+    squares pruned, then with their home copies merged (see ``merge_home``).
+    ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
+    below the top stage, so ``sq.lts.n_states`` against
+    ``len(result.states)`` is the quotient's shrink.  ``deleted`` counts the
+    states pruning removed from the unpruned squares, not those the merge
+    folded; when it is 0, ``sq`` holds the unpruned squares with their home
+    copies merged.
     """
 
     net: Network
@@ -513,12 +560,13 @@ def reduce_net(net: Network) -> Component:
     """Collapse a live-reset tree network into a single component.
 
     A lone component is returned unchanged.  Every internal node is
-    replaced by the completed and pruned sum-of-squares of itself and its
-    children, quotiented by ``quotient`` unless it is the root.  The node
-    and its leaf children enter the squares pre-minimised against their
-    tree interface (upacts and downacts); its inner children enter as
-    already reduced.  The result satisfies the same reachability verdicts
-    as the full product for every single proposition.
+    replaced by the completed sum-of-squares of itself and its children,
+    pruned and with its home copies merged, quotiented by ``quotient``
+    unless it is the root.  The node and its leaf children enter the
+    squares pre-minimised against their tree interface (upacts and
+    downacts); its inner children enter as already reduced.  The result
+    satisfies the same reachability verdicts as the full product for every
+    single proposition.
     """
     return reduce_net_traced(net)[0]
 
@@ -597,8 +645,9 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
 
 
 def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int]:
-    """The (pruned, unless ``prune`` is false) squares of a two-level stage
-    and the number of states pruning deleted."""
+    """The squares of a two-level stage, pruned unless ``prune`` is false,
+    with their home copies merged (see ``merge_home``), and the number of
+    states pruning deleted."""
     sq = build_sq_unreduced(net, epsilon)
     pruned = prune_locked(sq) if prune else sq
-    return pruned, sq.lts.n_states - pruned.lts.n_states
+    return merge_home(pruned, net), sq.lts.n_states - pruned.lts.n_states

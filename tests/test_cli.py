@@ -6,7 +6,14 @@ from dataclasses import replace
 
 import pytest
 
-from treelts import Component, GenConfig, ParseError, ValidationError, gen_random_tree
+from treelts import (
+    Component,
+    GenConfig,
+    ParseError,
+    ValidationError,
+    gen_random_tree,
+    infer_topology,
+)
 from treelts.cli import (
     _gen_config,
     build_parser,
@@ -15,12 +22,27 @@ from treelts.cli import (
     load,
     main,
     network_from_doc,
+    network_to_doc,
     save,
     save_string,
 )
 from treelts.fixtures import gx_path, gy_path
 from treelts.product import component_lts, full_product
 from treelts.reduction import build_sq
+from shapes import all_locked_tree, ring_chain, ring_tree
+
+
+def awkward_names():
+    """A root and a leaf whose names hold quotes, backslashes and non-ASCII
+    characters; the leaf has no labels."""
+    root = Component(
+        'R"1', ("r\\0", "r\u00e91"), "r\\0",
+        (("r\\0", 'go"', "r\u00e91"), ("r\u00e91", "tau", "r\\0")),
+        labels={"r\u00e91": frozenset({"p\u2192q", 'say "hi"\\'}),
+                "r\\0": frozenset({"\U0001f600"})})
+    leaf = Component("le\taf\u00df", ("c0", "c\u03b11"), "c0",
+                     (("c0", "tau", "c\u03b11"), ("c\u03b11", 'go"', "c0")))
+    return infer_topology([root, leaf], 'R"1')
 
 
 class TestLoad:
@@ -93,6 +115,15 @@ class TestSaveRoundTrip:
 
     def test_save_is_canonical(self, gx):
         assert save_string(gx) == save_string(load(gx_path()))
+
+    @pytest.mark.parametrize("make", [
+        lambda: load(gx_path()), lambda: load(gy_path()), lambda: ring_tree([None, 0, 1, 1, 0]),
+        lambda: ring_chain(3, labelled={2}), all_locked_tree, awkward_names,
+        lambda: infer_topology([Component("idle", ("z",), "z")], "idle", silent=frozenset()),
+    ], ids=["gx", "gy", "ring-tree", "ring-chain", "all-locked", "awkward-names", "bare"])
+    def test_save_string_is_the_indented_json_dump(self, make):
+        net = make()
+        assert save_string(net) == json.dumps(network_to_doc(net), indent=2) + "\n"
 
 
 class TestDotExport:
@@ -199,7 +230,8 @@ class TestMain:
         assert main(["stats", str(gx_path())]) == 0
         out = capsys.readouterr().out
         assert "full product : 15 states" in out
-        assert "reduced      : 12 states" in out
+        # build_sq(gx)'s 12 states, its two copies of home at r3 merged
+        assert "reduced      : 11 states" in out
 
     def test_reduce_output_can_be_rechecked(self, tmp_path, capsys):
         out = tmp_path / "reduced.json"
@@ -213,7 +245,25 @@ class TestMain:
         out = tmp_path / "unpruned.json"
         assert main(["reduce", str(gx_path()), "--keep-locked", "-o", str(out)]) == 0
         net = load(out)
-        assert len(net.components[0].states) == 21
+        # the 21 unpruned square states, whose two copies of home at each of
+        # the five root positions merge into one
+        assert len(net.components[0].states) == 16
+
+    def test_reduce_prints_the_sizes_of_the_graph_it_draws(self, tmp_path, capsys):
+        # on this seed the top squares hold a transition twice, which the
+        # completed component keeps once
+        src, dot = tmp_path / "g127.json", tmp_path / "g127.dot"
+        bounds = ["--max-depth", "3", "--max-children", "3", "--max-states", "5",
+                  "--max-local-actions", "2", "--props", "3", "--density", "0.6"]
+        assert main(["gen", "--seed", "127", *bounds, "-o", str(src)]) == 0
+        capsys.readouterr()
+        assert main(["reduce", str(src), "--dot", str(dot)]) == 0
+        printed = capsys.readouterr().out.splitlines()[0]
+        lines = dot.read_text(encoding="utf-8").splitlines()
+        nodes = [l for l in lines if re.match(r"^  s\d+ \[", l)]
+        edges = [l for l in lines if re.match(r"^  s\d+ -> ", l)]
+        assert (len(nodes), len(edges)) == (2, 5)
+        assert printed.startswith("reduced: 2 states, 5 transitions")
 
     def test_reduce_refuses_broken_input(self, tmp_path, capsys):
         doc = json.loads(gx_path().read_text(encoding="utf-8"))

@@ -25,10 +25,12 @@ from treelts import (
     full_product,
     harness,
     infer_topology,
+    prune_locked,
     reduce_net_traced,
     reduction,
 )
 from treelts.cli import load, main, save
+from treelts.reduction import merge_home
 from treelts.fixtures import gx_path, gy_path
 from shapes import all_locked_tree, ring_chain, ring_tree
 
@@ -143,7 +145,13 @@ def test_stage_squares_rebuild_from_the_stage_network(make, prune):
     # were built from, pre-minimised components included
     for stage in reduce_net_traced(make(), prune=prune)[1]:
         unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
-        assert unpruned.lts.n_states - stage.deleted == stage.sq.lts.n_states
+        pruned = prune_locked(unpruned) if prune else unpruned
+        assert unpruned.lts.n_states - stage.deleted == pruned.lts.n_states
+        rebuilt, lts = merge_home(pruned, stage.net).lts, stage.sq.lts
+        assert (rebuilt.payloads, rebuilt.labels) == (lts.payloads, lts.labels)
+        edges = list(zip(lts.src, lts.act, lts.dst, lts.movers))
+        assert list(zip(rebuilt.src, rebuilt.act, rebuilt.dst, rebuilt.movers)) == edges
+        assert len(set(edges)) == len(edges)
 
 
 @pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])

@@ -9,10 +9,14 @@ from treelts import (
     Component,
     EmptyProjection,
     ExplicitLts,
+    FreshInit,
     GenConfig,
     GlobalTuple,
     Path,
+    PathPrefix,
     StateLimitExceeded,
+    TreeLtsError,
+    ValidationError,
     component_lts,
     full_product,
     gen_random_tree,
@@ -184,6 +188,24 @@ class TestProjection:
         with pytest.raises(ValueError):
             prefix_from_states(
                 gx, [("r0", "s0", "t0"), ("r2", "s0", "t0")], ["open"])
+
+    def test_bad_prefixes_and_graphs_raise_the_library_error(self, gx):
+        try:
+            prefix_from_states(gx, [("r0", "s0", "t0"), ("r2", "s0", "t0")], ["open"])
+        except TreeLtsError as exc:
+            assert isinstance(exc, ValidationError) and isinstance(exc, ValueError)
+            assert str(exc) == "step 0: ('r0', 'open', 'r2') is not a transition of component 'R'"
+        else:
+            pytest.fail("an impossible step was accepted")
+        init = FreshInit()
+        for bad in (
+            lambda: Path((0,), ("a",)),
+            lambda: PathPrefix((init,), ("a",), ()),
+            lambda: ExplicitLts(1, [], [], [], [], [frozenset()], [init]),
+            lambda: project_prefix(PathPrefix((init,), (), ()), [0]),
+        ):
+            with pytest.raises(ValidationError):
+                bad()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.data())

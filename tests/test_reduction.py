@@ -15,6 +15,7 @@ from treelts import (
     GenConfig,
     GlobalTuple,
     NotTwoLevel,
+    OracleTooLarge,
     SquareOrigin,
     ValidationError,
     build_sq,
@@ -24,6 +25,7 @@ from treelts import (
     cmpl,
     component_lts,
     compute_locked,
+    equivalence_suite,
     full_product,
     gen_random_tree,
     infer_topology,
@@ -37,7 +39,7 @@ from treelts import (
 )
 from treelts import reduction as reduction_module
 from treelts.cli import main, save
-from treelts.reduction import quotient
+from treelts.reduction import merge_home, quotient
 from oracles import naive_ef, naive_product
 from shapes import all_locked_tree, ring_chain, ring_tree
 
@@ -254,6 +256,67 @@ class TestPrunedSquares:
             assert check_ef(pruned.lts, prop).holds == check_ef(unreduced.lts, prop).holds
 
 
+def reachable_labels(lts):
+    """The union of the labels of the states reachable in ``lts``."""
+    seen, stack = {lts.initial}, [lts.initial]
+    while stack:
+        for k in lts.out_edges[stack.pop()]:
+            if lts.dst[k] not in seen:
+                seen.add(lts.dst[k])
+                stack.append(lts.dst[k])
+    return frozenset().union(*(lts.labels[i] for i in seen))
+
+
+def edges_of(lts):
+    return list(zip(lts.src, lts.act, lts.dst, lts.movers))
+
+
+class TestHomeMerge:
+    def test_gx_merges_the_two_copies_of_home_at_r3(self, gx):
+        pruned = build_sq(gx)
+        merged = merge_home(pruned, gx).lts
+        assert merged.n_states == 11
+        assert payload_names(pruned) - {str(p) for p in merged.payloads} == {"(t0,r3)#2"}
+        home = merged.id_of(SquareOrigin(1, "s0", "r3"))
+        assert merged.labels[home] == {"r3_reached"}
+        # S1's open from (s0,r2)#1 entered both copies; one edge is left
+        before = merged.id_of(SquareOrigin(1, "s0", "r2"))
+        assert [merged.dst[k] for k in merged.out_edges[before]] == [home]
+        # the step out of S2's home moves from the merged state
+        assert merged.edge(home, "tau", merged.id_of(SquareOrigin(2, "t1", "r3"))) is not None
+
+    def test_one_child_is_left_as_it_is(self, chain_net):
+        for stage in reduce_net_traced(chain_net)[1]:
+            pruned = prune_locked(build_sq_unreduced(stage.net, stage.sq.epsilon))
+            assert merge_home(pruned, stage.net) is pruned
+
+    def test_labels_of_the_copies_are_united(self):
+        net = ring_tree([None, 0, 0], states=3)
+        (stage,) = reduce_net_traced(net)[1]
+        lts = stage.sq.lts
+        assert lts.payloads == (FreshInit(), SquareOrigin(1, "q0", "q0"))
+        assert lts.labels[1] == {"p0", "p1", "p2"}
+        assert edges_of(lts) == [(0, "eps0", 1, frozenset()),
+                                 (1, "u1", 1, {0, 1}), (1, "u2", 1, {0, 2})]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_random_deep_trees_keep_labels_verdicts_and_witnesses(self, seed):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4))
+        for stage in reduce_net_traced(net)[1]:
+            unmerged = prune_locked(build_sq_unreduced(stage.net, stage.sq.epsilon)).lts
+            assert reachable_labels(stage.sq.lts) == reachable_labels(unmerged)
+            edges = edges_of(stage.sq.lts)
+            assert len(set(edges)) == len(edges)
+        try:
+            report = equivalence_suite(net, cap=5_000)
+        except OracleTooLarge:
+            return
+        assert report.disagreements == 0
+        holds = sum(r.reduced_holds for r in report.propositions)
+        assert report.witnesses_lifted == report.witnesses_checked == holds
+
+
 class TestCompletion:
     def test_identity_without_root_upacts(self, gx):
         sq = build_sq(gx)
@@ -303,7 +366,10 @@ class TestReduceNet:
     def test_gx_reduces_to_its_pruned_squares(self, gx):
         comp = reduce_net(gx)
         sq = build_sq(gx)
-        assert len(comp.states) == sq.lts.n_states == 12
+        assert sq.lts.n_states == 12
+        # only at r3 do both copies of home, (s0,r3)#1 and (t0,r3)#2, survive
+        # pruning (GX_LOCKED); they merge into one state
+        assert len(comp.states) == 11
         assert validate_live_reset(infer_topology([comp], comp.name, silent=gx.silent)) == []
 
     def test_chain_matches_the_oracle_for_every_proposition(self, chain_net):
@@ -333,9 +399,11 @@ class TestReduceNet:
 
     def test_keep_locked_mode_skips_pruning(self, gx):
         comp, stages = reduce_net_traced(gx, prune=False)
-        assert len(comp.states) == 21
+        # 1 + 5 + 15 unpruned square states; the two copies of home at each
+        # of R's five positions merge into one
+        assert len(comp.states) == 16
         assert all(stage.deleted == 0 for stage in stages)
-        assert stages[-1].sq.lts.n_states == 21
+        assert stages[-1].sq.lts.n_states == 16
 
     def test_stages_are_post_order_in_network_order(self):
         # n0 has children n1 and n4; n1 has n2, which has n3; n4 has n5
@@ -520,7 +588,8 @@ class TestInterfacePreminimisation:
         assert stage.originals == net.components
         assert stage.blocks == ((0, 0, 0),) * 3
         assert [len(c.states) for c in stage.net.components] == [1, 1, 1]
-        assert stage.sq.lts.n_states == 3
+        # the glue state, and the copies (q0,q0)#1 and (q0,q0)#2 of home merged
+        assert stage.sq.lts.n_states == 2
 
     def test_a_fresh_silent_name_hides_moves_when_none_is_declared(self):
         root = Component("r", ("r0", "r1"), "r0",
