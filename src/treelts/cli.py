@@ -46,8 +46,8 @@ from .model import Component, Network, infer_topology, validate_live_reset
 from .product import (
     DEFAULT_STATE_CAP,
     ExplicitLts,
+    flat_component,
     full_product,
-    lts_to_component,
 )
 from .reduction import reduce_net_traced, reduced_lts
 
@@ -294,8 +294,8 @@ def _cmd_product(args: argparse.Namespace) -> int:
     lts = full_product(net, cap=args.cap)
     print(f"product: {lts.n_states} states, {len(lts.src)} transitions")
     if args.out:
-        product_net = infer_topology(
-            [lts_to_component(lts, "product", frozenset())], "product", silent=net.silent)
+        flat = flat_component("product", lts.initial, zip(lts.src, lts.act, lts.dst), lts.labels)
+        product_net = infer_topology([flat], "product", silent=net.silent)
         save(product_net, args.out)
         print(f"wrote {args.out}")
     if args.dot:

@@ -232,15 +232,15 @@ def equivalence_suite(
 
     For every proposition occurring in the network the reachability verdict
     must agree between the two; the EG verdicts are recorded as well but
-    divergence there is expected and only flagged.  Reachability witnesses
-    found on ``reduced_lts`` are lifted by ``lift_witness`` when it is the
-    top stage's squares, and replayed against the product of the stage's
-    original components: the full product on a two-level network, and
-    otherwise the original root and leaves with the reduced inner children.
-    The stage's squares and the unpruned ones are compared at every stage
-    where pruning deleted a state; elsewhere the squares are the unpruned
-    ones with their home copies merged, which reach the same labels.  Raises
-    OracleTooLarge when the product exceeds ``cap``.
+    divergence there is expected and only flagged.  On every network with a
+    stage, reachability witnesses found on ``reduced_lts``, the top stage's
+    squares, are lifted by ``lift_witness`` and replayed against the product
+    of the stage's original components: the full product on a two-level
+    network, and otherwise the original root and leaves with the reduced
+    inner children.  The stage's squares and the unpruned ones are compared
+    at every stage where pruning deleted a state; elsewhere the squares are
+    the unpruned ones with their home copies merged, which reach the same
+    labels.  Raises OracleTooLarge when the product exceeds ``cap``.
     """
     try:
         full = full_product(net, cap=cap)
@@ -261,7 +261,7 @@ def equivalence_suite(
 
     top = stages[-1] if stages else None
     lift_target: ExplicitLts | None = None
-    if top is not None and reduced is top.sq.lts:
+    if top is not None:
         if top.originals == net.components:
             lift_target = full
         else:

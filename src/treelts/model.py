@@ -45,6 +45,11 @@ class Component:
         # kept, empty label sets dropped, a given frozenset kept as it is
         states = tuple(self.states)
         transitions = tuple(dict.fromkeys(map(tuple, self.transitions)))
+        if not {3}.issuperset(map(len, transitions)):
+            bad = next(t for t in transitions if len(t) != 3)
+            raise ValidationError(
+                f"transition {bad!r} in component {self.name!r} is not a "
+                f"(src, action, dst) triple")
         labels = {s: ps if type(ps) is frozenset else frozenset(ps)
                   for s, ps in self.labels.items() if ps}
         acts = frozenset(map(itemgetter(1), transitions))

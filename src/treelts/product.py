@@ -315,26 +315,23 @@ def component_lts(component: Component) -> ExplicitLts:
     )
 
 
-def lts_to_component(lts: ExplicitLts, name: str, reset: frozenset[str]) -> Component:
-    """Flatten an explicit graph into a single component named ``name``.
+def flat_component(
+    name: str, initial: int, transitions: Iterable[tuple[int, str, int]],
+    labels: Sequence[frozenset[str]],
+) -> Component:
+    """A component named ``name`` over states ``q0``, ``q1``, ..., one per
+    entry of ``labels``, with ``(src, act, dst)`` id triples as transitions.
 
-    States become ``q0``, ``q1``, ... in id order.  Every transition
-    labelled with an action in ``reset`` is retargeted to the initial state;
-    the duplicates this can make are dropped by ``Component``, which keeps
-    first occurrences.
+    Repeated triples are dropped by ``Component``, which keeps first
+    occurrences.
     """
-    init = lts.initial
-    dst = lts.dst
-    if reset:
-        dst = [init if a in reset else d for a, d in zip(lts.act, dst)]
-    names = tuple(f"q{i}" for i in range(lts.n_states))
+    names = tuple(f"q{i}" for i in range(len(labels)))
     return Component(
         name=name,
         states=names,
-        initial=names[init],
-        transitions=list(zip(map(names.__getitem__, lts.src), lts.act,
-                             map(names.__getitem__, dst))),
-        labels={names[i]: lab for i, lab in enumerate(lts.labels) if lab},
+        initial=names[initial],
+        transitions=[(names[s], a, names[d]) for s, a, d in transitions],
+        labels={names[i]: lab for i, lab in enumerate(labels) if lab},
     )
 
 

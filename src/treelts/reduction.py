@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, replace
 from itertools import compress
+from operator import and_
 from typing import Callable, Iterable
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
@@ -31,7 +32,7 @@ from .product import (
     Payload,
     SquareOrigin,
     component_lts,
-    lts_to_component,
+    flat_component,
     prefix_of,
 )
 
@@ -230,19 +231,7 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     deleted = locked - label_reaching - {lts.initial}
     if not deleted:
         return sq
-    remap = {old: new for new, old in
-             enumerate(i for i in range(lts.n_states) if i not in deleted)}
-    kept = [s in remap and d in remap for s, d in zip(lts.src, lts.dst)]
-    pruned = ExplicitLts(
-        remap[lts.initial],
-        [remap[s] for s in compress(lts.src, kept)],
-        list(compress(lts.act, kept)),
-        [remap[d] for d in compress(lts.dst, kept)],
-        list(compress(lts.movers, kept)),
-        labels=[lts.labels[i] for i in range(lts.n_states) if i not in deleted],
-        payloads=[lts.payloads[i] for i in range(lts.n_states) if i not in deleted],
-    )
-    return replace(sq, lts=pruned)
+    return _fold(sq, [-1 if i in deleted else i for i in range(lts.n_states)])
 
 
 def merge_home(sq: SumOfSquares, net: Network) -> SumOfSquares:
@@ -252,10 +241,8 @@ def merge_home(sq: SumOfSquares, net: Network) -> SumOfSquares:
     copies, one per child, are one global state: the root at ``rs`` and
     every child at its initial state.  Each root position's surviving
     copies become one state that keeps the payload of the lowest-id copy
-    and the union of the copies' labels.  The other states keep their
-    order; transitions keep theirs, renumbered, with exact repeats of
-    ``(src, act, dst, movers)`` dropped.  ``net`` is the two-level network
-    the squares were built from.
+    and the union of the copies' labels (see ``_fold``).  ``net`` is the
+    two-level network the squares were built from.
 
     Merging is sound for every single proposition's reachability: every
     square state is reachable, so the merged state adds no reachable state
@@ -267,21 +254,38 @@ def merge_home(sq: SumOfSquares, net: Network) -> SumOfSquares:
     home = {k: net.components[k].initial for k in net.children[net.root_index]}
     lts = sq.lts
     first: dict[str, int] = {}
-    to = list(range(lts.n_states))
+    same = list(range(lts.n_states))
+    to = same[:]
     for i, p in enumerate(lts.payloads):
         if type(p) is SquareOrigin and home[p.child_index] == p.child_state:
             to[i] = first.setdefault(p.root_state, i)
+    return sq if to == same else _fold(sq, to)
+
+
+def _fold(sq: SumOfSquares, to: list[int]) -> SumOfSquares:
+    """The squares with state ``i`` deleted when ``to[i]`` is -1 and merged
+    into state ``to[i]`` otherwise; ``to[j] == j`` for each state ``j`` kept.
+
+    A kept state takes the union of its merged states' labels.  Kept states
+    and transitions keep their order, renumbered; a transition with a
+    deleted end goes, and so do exact repeats of ``(src, act, dst, movers)``.
+    """
+    lts = sq.lts
     kept = [i for i, t in enumerate(to) if t == i]
-    if len(kept) == lts.n_states:
-        return sq
-    new_id = {old: new for new, old in enumerate(kept)}
+    new_id = dict(zip(kept, range(len(kept))))
+    new_id[-1] = -1
     remap = [new_id[t] for t in to]
     labels = [lts.labels[i] for i in kept]
     for i, t in enumerate(to):
-        if t != i:
+        if t != i and t >= 0:
             labels[remap[i]] = _union(labels[remap[i]], lts.labels[i])
-    edges = dict.fromkeys(zip(map(remap.__getitem__, lts.src), lts.act,
-                              map(remap.__getitem__, lts.dst), lts.movers))
+    rows = zip(map(remap.__getitem__, lts.src), lts.act,
+               map(remap.__getitem__, lts.dst), lts.movers)
+    if -1 in to:  # drop the transitions with a deleted end; a merge deletes none
+        alive = [t >= 0 for t in to]
+        rows = compress(rows, map(and_, map(alive.__getitem__, lts.src),
+                                  map(alive.__getitem__, lts.dst)))
+    edges = dict.fromkeys(rows)
     src, act, dst, movers = (list(col) for col in zip(*edges)) if edges else ([], [], [], [])
     return replace(sq, lts=ExplicitLts(
         remap[lts.initial], src, act, dst, movers,
@@ -294,9 +298,12 @@ def cmpl(sq: SumOfSquares) -> Component:
     Every transition labelled with an upstream action of the root is
     retargeted to the fresh initial state, making the result a live-reset
     component (named after the root) that can stand in for the whole
-    subtree inside an enclosing network.
+    subtree inside an enclosing network.  States are named ``q<id>``; the
+    repeats a retarget can make are dropped (see ``flat_component``).
     """
-    return lts_to_component(sq.lts, sq.root_name, sq.root_upacts)
+    lts = sq.lts
+    dst = (lts.initial if a in sq.root_upacts else d for a, d in zip(lts.act, lts.dst))
+    return flat_component(sq.root_name, lts.initial, zip(lts.src, lts.act, dst), lts.labels)
 
 
 def quotient(
@@ -316,9 +323,11 @@ def quotient(
     Returns the minimised component and its block map: per state position
     of ``component``, the position of the result state its silent SCC
     merged into.  With ``keep``, a component whose silent moves contain no
-    cycle comes back as it is, with no block map, right after the SCC pass:
-    its SCC contraction merges nothing, and what bisimulation alone would
-    merge in it is not worth the refinement's cost.
+    cycle comes back as it is, with no block map: its SCC contraction
+    merges nothing, and what bisimulation alone would merge in it is not
+    worth the refinement's cost.  A single state, or no action outside
+    ``visible``, is such a component without a look at its moves; any other
+    comes back right after the SCC pass.
 
     Reachability of every single proposition is preserved inside any
     network whose other components share only ``visible`` with this one: a
@@ -326,6 +335,8 @@ def quotient(
     cycle are reachable alongside any state of the others, and strong
     bisimulation is a congruence for synchronisation over ``visible``.
     """
+    if keep and (len(component.states) < 2 or component.acts <= visible):
+        return component, None
     scc = _sccs([[d for a, d in out if a not in visible] for out in component.succ])
     n = max(scc) + 1
     if keep and n == len(scc):
@@ -354,16 +365,12 @@ def quotient(
     for s in scc:
         rank.setdefault(block[s], len(rank))
     of = [rank[b] for b in block]
-    names = tuple(f"q{i}" for i in range(len(rank)))
-    minimal = Component(
-        name=component.name,
-        states=names,
-        initial=names[of[scc[component.index[component.initial]]]],
-        transitions=tuple(
-            (names[src], act, names[dst]) for src, act, dst in
-            sorted({(of[s], a, of[d]) for s in range(n) for a, d in edges[s]})),
-        labels={names[of[s]]: labels[s] for s in range(n) if labels[s]},
-    )
+    block_labels = [frozenset()] * len(rank)
+    for s in range(n):  # a block's members carry one label set
+        block_labels[of[s]] = labels[s]
+    minimal = flat_component(
+        component.name, of[scc[component.index[component.initial]]],
+        sorted({(of[s], a, of[d]) for s in range(n) for a, d in edges[s]}), block_labels)
     return minimal, tuple(of[s] for s in scc)
 
 
@@ -371,18 +378,6 @@ def _interface(net: Network, i: int) -> frozenset[str]:
     """The actions component ``i`` of ``net`` shares with its tree
     neighbours: its upacts and downacts."""
     return net.upacts[i] | net.downacts[i]
-
-
-def _premin(
-    component: Component, visible: frozenset[str], hide: str,
-) -> tuple[Component, tuple[int, ...] | None]:
-    """``component`` quotiented against its tree interface ``visible``, or
-    itself with no block map when its moves outside ``visible`` contain no
-    cycle.  A component with a single state or no action outside
-    ``visible`` is left as it is without a look."""
-    if len(component.states) < 2 or component.acts <= visible:
-        return component, None
-    return quotient(component, visible, hide, keep=True)
 
 
 def _sccs(succ: list[list[int]]) -> list[int]:
@@ -435,9 +430,10 @@ class ReductionStage:
     components as they entered the stage (the reduced inner children among
     them), aligned with ``net.components``, and ``blocks[i]`` the block map
     ``quotient`` gave for ``originals[i]``, or None where the component
-    entered as it is (see ``_premin``).  ``lift_witness`` reads all three
-    to map a path of ``sq`` onto states of ``originals``.  ``sq`` is the
-    squares pruned, then with their home copies merged (see ``merge_home``).
+    entered as it is (see ``quotient``'s ``keep``).  ``lift_witness`` reads
+    all three to map a path of ``sq`` onto states of ``originals``.  ``sq``
+    is the squares pruned, then with their home copies merged (see
+    ``merge_home``).
     ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
     below the top stage, so ``sq.lts.n_states`` against
     ``len(result.states)`` is the quotient's shrink.  ``deleted`` counts the
@@ -609,7 +605,7 @@ def reduce_net_traced(
         else:
             originals = (net.components[node], *(reduced.pop(k) for k in kids))
             premin = [
-                _premin(c, _interface(net, i), hide)
+                quotient(c, _interface(net, i), hide, keep=True)
                 if i == node or not net.children[i] else (c, None)
                 for i, c in zip((node, *kids), originals)]
             blocks = tuple(b for _, b in premin)
@@ -635,13 +631,12 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
     """The explicit graph of a reduction, given ``reduce_net_traced``'s
     ``(component, stages)``.
 
-    It is the top stage's squares, whose paths ``lift_witness`` lifts, when
-    the root has no upacts and ``cmpl`` retargeted nothing, as in every
-    network ``infer_topology`` builds.  Otherwise, for a lone component or a
-    root that keeps upacts, it is ``component_lts(component)``."""
-    if stages and not stages[-1].sq.root_upacts:
-        return stages[-1].sq.lts
-    return component_lts(component)
+    It is the top stage's squares, whose paths ``lift_witness`` lifts,
+    whenever there is a stage, and ``component_lts(component)`` for a lone
+    component.  A root that keeps upacts (a subnetwork's) moves on them in
+    place in the squares, as it does in the subnetwork's full product;
+    only ``cmpl`` retargets those moves, for an enclosing network."""
+    return stages[-1].sq.lts if stages else component_lts(component)
 
 
 def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int]:

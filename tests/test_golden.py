@@ -260,3 +260,20 @@ def test_core_modules_do_not_import_the_layers_above():
     assert treelts_imports("checker") == {"product"}
     for module in ("model", "product", "reduction", "fixtures/__init__"):
         assert not treelts_imports(module) & {"checker", "harness", "cli"}, module
+
+
+def constructor_callers(module, name):
+    """The top-level definitions of ``treelts/<module>.py`` that call
+    ``name(...)``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name}
+
+
+def test_one_renumbering_and_one_namer():
+    # prune_locked and merge_home renumber through _fold; cmpl, quotient and
+    # product -o name their states through flat_component
+    assert constructor_callers("reduction", "ExplicitLts") == {"build_sq_unreduced", "_fold"}
+    assert constructor_callers("reduction", "Component") == set()
+    assert constructor_callers("product", "Component") == {"flat_component"}

@@ -170,6 +170,14 @@ class TestComponent:
         assert str(info.value) == (
             "transition ('s0', 'b', 's9') uses unknown states in component 'c'")
 
+    @pytest.mark.parametrize("bad", [("a",), ("a", "x"), ("a", "x", "a", "y")],
+                             ids=["one", "two", "four"])
+    def test_a_transition_that_is_not_a_triple_is_named(self, bad):
+        with pytest.raises(ValidationError) as info:
+            Component("c", ("a",), "a", (("a", "x", "a"), bad, ("b",)))
+        assert str(info.value) == (
+            f"transition {bad!r} in component 'c' is not a (src, action, dst) triple")
+
     def test_str_label_sets_are_kept_and_empty_ones_dropped(self):
         ps = frozenset({"p", "q"})
         given = {"s0": ps, "s1": frozenset(), "s2": ["r", "q"]}

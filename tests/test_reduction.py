@@ -29,10 +29,12 @@ from treelts import (
     full_product,
     gen_random_tree,
     infer_topology,
+    lift_witness,
     prune_locked,
     reduce_net,
     reduce_net_traced,
     reduced_lts,
+    resolve_prefix,
     subnetwork,
     two_level_network,
     validate_live_reset,
@@ -518,6 +520,16 @@ class TestQuotient:
         assert block == (0, 1, 1)
         assert got.transitions == (("q0", "e", "q1"), ("q1", "up", "q0"))
 
+    @pytest.mark.parametrize("c", [
+        Component("c", ("s0",), "s0", (("s0", "t", "s0"),)),
+        # bisimilar states, but every action is visible
+        Component("c", ("s0", "s1"), "s0", (("s0", "up", "s1"), ("s1", "up", "s0"))),
+    ], ids=["one-state", "all-visible"])
+    def test_keep_returns_a_single_state_or_all_visible_component_as_it_is(self, c):
+        got, block = quotient(c, frozenset({"up"}), "e", keep=True)
+        assert got is c and block is None
+        assert len(quotient(c, frozenset({"up"}), "e")[0].states) == 1
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_every_stage_of_deeper_trees(self, seed):
@@ -659,15 +671,36 @@ class TestReducedLts:
         lts, stages = self.reduce_and_compare(make())
         assert lts is stages[-1].sq.lts
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_subnetworks_are_checked_and_lifted_on_the_top_squares(self, seed):
+        # an inner node's subnetwork keeps its root's upacts
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=2, max_states=4))
+        for i, kids in enumerate(net.children):
+            if i == net.root_index or not kids:
+                continue
+            sub = subnetwork(net, i)
+            if prod(len(c.states) for c in sub.components) > ORACLE_CAP:
+                continue
+            report = equivalence_suite(sub, cap=ORACLE_CAP)
+            assert report.disagreements == 0
+            holds = sum(r.reduced_holds for r in report.propositions)
+            assert report.witnesses_lifted == report.witnesses_checked == holds
+
     def test_a_lone_component_is_its_own_graph(self):
         lts, stages = self.reduce_and_compare(ring_tree([None]))
         assert stages == () and lts.payloads[lts.initial] == GlobalTuple(("s0",))
 
-    def test_a_root_with_upacts_falls_back_to_the_component(self):
-        # n1 keeps u1, shared with n0 in the full chain, as a declared upact
-        # whose transitions cmpl retargets
+    def test_a_root_with_upacts_is_checked_on_the_top_squares(self):
+        # n1 keeps u1, shared with n0 in the full chain, as a declared upact:
+        # the squares move on it in place, as the subnetwork's product does
         net = ring_chain(3)
-        lts, stages = self.reduce_and_compare(subnetwork(net, net.index_of("n1")))
+        sub = subnetwork(net, net.index_of("n1"))
+        component, stages = reduce_net_traced(sub)
+        lts, full = reduced_lts(component, stages), full_product(sub)
         assert stages[-1].sq.root_upacts == {"u1"}
-        assert lts is not stages[-1].sq.lts
-        assert all(isinstance(p, GlobalTuple) for p in lts.payloads)
+        assert lts is stages[-1].sq.lts
+        for prop in sub.propositions():
+            assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+        prefix = lift_witness(stages[-1], check_ef(lts, "p2").witness, "p2")
+        assert "p2" in full.labels[resolve_prefix(full, prefix).states[-1]]
