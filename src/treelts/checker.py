@@ -104,37 +104,31 @@ def check_eg(lts: ExplicitLts, proposition: str, entry: Entry = Entry.INITIAL) -
 
 
 def _find_lasso(lts: ExplicitLts, start: int, in_p: list[bool]) -> Path | None:
-    """DFS inside the labelled subgraph; returns stem plus closed cycle."""
+    """DFS inside the labelled subgraph, one out-edge iterator per frame;
+    returns stem plus closed cycle."""
+    out, dst, act = lts.out_edges, lts.dst, lts.act
     path_nodes = [start]
     path_acts: list[str] = []
     on_path = {start}
-    next_branch = [0]
+    frames = [iter(out[start])]
     finished: set[int] = set()
-    while path_nodes:
-        node = path_nodes[-1]
-        outs = lts.out_edges[node]
-        advanced = False
-        while next_branch[-1] < len(outs):
-            k = outs[next_branch[-1]]
-            next_branch[-1] += 1
-            d = lts.dst[k]
-            if not in_p[d]:
+    while frames:
+        for k in frames[-1]:
+            d = dst[k]
+            if not in_p[d] or d in finished:
                 continue
             if d in on_path:
-                return Path(tuple(path_nodes) + (d,), tuple(path_acts) + (lts.act[k],))
-            if d in finished:
-                continue
+                return Path(tuple(path_nodes) + (d,), tuple(path_acts) + (act[k],))
             path_nodes.append(d)
-            path_acts.append(lts.act[k])
+            path_acts.append(act[k])
             on_path.add(d)
-            next_branch.append(0)
-            advanced = True
+            frames.append(iter(out[d]))
             break
-        if not advanced:
+        else:
+            node = path_nodes.pop()
             finished.add(node)
             on_path.discard(node)
-            path_nodes.pop()
+            frames.pop()
             if path_acts:
                 path_acts.pop()
-            next_branch.pop()
     return None

@@ -208,21 +208,6 @@ class SuiteReport:
             f"full={self.full_states} reduced={self.reduced_states}"
         )
 
-    def table(self) -> str:
-        header = f"{'proposition':<16} {'full':<6} {'reduced':<8} {'agree':<6} " \
-                 f"{'EG full':<8} {'EG red':<7} lifted"
-        rows = [header, "-" * len(header)]
-        for r in self.propositions:
-            lifted = "-" if r.witness_lifted is None else str(r.witness_lifted).lower()
-            rows.append(
-                f"{r.proposition:<16} {str(r.full_holds).lower():<6} "
-                f"{str(r.reduced_holds).lower():<8} {str(r.agree).lower():<6} "
-                f"{str(r.eg_full).lower():<8} {str(r.eg_reduced).lower():<7} {lifted}")
-        for d in self.divergences:
-            rows.append(f"pruning divergence at {d.stage_root}: {d.proposition} "
-                        f"pruned={d.pruned_holds} unpruned={d.unpruned_holds}")
-        return "\n".join(rows)
-
 
 def equivalence_suite(
     net: Network,
@@ -240,7 +225,9 @@ def equivalence_suite(
     inner children.  The stage's squares and the unpruned ones are compared
     at every stage where pruning deleted a state; elsewhere the squares are
     the unpruned ones with their home copies merged, which reach the same
-    labels.  Raises OracleTooLarge when the product exceeds ``cap``.
+    labels.  ``size_bound_ok`` checks each stage's unpruned square count
+    against ``(n - 1) * m * m + 1`` for its ``n`` components of at most
+    ``m`` states.  Raises OracleTooLarge when the product exceeds ``cap``.
     """
     try:
         full = full_product(net, cap=cap)
@@ -306,7 +293,7 @@ def equivalence_suite(
     for stage in stages:
         n = len(stage.net.components)
         m = max(len(c.states) for c in stage.net.components)
-        if stage.sq.lts.n_states + stage.deleted > (n - 1) * m * m + 1:
+        if stage.unpruned_states > (n - 1) * m * m + 1:
             report.size_bound_ok = False
         if not stage.deleted:  # nothing pruned: the squares reach what the unpruned reach
             continue
@@ -359,8 +346,9 @@ class StatsReport:
         return "\n".join(lines)
 
 
-def stats(net: Network, cap: int = DEFAULT_STATE_CAP, runs: int = 3) -> StatsReport:
-    """Build both structures and report sizes and per-phase median times.
+def stats(net: Network, cap: int = DEFAULT_STATE_CAP) -> StatsReport:
+    """Build both structures and report sizes and per-phase median times
+    over three runs each.
 
     The reduced sizes are those of ``reduced_lts``, the graph that
     ``check --reduced`` checks.  A capped product is reported as a lower
@@ -370,7 +358,7 @@ def stats(net: Network, cap: int = DEFAULT_STATE_CAP, runs: int = 3) -> StatsRep
     full_states = 0
     full_transitions = 0
     capped = False
-    for _ in range(max(1, runs)):
+    for _ in range(3):
         t0 = time.perf_counter()
         try:
             full = full_product(net, cap=cap)
@@ -382,7 +370,7 @@ def stats(net: Network, cap: int = DEFAULT_STATE_CAP, runs: int = 3) -> StatsRep
         full_times.append(time.perf_counter() - t0)
 
     reduce_times: list[float] = []
-    for _ in range(max(1, runs)):
+    for _ in range(3):
         t0 = time.perf_counter()
         component, stages = reduce_net_traced(net)
         reduce_times.append(time.perf_counter() - t0)

@@ -44,9 +44,16 @@ class Component:
         # one pass per collection: tuples, the first of equal transitions
         # kept, empty label sets dropped, a given frozenset kept as it is
         states = tuple(self.states)
-        transitions = tuple(dict.fromkeys(map(tuple, self.transitions)))
-        if not {3}.issuperset(map(len, transitions)):
-            bad = next(t for t in transitions if len(t) != 3)
+        triples = given = tuple(self.transitions)
+        if not {tuple}.issuperset(map(type, given)):  # lists and other sequences
+            try:
+                triples = None if str in map(type, given) else tuple(map(tuple, given))
+            except TypeError:  # an element that is not a sequence
+                triples = None
+        transitions = tuple(dict.fromkeys(triples or ()))
+        if triples is None or not {3}.issuperset(map(len, transitions)):
+            bad = next(t for t in given if type(t) is str
+                       or not hasattr(t, "__len__") or len(t) != 3)
             raise ValidationError(
                 f"transition {bad!r} in component {self.name!r} is not a "
                 f"(src, action, dst) triple")

@@ -86,7 +86,7 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     root = comps[r]
     all_acts = {a for c in comps for a in c.acts}
     if epsilon is None:
-        epsilon = fresh_action(all_acts | set(net.silent), "eps")
+        epsilon = fresh_action(all_acts | set(net.silent), "eps0")
     elif epsilon in all_acts:
         raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
 
@@ -382,7 +382,7 @@ def _interface(net: Network, i: int) -> frozenset[str]:
 
 def _sccs(succ: list[list[int]]) -> list[int]:
     """Strongly connected component id per node of the graph ``succ``, by
-    Tarjan's algorithm with explicit stacks."""
+    Tarjan's algorithm with explicit stacks, one successor iterator per frame."""
     n = len(succ)
     order, low, scc = [0] * n, [0] * n, [-1] * n
     visited, found = 0, 0
@@ -393,31 +393,30 @@ def _sccs(succ: list[list[int]]) -> list[int]:
         visited += 1
         order[start] = low[start] = visited
         path.append(start)
-        work = [(start, 0)]
+        work = [(start, iter(succ[start]))]
         while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
+            v, successors = work[-1]
+            for w in successors:
                 if not order[w]:
                     visited += 1
                     order[w] = low[w] = visited
                     path.append(w)
-                    work.append((w, 0))
-                elif scc[w] < 0:  # still on the path stack
+                    work.append((w, iter(succ[w])))
+                    break
+                if scc[w] < 0:  # still on the path stack
                     low[v] = min(low[v], order[w])
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == order[v]:
-                while True:
-                    w = path.pop()
-                    scc[w] = found
-                    if w == v:
-                        break
-                found += 1
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    while True:
+                        w = path.pop()
+                        scc[w] = found
+                        if w == v:
+                            break
+                    found += 1
     return scc
 
 
@@ -433,7 +432,7 @@ class ReductionStage:
     entered as it is (see ``quotient``'s ``keep``).  ``lift_witness`` reads
     all three to map a path of ``sq`` onto states of ``originals``.  ``sq``
     is the squares pruned, then with their home copies merged (see
-    ``merge_home``).
+    ``merge_home``); ``unpruned_states`` counts the squares before both.
     ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
     below the top stage, so ``sq.lts.n_states`` against
     ``len(result.states)`` is the quotient's shrink.  ``deleted`` counts the
@@ -448,6 +447,7 @@ class ReductionStage:
     deleted: int
     originals: tuple[Component, ...]
     blocks: tuple[tuple[int, ...] | None, ...]
+    unpruned_states: int
 
 
 def lift_witness(
@@ -459,24 +459,26 @@ def lift_witness(
     active child at their square coordinates and every other component at
     its initial state, so a handoff, which resets the active child, sends
     the old child home; every step keeps the movers the squares recorded.
-    A pre-minimised component (one with a block map) sits at an original
-    state of its current block, starting at its original initial state.  A
-    step that moves it becomes hidden moves (on actions outside its tree
-    interface in ``stage.net``) through members of the block, up to a
-    member with an original move into the target block on the step's
-    action, or on any hidden action when the step's is hidden; that move
-    follows.  Such a member is reachable inside the silent SCC the walk
-    starts in, because the blocks are a bisimulation of the SCC-contracted
-    component.  With ``proposition``, unless some coordinate carries it at
-    the end already, one pre-minimised component whose block carries it
-    walks the same way to a member that does.
+    Every component sits at an original state of its current block from
+    its original initial state on (so the path starts where all are home);
+    one that entered as it is, with no block map, has one state per block.
+    A step that moves a component becomes hidden moves (on actions outside
+    its tree interface in ``stage.net``) through members of its block, up
+    to a member with an original move into the target block on the step's
+    action, or on any hidden action when the step's is hidden; the first
+    such move follows.  Such a member is reachable inside the silent SCC
+    the walk starts in, because the blocks are a bisimulation of the
+    SCC-contracted component.  With ``proposition``, unless some coordinate
+    carries it at the end already, the first component whose block carries
+    it walks the same way to a member that does.
 
     The result replays on the product of ``stage.originals``: the full
     product when the stage is the top one of a two-level network.  Raises
     InvalidWitness when a step is not a transition of the squares, or when
     no hidden walk completes a step.
     """
-    net, originals, blocks = stage.net, stage.originals, stage.blocks
+    net, originals = stage.net, stage.originals
+    blocks = [range(len(c.states)) if b is None else b for c, b in zip(originals, stage.blocks)]
     prefix = prefix_of(stage.sq.lts, path)
     payloads, actions, movers = prefix.states, prefix.actions, prefix.movers
     if actions and isinstance(payloads[0], FreshInit):
@@ -491,22 +493,17 @@ def lift_witness(
                 return p.child_state
         return net.components[i].initial
 
-    # original state position of each pre-minimised component
-    at = {i: c.index[c.initial] for i, (c, b) in enumerate(zip(originals, blocks))
-          if b is not None}
-    coords = [originals[i].states[at[i]] if i in at else place(payloads[0], i)
-              for i in range(len(originals))]
-    states = [GlobalTuple(tuple(coords))]
+    at = [c.index[c.initial] for c in originals]  # original state position per component
+    lifted_at = [tuple(at)]
     lifted_actions: list[str] = []
     lifted_movers: list[frozenset[int]] = []
 
     def take(moved: frozenset[int], act: str, to: dict[int, int]) -> None:
         for i, p in to.items():
             at[i] = p
-            coords[i] = originals[i].states[p]
         lifted_actions.append(act)
         lifted_movers.append(moved)
-        states.append(GlobalTuple(tuple(coords)))
+        lifted_at.append(tuple(at))
 
     def walk(i: int, goal: Callable[[int], tuple | None]) -> tuple:
         """Take the hidden moves of ``i``, breadth-first, up to the first
@@ -531,25 +528,24 @@ def lift_witness(
         raise InvalidWitness(f"no hidden walk in component {comp.name!r} completes the step")
 
     for act, moved, target in zip(actions, movers, payloads[1:]):
-        last: dict[int, int] = {}
-        for i in sorted(moved & at.keys()):
+        to: dict[int, int] = {}
+        for i in sorted(moved):
             succ, block, visible = originals[i].succ, blocks[i], _interface(net, i)
             goal = net.components[i].index[place(target, i)]
             # on a hidden step ``act`` becomes the original action taken
-            act, last[i] = walk(i, lambda p: next(
+            act, to[i] = walk(i, lambda p: next(
                 ((a, d) for a, d in succ[p] if block[d] == goal
                  and (a == act if act in visible else a not in visible)), None))
-        for i in moved - at.keys():
-            coords[i] = place(target, i)
-        take(moved, act, last)
+        take(moved, act, to)
     if proposition is not None and not any(
-            proposition in c.label_of(s) for c, s in zip(originals, coords)):
-        for i in at:
+            proposition in c.label_of(c.states[p]) for c, p in zip(originals, at)):
+        for i, comp in enumerate(originals):
             if proposition in net.components[i].label_of(place(payloads[-1], i)):
-                comp = originals[i]
                 walk(i, lambda p: () if proposition in comp.label_of(comp.states[p]) else None)
                 break
-    return PathPrefix(tuple(states), tuple(lifted_actions), tuple(lifted_movers))
+    states = tuple(GlobalTuple(tuple(c.states[p] for c, p in zip(originals, v)))
+                   for v in lifted_at)
+    return PathPrefix(states, tuple(lifted_actions), tuple(lifted_movers))
 
 
 def reduce_net(net: Network) -> Component:
@@ -618,12 +614,13 @@ def reduce_net_traced(
                 root_upacts=net.upacts[node],
                 silent=net.silent | {hide} if hiding else net.silent,
             )
-            sq, deleted = _squares(two_level, epsilon, prune)
+            sq, unpruned, deleted = _squares(two_level, epsilon, prune)
             result = cmpl(sq)
             if node != net.root_index:
                 result, _ = quotient(result, net.upacts[node], hide)
             reduced[node] = result
-            stages.append(ReductionStage(two_level, sq, result, deleted, originals, blocks))
+            stages.append(ReductionStage(
+                two_level, sq, result, deleted, originals, blocks, unpruned))
     return reduced[net.root_index], tuple(stages)
 
 
@@ -639,10 +636,11 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
     return stages[-1].sq.lts if stages else component_lts(component)
 
 
-def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int]:
+def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int, int]:
     """The squares of a two-level stage, pruned unless ``prune`` is false,
-    with their home copies merged (see ``merge_home``), and the number of
-    states pruning deleted."""
+    with their home copies merged (see ``merge_home``), the number of
+    unpruned square states, and the number of states pruning deleted."""
     sq = build_sq_unreduced(net, epsilon)
     pruned = prune_locked(sq) if prune else sq
-    return merge_home(pruned, net), sq.lts.n_states - pruned.lts.n_states
+    unpruned = sq.lts.n_states
+    return merge_home(pruned, net), unpruned, unpruned - pruned.lts.n_states

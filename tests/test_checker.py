@@ -258,6 +258,23 @@ class TestLiftWitness:
         assert lifted["done"].actions == ("tau", "tau", "up")
         assert [p.states for p in lifted["done"].states][-1] == ("r2", "c0")
 
+    def test_a_kept_leaf_walks_its_block_to_the_squares_action(self):
+        # the leaf has no silent cycle, so it enters the squares as it is:
+        # one state per block, and the first hidden move into the target
+        # state is the one the squares emit first
+        root = Component("R", ("r0", "r1"), "r0", (("r0", "up", "r1"), ("r1", "tau", "r0")))
+        leaf = Component("C", ("c0", "c1"), "c0",
+                         (("c0", "l", "c1"), ("c0", "tau", "c1"), ("c1", "up", "c0")),
+                         labels={"c1": frozenset({"pc"})})
+        net = infer_topology([root, leaf], "R")
+        top = reduce_net_traced(net)[1][-1]
+        assert top.blocks == (None, None)
+        prefix = lift_witness(top, check_ef(top.sq.lts, "pc").witness, "pc")
+        assert [p.states for p in prefix.states] == [("r0", "c0"), ("r0", "c1")]
+        assert prefix.actions == ("l",) and prefix.movers == (frozenset({1}),)
+        full = full_product(net)
+        assert "pc" in full.labels[resolve_prefix(full, prefix).states[-1]]
+
     def test_witnesses_lift_at_every_stage(self):
         # inner stages too: their pre-minimised leaves lift to original
         # states, against the product of the components that entered the stage

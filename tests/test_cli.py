@@ -45,6 +45,9 @@ def awkward_names():
     return infer_topology([root, leaf], 'R"1')
 
 
+ONE_STATE = {"name": "a", "states": ["s0"], "initial": "s0"}
+
+
 class TestLoad:
     def test_gx_fixture(self, gx):
         assert [c.name for c in gx.components] == ["R", "S1", "S2"]
@@ -90,6 +93,39 @@ class TestLoad:
     def test_direction_marks_accepted_when_consistent(self, gx):
         # the bundled fixture uses ? and ! markers throughout
         assert gx.upacts[gx.index_of("S1")] == {"open"}
+
+    @pytest.mark.parametrize("doc, message", [
+        (None, None),
+        (["a"], "the document must be a JSON object"),
+        ({"root": "a"}, "both 'root' and 'components' are required"),
+        ({"root": "a", "components": [ONE_STATE], "silent": "tau"},
+         "'silent' must be a list of action names"),
+        ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "?x", "s0"]]}]},
+         "action 'x' in component 'a' is marked '?' but is not synchronised with a child"),
+        ({"root": "a", "components": ["a"]}, "each component must be a JSON object"),
+        ({"root": "a", "components": [{"name": "a", "states": ["s0"]}]},
+         "component is missing required key 'initial'"),
+        ({"root": "a", "components": [{**ONE_STATE, "transitions": "s0"}]},
+         "'transitions' must be a list of [src, action, dst] triples"),
+        ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "x"]]}]},
+         "malformed transition ['s0', 'x']"),
+        ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "!", "s0"]]}]},
+         "empty action name in transition ['s0', '!', 's0']"),
+    ], ids=["unreadable", "not-an-object", "no-components", "silent-not-a-list",
+            "unshared-down-mark", "component-not-an-object", "missing-key",
+            "transitions-not-a-list", "malformed-transition", "empty-marked-action"])
+    def test_each_rejection_names_its_cause(self, doc, message, tmp_path):
+        src = tmp_path / "net.json"
+        if doc is None:  # no file at all
+            with pytest.raises(OSError) as missing:
+                src.read_text(encoding="utf-8")
+            error, message = ParseError, f"cannot read {src}: {missing.value}"
+        else:
+            src.write_text(json.dumps(doc), encoding="utf-8")
+            error = ValidationError
+        with pytest.raises(error) as info:
+            load(src)
+        assert type(info.value) is error and str(info.value) == message
 
     def test_conflicting_marks_rejected(self):
         doc = {"root": "a", "components": [

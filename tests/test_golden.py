@@ -8,6 +8,7 @@ reduction is also checked against the full product of its source network.
 
 import ast
 import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from treelts import (
     build_sq_unreduced,
     check_ef,
     component_lts,
+    equivalence_suite,
     full_product,
     harness,
     infer_topology,
@@ -145,6 +147,7 @@ def test_stage_squares_rebuild_from_the_stage_network(make, prune):
     # were built from, pre-minimised components included
     for stage in reduce_net_traced(make(), prune=prune)[1]:
         unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
+        assert stage.unpruned_states == unpruned.lts.n_states
         pruned = prune_locked(unpruned) if prune else unpruned
         assert unpruned.lts.n_states - stage.deleted == pruned.lts.n_states
         rebuilt, lts = merge_home(pruned, stage.net).lts, stage.sq.lts
@@ -220,6 +223,38 @@ def test_names_patched_by_the_benchmark_tracer_exist():
     for mod, attrs in names.items():
         for attr in attrs:
             assert callable(getattr(modules[mod], attr, None)), f"{mod}.{attr}"
+
+
+def perfbench_module(name, monkeypatch):
+    """``perfbench/<name>.py`` imported by path, writing no bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch):
+    # what ``perfbench/run.py --trace 1`` counts and records: the patched
+    # calls' first arguments, stage.net, stage.sq and stage.result
+    spans, run = perfbench_module("spans", monkeypatch), perfbench_module("run", monkeypatch)
+    before = dict(vars(reduction)), dict(vars(harness))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        equivalence_suite(load(gx_path()))
+    finally:
+        tracer.restore()
+    assert (dict(vars(reduction)), dict(vars(harness))) == before
+    expected = {
+        "reduction.square_states": 21, "reduction.square_transitions": 26,
+        "reduction.locked_states": 9, "reduction.deleted_states": 9,
+        "reduction.stages": 1, "product.full_states": 15,
+    }
+    assert {key: tracer.counts[key] for key in expected} == expected
+    records = run.stage_records(tracer.stage_phases(len(tracer.spans)), [gx_path()])
+    assert len(records) == 1 and records[0]["result_states"] == 11
 
 
 def test_names_the_benchmark_imports_from_treelts_exist():

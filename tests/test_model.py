@@ -76,6 +76,11 @@ class TestInferTopology:
         with pytest.raises(UnknownRoot):
             infer_topology(gx.components, "nope")
 
+    def test_an_empty_network_has_no_root(self):
+        with pytest.raises(UnknownRoot) as info:
+            infer_topology([], "a")
+        assert str(info.value) == "network has no components"
+
     def test_silent_names_do_not_create_edges(self):
         # both components use tau; without silence this would be an edge
         a = Component("a", ("s0",), "s0", (("s0", "tau", "s0"), ("s0", "x", "s0")))
@@ -170,8 +175,8 @@ class TestComponent:
         assert str(info.value) == (
             "transition ('s0', 'b', 's9') uses unknown states in component 'c'")
 
-    @pytest.mark.parametrize("bad", [("a",), ("a", "x"), ("a", "x", "a", "y")],
-                             ids=["one", "two", "four"])
+    @pytest.mark.parametrize("bad", [("a",), ("a", "x"), ("a", "x", "a", "y"), "abc", 5],
+                             ids=["one", "two", "four", "string", "not-a-sequence"])
     def test_a_transition_that_is_not_a_triple_is_named(self, bad):
         with pytest.raises(ValidationError) as info:
             Component("c", ("a",), "a", (("a", "x", "a"), bad, ("b",)))

@@ -12,6 +12,7 @@ from treelts import (
     FreshInit,
     GenConfig,
     GlobalTuple,
+    InvalidWitness,
     Path,
     PathPrefix,
     StateLimitExceeded,
@@ -207,6 +208,36 @@ class TestProjection:
             with pytest.raises(ValidationError):
                 bad()
 
+    @pytest.mark.parametrize("states, actions, message", [
+        ([("r0", "s0", "t0")], ["open"], "a prefix needs exactly one more state than actions"),
+        ([("r0", "s0")], [], "state tuple ('r0', 's0') does not match the network arity"),
+        ([("r0", "s0", "t0"), ("r1", "s0", "t1")], ["tau"], "silent step 0 moves several components"),
+        ([("r0", "s0", "t0"), ("r0", "s0", "t0")], ["tau"],
+         "silent self-loop at step 0 cannot be attributed to one component"),
+        ([("r0", "s0", "t0"), ("r0", "s0", "t0")], ["nope"],
+         "action 'nope' does not belong to the network"),
+        ([("r3", "s0", "t0"), ("r3", "s0", "t1")], ["beep"],
+         "step 0: component 'S2' moved without participating in 'beep'"),
+    ], ids=["length", "arity", "silent-several", "silent-loop-nobody", "unknown-action",
+            "moved-without-sharing"])
+    def test_each_bad_prefix_names_its_cause(self, gx, states, actions, message):
+        # a step that is not a component transition: see the test above
+        with pytest.raises(ValidationError) as info:
+            prefix_from_states(gx, states, actions)
+        assert str(info.value) == message
+
+    def test_a_silent_self_loop_goes_to_the_one_component_that_has_it(self):
+        # at a0 both components loop on tau, at a1 only b does
+        a = Component("a", ("a0", "a1"), "a0",
+                      (("a0", "tau", "a0"), ("a0", "go", "a1"), ("a1", "go", "a0")))
+        b = Component("b", ("b0",), "b0", (("b0", "tau", "b0"), ("b0", "go", "b0")))
+        net = infer_topology([a, b], "a")
+        prefix = prefix_from_states(net, [("a0", "b0"), ("a1", "b0"), ("a1", "b0")], ["go", "tau"])
+        assert prefix.movers == (frozenset({0, 1}), frozenset({1}))
+        with pytest.raises(ValidationError) as info:
+            prefix_from_states(net, [("a0", "b0"), ("a0", "b0")], ["tau"])
+        assert str(info.value) == "silent self-loop at step 0 cannot be attributed to one component"
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.data())
     def test_projected_prefix_is_a_path_of_the_subproduct(self, seed, data):
@@ -240,6 +271,18 @@ class TestHelpers:
     def test_replay_rejects_foreign_steps(self, gx):
         lts = full_product(gx)
         assert not replay(lts, Path((0, 0), ("beep",)))
+
+    @pytest.mark.parametrize("states, actions, message", [
+        ([("r9", "s0", "t0")], [], "state (r9,s0,t0) does not exist in the target system"),
+        ([("r0", "s0", "t0"), ("r0", "s0", "t1")], ["open"],
+         "prefix does not replay on the target system"),
+    ], ids=["unknown-state", "no-such-step"])
+    def test_resolving_a_foreign_prefix_names_its_cause(self, gx, states, actions, message):
+        prefix = PathPrefix(tuple(map(GlobalTuple, states)), tuple(actions),
+                            (frozenset({0}),) * len(actions))
+        with pytest.raises(InvalidWitness) as info:
+            resolve_prefix(full_product(gx), prefix)
+        assert str(info.value) == message
 
 
 class TestExplicitLtsChecks:

@@ -41,7 +41,7 @@ from treelts import (
 )
 from treelts import reduction as reduction_module
 from treelts.cli import main, save
-from treelts.reduction import merge_home, quotient
+from treelts.reduction import fresh_action, merge_home, quotient
 from oracles import naive_ef, naive_product
 from shapes import all_locked_tree, ring_chain, ring_tree
 
@@ -142,6 +142,16 @@ class TestUnreducedSquares:
         with pytest.raises(ValidationError,
                            match="^epsilon name 'open' collides with an existing action$"):
             build_sq_unreduced(gx, epsilon="open")
+
+    def test_the_default_glue_name_is_eps0(self, gx):
+        assert build_sq_unreduced(gx).epsilon == "eps0"
+
+    @pytest.mark.parametrize("taken, name", [
+        (set(), "eps0"), ({"eps0"}, "eps0_1"), ({"eps0", "eps0_1"}, "eps0_2"),
+        ({"eps0", "eps0_2"}, "eps0_1"),
+    ])
+    def test_fresh_names_count_up_past_every_collision(self, taken, name):
+        assert fresh_action(frozenset(taken), "eps0") == name
 
 
 class TestLockedStates:
