@@ -376,7 +376,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     disagreements = 0
     skipped = 0
     for seed in range(args.seeds):
-        net = gen_random_tree(_gen_config(args, seed))
+        cfg = _gen_config(args, seed)
+        net = gen_random_tree(cfg)
         try:
             report = equivalence_suite(net, cap=args.cap)
         except OracleTooLarge:
@@ -385,8 +386,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             continue
         disagreements += report.disagreements
         print(f"seed {seed}: {report.summary()}")
-        rows.append({"seed": seed, "config": vars(_gen_config(args, seed)),
-                     "report": report.to_dict()})
+        rows.append({"seed": seed, "config": vars(cfg), "report": report.to_dict()})
     print(f"suite: {len(rows)} instance(s) checked, {skipped} skipped, "
           f"{disagreements} reachability disagreement(s)")
     if args.json:

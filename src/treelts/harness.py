@@ -10,7 +10,6 @@ pruned-versus-unpruned question.
 from __future__ import annotations
 
 import random
-import statistics
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -347,46 +346,33 @@ class StatsReport:
 
 
 def stats(net: Network, cap: int = DEFAULT_STATE_CAP) -> StatsReport:
-    """Build both structures and report sizes and per-phase median times
-    over three runs each.
+    """Build the full product and the reduction once each, and report their
+    sizes and wall times.
 
     The reduced sizes are those of ``reduced_lts``, the graph that
     ``check --reduced`` checks.  A capped product is reported as a lower
-    bound instead of failing.
+    bound instead of failing.  Each time is of one run; repeated timing is
+    left to the benchmark (``perfbench/``).
     """
-    full_times: list[float] = []
-    full_states = 0
-    full_transitions = 0
+    full_states = full_transitions = 0
     capped = False
-    for _ in range(3):
-        t0 = time.perf_counter()
-        try:
-            full = full_product(net, cap=cap)
-            full_states = full.n_states
-            full_transitions = len(full.src)
-        except StateLimitExceeded as exc:
-            capped = True
-            full_states = exc.seen
-        full_times.append(time.perf_counter() - t0)
-
-    reduce_times: list[float] = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        component, stages = reduce_net_traced(net)
-        reduce_times.append(time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    try:
+        full = full_product(net, cap=cap)
+        full_states, full_transitions = full.n_states, len(full.src)
+    except StateLimitExceeded as exc:
+        capped, full_states = True, exc.seen
+    t1 = time.perf_counter()
+    component, stages = reduce_net_traced(net)
+    t2 = time.perf_counter()
     reduced = reduced_lts(component, stages)
-    reduced_states = reduced.n_states
-    reduced_transitions = len(reduced.src)
 
     return StatsReport(
         full_states=full_states,
         full_transitions=full_transitions,
         full_capped=capped,
-        reduced_states=reduced_states,
-        reduced_transitions=reduced_transitions,
-        reduction_ratio=reduced_states / full_states if full_states else 1.0,
-        wall_times={
-            "full_product": statistics.median(full_times),
-            "reduce": statistics.median(reduce_times),
-        },
+        reduced_states=reduced.n_states,
+        reduced_transitions=len(reduced.src),
+        reduction_ratio=reduced.n_states / full_states if full_states else 1.0,
+        wall_times={"full_product": t1 - t0, "reduce": t2 - t1},
     )

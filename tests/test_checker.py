@@ -1,5 +1,7 @@
 """Reachability and invariance checking, witnesses, and witness lifting."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -304,6 +306,19 @@ class TestLiftWitness:
         b = top.sq.lts.id_of(SquareOrigin(2, "t1", "r1"))
         with pytest.raises(InvalidWitness):
             lift_witness(top, Path((a, b), ("open",)))
+
+    def test_a_step_without_an_original_move_is_rejected(self, gx):
+        # the witness synchronises S1 on ``open``; an S1 without transitions
+        # has no move, hidden or not, that completes that step
+        top = reduce_net_traced(gx)[1][-1]
+        s1 = top.originals[1]
+        assert s1.name == "S1" and top.blocks[1] is None
+        stuck = replace(top, originals=(
+            top.originals[0], Component(s1.name, s1.states, s1.initial, ()), top.originals[2]))
+        verdict = check_ef(top.sq.lts, "r3_reached")
+        assert lift_witness(top, verdict.witness, "r3_reached").actions
+        with pytest.raises(InvalidWitness, match="no hidden walk in component 'S1'"):
+            lift_witness(stuck, verdict.witness, "r3_reached")
 
     def test_square_paths_transfer_from_prefix_helpers(self, gx):
         # a witness extracted from the squares resolves against them

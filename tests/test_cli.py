@@ -1,11 +1,16 @@
 """File format, DOT export, and command-line behaviour."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import treelts
 from treelts import (
     Component,
     GenConfig,
@@ -350,3 +355,36 @@ class TestMain:
         data = json.loads(report.read_text(encoding="utf-8"))
         assert data["disagreements"] == 0
         assert len(data["instances"]) == 8
+
+    def test_suite_skips_a_seed_whose_oracle_exceeds_the_cap(self, tmp_path, capsys):
+        report = tmp_path / "suite.json"
+        assert main(["suite", "--seeds", "3", "--cap", "5", "--json", str(report)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "seed 0: skipped (oracle exceeds cap)"
+        assert [line.split(":")[0] for line in lines[1:3]] == ["seed 1", "seed 2"]
+        data = json.loads(report.read_text(encoding="utf-8"))
+        assert data["skipped"] == 1
+        assert [row["seed"] for row in data["instances"]] == [1, 2]
+        assert [row["config"]["seed"] for row in data["instances"]] == [1, 2]
+
+
+#: The directory holding the ``treelts`` package, for a child interpreter.
+SRC = str(Path(treelts.__file__).resolve().parents[1])
+
+
+@pytest.mark.parametrize("launch", [
+    ["-m", "treelts"],
+    ["-c", "from treelts.cli import entrypoint; entrypoint()"],
+], ids=["python-m", "entrypoint"])
+@pytest.mark.parametrize("argv, code", [
+    (["check", "GX", "--ef", "r3_reached", "--reduced"], 0),
+    (["check", "GX", "--ef", "nowhere", "--reduced"], 1),
+    (["product", "GX", "--cap", "5"], 3),
+], ids=["holds", "does-not-hold", "capped"])
+def test_entry_points_exit_with_the_command_code(launch, argv, code):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = [str(gx_path()) if a == "GX" else a for a in argv]
+    run = subprocess.run([sys.executable, *launch, *argv], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == code, run.stderr
+    assert run.stderr.startswith("error:") == (code == 3)

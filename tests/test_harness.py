@@ -1,13 +1,19 @@
 """Generator soundness, the oracle-equivalence suite, and statistics."""
 
 import json
+from dataclasses import replace
 from functools import partial
 
 import pytest
 
 from treelts import (
     Component,
+    ExplicitLts,
     GenConfig,
+    GlobalTuple,
+    InvalidWitness,
+    ReductionStage,
+    StateLimitExceeded,
     check_ef,
     equivalence_suite,
     full_product,
@@ -132,6 +138,78 @@ class TestEquivalenceSuite:
             assert report.size_bound_ok and not report.divergences
 
 
+def patch_top_stage(monkeypatch, change):
+    """Make ``harness.reduce_net_traced`` return its top stage through ``change``."""
+    original = harness.reduce_net_traced
+
+    def patched(net):
+        component, stages = original(net)
+        return component, stages[:-1] + (change(stages[-1]),)
+
+    monkeypatch.setattr(harness, "reduce_net_traced", patched)
+
+
+class TestSuiteFailureReporting:
+    """Each fault the suite reports, injected through a ``harness`` name."""
+
+    def test_a_disagreement_is_counted_with_both_witnesses(self, gx, monkeypatch):
+        blank = ExplicitLts(0, [], [], [], [], [frozenset()], [GlobalTuple(("x",))])
+        monkeypatch.setattr(harness, "reduced_lts", lambda component, stages: blank)
+        report = equivalence_suite(gx)
+        (result,) = report.propositions
+        assert report.disagreements == 1
+        assert (result.full_holds, result.reduced_holds, result.agree) == (True, False, False)
+        assert "(r3,s0,t0)" in result.full_witness
+        assert result.reduced_witness is None  # a failed check has no witness
+        assert report.witnesses_checked == 0
+        assert (report.reduced_states, report.reduced_transitions) == (1, 0)
+
+    def test_a_witness_that_does_not_lift_is_marked(self, gx, monkeypatch):
+        def refuse(stage, path, proposition=None):
+            raise InvalidWitness("refused")
+
+        monkeypatch.setattr(harness, "lift_witness", refuse)
+        report = equivalence_suite(gx)
+        (result,) = report.propositions
+        assert result.agree and result.witness_lifted is False
+        assert (report.witnesses_checked, report.witnesses_lifted) == (1, 0)
+
+    def test_an_oversized_stage_breaks_the_size_bound(self, gx, monkeypatch):
+        # gx: three components of at most five states, so the bound is 51
+        assert equivalence_suite(gx).size_bound_ok
+        patch_top_stage(monkeypatch, lambda stage: replace(stage, unpruned_states=52))
+        assert not equivalence_suite(gx).size_bound_ok
+
+    def test_a_label_lost_by_pruning_is_a_divergence(self, monkeypatch):
+        net = ring_tree([None, 0, 0])  # nothing pruned: the suite would skip the stage
+
+        def strip_p1(stage: ReductionStage) -> ReductionStage:
+            lts = stage.sq.lts
+            stripped = ExplicitLts(lts.initial, lts.src, lts.act, lts.dst, lts.movers,
+                                   [ps - {"p1"} for ps in lts.labels], lts.payloads)
+            return replace(stage, sq=replace(stage.sq, lts=stripped), deleted=1)
+
+        patch_top_stage(monkeypatch, strip_p1)
+        report = equivalence_suite(net)
+        assert [(d.stage_root, d.proposition, d.pruned_holds, d.unpruned_holds)
+                for d in report.divergences] == [("n0", "p1", False, True)]
+
+    def test_a_capped_deep_lift_target_skips_the_lift(self, chain_net, monkeypatch):
+        calls = []
+
+        def capped(components, silent, cap):
+            calls.append(cap)
+            raise StateLimitExceeded(cap, cap)
+
+        monkeypatch.setattr(harness, "product_of", capped)
+        report = equivalence_suite(chain_net, cap=1000)
+        assert calls == [1000]  # the chain is three levels deep: no full-product lift
+        assert report.disagreements == 0
+        assert report.witnesses_checked == report.witnesses_lifted == 0
+        assert all(r.witness_lifted is None for r in report.propositions)
+        assert any(r.reduced_holds for r in report.propositions)
+
+
 #: Generator bounds of the acceptance suite (tests/test_acceptance.py).
 SUITE_CFG = dict(max_depth=3, max_children=3, max_states=5,
                  max_local_actions=2, propositions=3, density=0.6)
@@ -232,6 +310,23 @@ class TestStats:
         assert report.full_capped
         assert report.full_states >= 5
         assert "lower bound" in report.table()
+
+    @pytest.mark.parametrize("cap, capped", [(100, False), (5, True)], ids=["uncapped", "capped"])
+    def test_each_structure_is_built_once(self, gx, monkeypatch, cap, capped):
+        calls = {"full_product": 0, "reduce_net_traced": 0}
+
+        def counted(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        assert stats(gx, cap=cap).full_capped == capped
+        assert calls == {"full_product": 1, "reduce_net_traced": 1}
 
     def test_two_level_wide_instance_shrinks(self):
         # four children of five states under a five-state root: the squares

@@ -272,6 +272,13 @@ class TestHelpers:
         lts = full_product(gx)
         assert not replay(lts, Path((0, 0), ("beep",)))
 
+    def test_replay_rejects_a_state_out_of_range(self, gx):
+        lts = full_product(gx)
+        src, act, dst = lts.src[0], lts.act[0], lts.dst[0]
+        assert replay(lts, Path((src, dst), (act,)))
+        for bad in (-1, lts.n_states):
+            assert not replay(lts, Path((src, bad), (act,)))
+
     @pytest.mark.parametrize("states, actions, message", [
         ([("r9", "s0", "t0")], [], "state (r9,s0,t0) does not exist in the target system"),
         ([("r0", "s0", "t0"), ("r0", "s0", "t1")], ["open"],
