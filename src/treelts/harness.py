@@ -331,10 +331,11 @@ class StatsReport:
         return asdict(self)
 
     def table(self) -> str:
-        full_note = " (lower bound, cap hit)" if self.full_capped else ""
+        # a capped product's transitions are never counted: none is printed
+        full = (f"{self.full_states} states (lower bound, cap hit)" if self.full_capped
+                else f"{self.full_states} states, {self.full_transitions} transitions")
         lines = [
-            f"full product : {self.full_states} states, "
-            f"{self.full_transitions} transitions{full_note}",
+            f"full product : {full}",
             f"reduced      : {self.reduced_states} states, "
             f"{self.reduced_transitions} transitions",
             f"ratio        : {self.reduction_ratio:.4f}"

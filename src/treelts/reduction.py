@@ -5,11 +5,11 @@ pairwise products, glued at a fresh silent initial state.  Upstream child
 synchronisations become handoffs that may pass control to any square.
 States from which the root can never act again are pruned.  The squares'
 copies of each state with every child at home, one per child and root
-position, then merge into one.  The result can be completed into a
-live-reset component so the construction nests bottom-up over trees of any
-height.  Below the top stage each completed result is quotiented down to
-what its parent can observe.  A path of any stage's squares lifts back to
-the components that entered the stage.
+position, then merge into one.  The top stage's result is completed into
+a live-reset component.  Below the top, a stage's result is a one-state
+summary of what its parent can observe (see ``summary``), so the
+construction nests bottom-up over trees of any height.  A path of any
+stage's squares lifts back to the components that entered the stage.
 """
 
 from __future__ import annotations
@@ -306,6 +306,26 @@ def cmpl(sq: SumOfSquares) -> Component:
     return flat_component(sq.root_name, lts.initial, zip(lts.src, lts.act, dst), lts.labels)
 
 
+def summary(sq: SumOfSquares) -> Component:
+    """The one-state component a parent's stage glues in for a reduced
+    subtree: named after the root, carrying every label of the squares, with
+    a self-loop on each upstream action of the root that some transition of
+    the squares takes, in sorted order.
+
+    Every state of the squares is reachable: they are built reachable, and
+    pruning deletes only locked states, which form a forward-closed set, so
+    no kept state lies beyond a deleted one.  The subtree shares only its
+    root's upacts with the parent, and each of them resets the subtree
+    (see ``cmpl``).  So all the parent can learn of it is which labels it
+    can reach and which upacts it can fire from its initial state, which is
+    what the summary keeps.  This preserves the reachability of every single
+    proposition, and nothing more: safety and ``EG`` verdicts may change.
+    """
+    lts = sq.lts
+    loops = [(0, a, 0) for a in sorted(sq.root_upacts.intersection(lts.act))]
+    return flat_component(sq.root_name, 0, loops, [frozenset().union(*lts.labels)])
+
+
 def quotient(
     component: Component, visible: frozenset[str], epsilon: str, keep: bool = False,
 ) -> tuple[Component, tuple[int, ...] | None]:
@@ -426,19 +446,18 @@ class ReductionStage:
 
     ``net`` is the network the squares ``sq`` were built from.  Its root
     and its leaf children are pre-minimised: ``originals`` holds the
-    components as they entered the stage (the reduced inner children among
-    them), aligned with ``net.components``, and ``blocks[i]`` the block map
-    ``quotient`` gave for ``originals[i]``, or None where the component
-    entered as it is (see ``quotient``'s ``keep``).  ``lift_witness`` reads
-    all three to map a path of ``sq`` onto states of ``originals``.  ``sq``
-    is the squares pruned, then with their home copies merged (see
-    ``merge_home``); ``unpruned_states`` counts the squares before both.
-    ``result`` is the component the parent sees: ``cmpl(sq)``, quotiented
-    below the top stage, so ``sq.lts.n_states`` against
-    ``len(result.states)`` is the quotient's shrink.  ``deleted`` counts the
-    states pruning removed from the unpruned squares, not those the merge
-    folded; when it is 0, ``sq`` holds the unpruned squares with their home
-    copies merged.
+    components as they entered the stage (the summaries of the inner
+    children among them), aligned with ``net.components``, and
+    ``blocks[i]`` the block map ``quotient`` gave for ``originals[i]``, or
+    None where the component entered as it is (see ``quotient``'s
+    ``keep``).  ``lift_witness`` reads all three to map a path of ``sq``
+    onto states of ``originals``.  ``sq`` is the squares pruned, then with
+    their home copies merged (see ``merge_home``); ``unpruned_states``
+    counts the squares before both.  ``result`` is ``cmpl(sq)`` at the top
+    stage and, below it, the one-state ``summary(sq)`` the parent's stage
+    glues in.  ``deleted`` counts the states pruning removed from the
+    unpruned squares, not those the merge folded; when it is 0, ``sq``
+    holds the unpruned squares with their home copies merged.
     """
 
     net: Network
@@ -552,13 +571,13 @@ def reduce_net(net: Network) -> Component:
     """Collapse a live-reset tree network into a single component.
 
     A lone component is returned unchanged.  Every internal node is
-    replaced by the completed sum-of-squares of itself and its children,
-    pruned and with its home copies merged, quotiented by ``quotient``
-    unless it is the root.  The node and its leaf children enter the
-    squares pre-minimised against their tree interface (upacts and
-    downacts); its inner children enter as already reduced.  The result
-    satisfies the same reachability verdicts as the full product for every
-    single proposition.
+    replaced by the sum-of-squares of itself and its children, pruned and
+    with its home copies merged: completed by ``cmpl`` at the root, and
+    summarised in one state by ``summary`` below it.  The node and its leaf
+    children enter the squares pre-minimised against their tree interface
+    (upacts and downacts); its inner children enter as their summaries.
+    The result satisfies the same reachability verdicts as the full product
+    for every single proposition.
     """
     return reduce_net_traced(net)[0]
 
@@ -570,17 +589,18 @@ def reduce_net_traced(
     with ``prune`` false, no stage prunes its locked states.
 
     Stages come in post-order over the original tree, children in network
-    order.  Below the top, each stage's ``result`` is the quotiented
-    component its parent's stage glues in.  The last stage is the top-level
-    one; its ``originals`` are the original root and leaves and the reduced
+    order.  Below the top, each stage's ``result`` is the one-state summary
+    its parent's stage glues in.  The last stage is the top-level one; its
+    ``originals`` are the original root and leaves and the summaries of the
     inner children, which is what a witness found on the final component
     lifts to (see ``lift_witness``).
 
     Every stage glues its squares under one fresh name, ``eps0`` unless the
-    network uses it.  Pre-minimised components and reduced children hide
-    their moves under one name too: one of ``net.silent``, or a fresh one
-    that is then silent in the stage networks.  Sharing these names is
-    safe because pruning reads who moved from the squares' movers.
+    network uses it.  Pre-minimised components hide their moves under one
+    name too: one of ``net.silent``, or a fresh one that is then silent in
+    the networks of the stages where some component is pre-minimised.
+    Sharing these names is safe because pruning reads who moved from the
+    squares' movers.
     """
     stages: list[ReductionStage] = []
     reserved = frozenset(
@@ -605,8 +625,8 @@ def reduce_net_traced(
                 if i == node or not net.children[i] else (c, None)
                 for i, c in zip((node, *kids), originals)]
             blocks = tuple(b for _, b in premin)
-            # pre-minimised components and reduced children hide moves under ``hide``
-            hiding = any(b is not None for b in blocks) or any(net.children[k] for k in kids)
+            # pre-minimised components hide their moves under ``hide``
+            hiding = any(b is not None for b in blocks)
             two_level = two_level_network(
                 premin[0][0],
                 [c for c, _ in premin[1:]],
@@ -615,9 +635,7 @@ def reduce_net_traced(
                 silent=net.silent | {hide} if hiding else net.silent,
             )
             sq, unpruned, deleted = _squares(two_level, epsilon, prune)
-            result = cmpl(sq)
-            if node != net.root_index:
-                result, _ = quotient(result, net.upacts[node], hide)
+            result = cmpl(sq) if node == net.root_index else summary(sq)
             reduced[node] = result
             stages.append(ReductionStage(
                 two_level, sq, result, deleted, originals, blocks, unpruned))

@@ -3,7 +3,7 @@
 from treelts import Component, infer_topology
 
 
-def ring_tree(parents, states=4, labelled=None):
+def ring_tree(parents, states=4, labelled=None, ring=True):
     """A tree of tau-rings over ``states`` states; ``parents[i]`` is the
     parent index of component ``n{i}`` (``None`` for the root ``n0``).
 
@@ -13,12 +13,19 @@ def ring_tree(parents, states=4, labelled=None):
     rings make every tuple of local states reachable, so the full product
     has ``states ** len(parents)`` states and ``EF p{i}`` holds for every
     label.
+
+    With ``ring`` false the tau edge from the last state back to ``s0`` is
+    left out: each component is a tau path that only a reset takes back,
+    with no silent cycle for pre-minimisation to collapse.  Every local
+    state is still reachable, so ``EF p{i}`` still holds for every label;
+    a root parked past ``s1`` never offers a reset again.
     """
     labelled = range(len(parents)) if labelled is None else labelled
     names = tuple(f"s{k}" for k in range(states))
     comps = []
     for i, parent in enumerate(parents):
-        trans = [(names[k], "tau", names[(k + 1) % states]) for k in range(states)]
+        trans = [(names[k], "tau", names[(k + 1) % states])
+                 for k in range(states if ring else states - 1)]
         if parent is not None:
             trans.append((names[-1], f"u{i}", names[0]))
         trans += [(names[1], f"u{j}", names[2]) for j, p in enumerate(parents) if p == i]
@@ -29,9 +36,9 @@ def ring_tree(parents, states=4, labelled=None):
     return infer_topology(comps, "n0")
 
 
-def ring_chain(depth, states=4, labelled=None):
+def ring_chain(depth, states=4, labelled=None, ring=True):
     """The path ``n0 - n1 - ...`` of ``depth`` rings, as in ``ring_tree``."""
-    return ring_tree([None, *range(depth - 1)], states, labelled)
+    return ring_tree([None, *range(depth - 1)], states, labelled, ring)
 
 
 def all_locked_tree():

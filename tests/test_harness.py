@@ -310,6 +310,9 @@ class TestStats:
         assert report.full_capped
         assert report.full_states >= 5
         assert "lower bound" in report.table()
+        full_line = report.table().splitlines()[0]
+        assert full_line == f"full product : {report.full_states} states (lower bound, cap hit)"
+        assert "transition" not in full_line
 
     @pytest.mark.parametrize("cap, capped", [(100, False), (5, True)], ids=["uncapped", "capped"])
     def test_each_structure_is_built_once(self, gx, monkeypatch, cap, capped):

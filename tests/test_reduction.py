@@ -424,16 +424,16 @@ class TestReduceNet:
         assert [stage.sq.root_name for stage in stages] == ["n2", "n1", "n4", "n0"]
         assert [stage.sq.epsilon for stage in stages] == ["eps0"] * 4
 
-    def test_hidden_name_is_silent_even_when_unused(self):
-        # every square of r is locked, so its reduced component is the bare
-        # glue state and does not use the fresh name reduced children hide
-        # their moves under; the stage it enters still lists that name
+    def test_no_fresh_hidden_name_where_nothing_hides(self):
+        # every square of r is locked, so its summary has no moves; no
+        # component of either stage merges under pre-minimisation, so
+        # neither stage lists a fresh name for hidden moves
         net = all_locked_tree()
         net = infer_topology(net.components, net.root.name, silent=frozenset())
         _, stages = reduce_net_traced(net)
         assert not stages[0].result.acts
         assert stages[0].net.silent == frozenset()
-        assert stages[1].net.silent == {"tau"}
+        assert stages[1].net.silent == frozenset()
 
     def test_one_epsilon_name_is_registered_for_every_level(self, chain_net):
         _, stages = reduce_net_traced(chain_net)
@@ -556,6 +556,12 @@ class TestQuotient:
             full, lts = full_product(sub), component_lts(result)
             for prop in sub.propositions():
                 assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
+            if stage is not stages[-1]:
+                # the summary: one state with the subtree's reachable labels
+                # and a self-loop on each root upact the subtree fires
+                assert len(result.states) == 1
+                assert result.label_of(result.initial) == frozenset().union(*full.labels)
+                assert {a for _, a, _ in result.transitions} == ups & set(full.act)
 
     def test_deep_ring_chain_reduces_below_its_product(self):
         net = ring_chain(6)
@@ -572,6 +578,34 @@ class TestQuotient:
         save(net, path)
         assert main(["check", str(path), "--ef", "p1999", "--reduced"]) == 0
         assert "HOLDS" in capsys.readouterr().out
+
+
+class TestSummary:
+    """Below the top, a reduced subtree enters its parent's stage as one
+    state.  The non-ring shapes have no silent cycle to pre-minimise, so
+    a strong-bisimulation quotient of each completed stage grows with the
+    depth of the subtree below it."""
+
+    def test_two_thousand_level_non_ring_chain_keeps_one_state_per_inner_stage(self):
+        labelled = {0, 1000, 1999}
+        net = ring_chain(2000, labelled=labelled, ring=False)
+        component, stages = reduce_net_traced(net)
+        assert len(stages) == 1999
+        assert all(len(stage.result.states) == 1 for stage in stages[:-1])
+        # every component walks its tau path to its labelled last state alone
+        lts = reduced_lts(component, stages)
+        assert net.propositions() == ("p0", "p1000", "p1999")
+        for prop in net.propositions():
+            assert check_ef(lts, prop).holds, prop
+
+    @pytest.mark.parametrize("net", [
+        ring_chain(6, ring=False),
+        ring_tree([None, 0, 0, 1, 1, 2, 2], ring=False),
+    ], ids=["chain6", "balanced3"])
+    def test_non_ring_shapes_agree_with_the_full_product(self, net):
+        _, stages = reduce_net_traced(net)
+        assert all(block is None for stage in stages for block in stage.blocks)
+        assert_agrees_with_the_full_product(net)
 
 
 def assert_agrees_with_the_full_product(net):
