@@ -5,10 +5,14 @@ pairwise products, glued at a fresh silent initial state.  Upstream child
 synchronisations become handoffs that may pass control to any square.
 States from which the root can never act again are pruned.  The squares'
 copies of each state with every child at home, one per child and root
-position, then merge into one.  The top stage's result is completed into
-a live-reset component.  Below the top, a stage's result is a one-state
-summary of what its parent can observe (see ``summary``), so the
-construction nests bottom-up over trees of any height.  A path of any
+position, then merge into one.  ``build_sq_unreduced``, ``prune_locked``
+and ``merge_home`` are that construction step by step; the reduction
+builds the same pruned, merged squares in one pass (see ``_squares``), so
+a handoff enters the merged home state once instead of every square.  The
+top stage's result is completed into a live-reset component.  Below the
+top, a stage's result is a one-state summary of what its parent can
+observe (see ``summary``), so the construction nests bottom-up over trees
+of any height.  A path of any
 stage's squares lifts back to the components that entered the stage.
 """
 
@@ -18,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from itertools import compress
 from operator import and_
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
@@ -75,6 +79,38 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     network order, child states varying slower than root states, both in
     declaration order.  Each transition is then emitted once, with its ids.
     """
+    m = _square_moves(net, epsilon)
+    ids = dict(zip(m.codes, range(1, len(m.codes) + 1)))
+    return _emit(net, m, ids, {rs: [ids[e + rs] for e in m.entries] for rs in m.entered})
+
+
+class _Moves(NamedTuple):
+    """The move tables and reachable codes of a two-level network's squares
+    (see ``build_sq_unreduced``)."""
+
+    epsilon: str
+    width: int
+    # per row: (child index, child state position), its labels, the child's
+    # local moves as (action, code offset, movers), and its upacts that
+    # reset it as (action, movers)
+    rows: list[tuple[int, int]]
+    row_labels: list[frozenset[str]]
+    child_local: list[list[tuple[str, int, frozenset[int]]]]
+    handoffs: list[list[tuple[str, frozenset[int]]]]
+    # per root position: the root's local and upstream moves, its targets
+    # per action, and its labels
+    root_local: list[list[tuple[str, int, frozenset[int]]]]
+    root_up: list[list[tuple[str, int, frozenset[int]]]]
+    root_dsts: list[dict[str, list[int]]]
+    root_labels: list[frozenset[str]]
+    entries: list[int]  # the code of each square's initial pair at root position 0
+    root_init: int
+    entered: set[int]  # root positions at which every square has been entered
+    codes: list[int]  # the reachable codes, sorted
+
+
+def _square_moves(net: Network, epsilon: str | None) -> _Moves:
+    """The move tables of ``net``'s squares and their reachable codes."""
     r = net.root_index
     kids = net.children[r]
     if not kids:
@@ -90,22 +126,22 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     elif epsilon in all_acts:
         raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
 
-    # per root position and per row (child index, child state position): the
-    # moves of each rule as (action, code offset, movers), the handoffs as
-    # (action, movers) and the root's targets per action; entries: the code
-    # of each square's initial pair at root position 0
     width = len(root.states)
     loc_root, up_root, at_root = net.locacts[r], net.upacts[r], frozenset((r,))
     root_local = [[(a, d - rs, at_root) for a, d in moves if a in loc_root]
                   for rs, moves in enumerate(root.succ)]
     root_up = [[(a, d - rs, at_root) for a, d in moves if a in up_root]
                for rs, moves in enumerate(root.succ)]
-    root_dsts = [{a: [d for b, d in moves if b == a] for a, _ in moves} for moves in root.succ]
-    rows, child_local, handoffs, entries = [], [], [], []
+    root_dsts: list[dict[str, list[int]]] = [{} for _ in root.succ]
+    for dsts, moves in zip(root_dsts, root.succ):
+        for a, d in moves:
+            dsts.setdefault(a, []).append(d)
+    rows, row_labels, child_local, handoffs, entries = [], [], [], [], []
     for k in kids:
         init, loc, up = comps[k].index[comps[k].initial], net.locacts[k], net.upacts[k]
         at_child, at_both = frozenset((k,)), frozenset((k, r))
         entries.append((len(rows) + init) * width)
+        row_labels += map(comps[k].label_of, comps[k].states)
         for cs, moves in enumerate(comps[k].succ):
             rows.append((k, cs))
             child_local.append([(a, (d - cs) * width, at_child) for a, d in moves if a in loc])
@@ -113,7 +149,7 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
 
     root_init = root.index[root.initial]
     found = {e + root_init for e in entries}
-    entered = {root_init}  # root positions at which every square has been entered
+    entered = {root_init}
     stack = list(found)
     while stack:
         code = stack.pop()
@@ -126,45 +162,69 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
                     new.update(e + root_dst for e in entries)
         stack += new - found
         found |= new
+    return _Moves(epsilon, width, rows, row_labels, child_local, handoffs, root_local, root_up,
+                  root_dsts, list(map(root.label_of, root.states)), entries, root_init,
+                  entered, sorted(found))
 
-    ordered = sorted(found)
-    ids = dict(zip(ordered, range(1, len(ordered) + 1)))
-    entry_ids = {rs: [ids[e + rs] for e in entries] for rs in entered}
-    glue = entry_ids[root_init]
-    n_glue = len(glue)
-    src, act, dst, movers = [0] * n_glue, [epsilon] * n_glue, glue[:], [frozenset()] * n_glue
-    for s, code in enumerate(ordered, 1):
+
+def _emit(net: Network, m: _Moves, ids: dict[int, int],
+          targets: dict[int, list[int]]) -> SumOfSquares:
+    """The squares over the codes of ``ids``, in code order, each becoming
+    state ``ids[code]``.
+
+    Codes that share an id merge into one state, which keeps the payload of
+    the first and the union of their labels; their transitions keep their
+    order, and exact repeats of ``(src, act, dst, movers)`` go.  A move into
+    a code outside ``ids`` goes too.  A handoff to root position ``rs``, and
+    the glue at the root's initial position, enter the states
+    ``targets[rs]``.
+    """
+    r, width, rows, row_labels, root_labels = (
+        net.root_index, m.width, m.rows, m.row_labels, m.root_labels)
+    comps = net.components
+    root_names = comps[r].states
+    glue = targets.get(m.root_init, [])
+    src, act, dst = [0] * len(glue), [m.epsilon] * len(glue), glue[:]
+    movers = [frozenset()] * len(glue)
+    labels: list[frozenset[str]] = [frozenset()]
+    payloads: list[Payload] = [FreshInit()]
+    for code, s in ids.items():
         row, rs = divmod(code, width)
-        for a, d, m in child_local[row] + root_local[rs]:
-            src.append(s)
-            act.append(a)
-            dst.append(ids[code + d])
-            movers.append(m)
-        for a, m in handoffs[row]:
-            for root_dst in root_dsts[rs].get(a, ()):
-                targets = entry_ids[root_dst]
-                src += [s] * len(targets)
-                act += [a] * len(targets)
-                dst += targets
-                movers += [m] * len(targets)
-        for a, d, m in root_up[rs]:
-            src.append(s)
-            act.append(a)
-            dst.append(ids[code + d])
-            movers.append(m)
-    keys = [rows[code // width] + (code % width,) for code in ordered]
-    names = {i: comps[i].states for i in (r, *kids)}
-    labels = {i: [comps[i].label_of(s) for s in comps[i].states] for i in (r, *kids)}
+        label = _union(row_labels[row], root_labels[rs])
+        if s == len(payloads):
+            i, cs = rows[row]
+            payloads.append(SquareOrigin(i, comps[i].states[cs], root_names[rs]))
+            labels.append(label)
+        else:
+            labels[s] = _union(labels[s], label)
+        for a, d, mv in m.child_local[row] + m.root_local[rs]:
+            if (t := ids.get(code + d)) is not None:
+                src.append(s)
+                act.append(a)
+                dst.append(t)
+                movers.append(mv)
+        for a, mv in m.handoffs[row]:
+            for root_dst in m.root_dsts[rs].get(a, ()):
+                into = targets.get(root_dst, ())
+                src += [s] * len(into)
+                act += [a] * len(into)
+                dst += into
+                movers += [mv] * len(into)
+        for a, d, mv in m.root_up[rs]:
+            if (t := ids.get(code + d)) is not None:
+                src.append(s)
+                act.append(a)
+                dst.append(t)
+                movers.append(mv)
+    if len(payloads) <= len(ids):  # merged copies can repeat a transition
+        edges = dict.fromkeys(zip(src, act, dst, movers))
+        src, act, dst, movers = (list(col) for col in zip(*edges)) if edges else ([], [], [], [])
     return SumOfSquares(
-        lts=ExplicitLts(
-            0, src, act, dst, movers,
-            [frozenset()] + [_union(labels[i][cs], labels[r][rs]) for i, cs, rs in keys],
-            [FreshInit()] + [SquareOrigin(i, names[i][cs], names[r][rs]) for i, cs, rs in keys],
-        ),
-        epsilon=epsilon,
-        root_name=root.name,
+        lts=ExplicitLts(0, src, act, dst, movers, labels, payloads),
+        epsilon=m.epsilon,
+        root_name=comps[r].name,
         root_index=r,
-        root_upacts=up_root,
+        root_upacts=net.upacts[r],
     )
 
 
@@ -178,10 +238,15 @@ def _backward_closure(lts: ExplicitLts, seeds: Iterable[int]) -> set[int]:
     rev: list[list[int]] = [[] for _ in range(lts.n_states)]
     for s, d in zip(lts.src, lts.dst):
         rev[d].append(s)
+    return _closure(rev, seeds)
+
+
+def _closure(preds: Sequence[list[int]] | dict[int, list[int]], seeds: Iterable[int]) -> set[int]:
+    """The ``seeds`` together with every node ``preds`` leads to from them."""
     closed = set(seeds)
     stack = list(closed)
     while stack:
-        for v in rev[stack.pop()]:
+        for v in preds[stack.pop()]:
             if v not in closed:
                 closed.add(v)
                 stack.append(v)
@@ -451,13 +516,17 @@ class ReductionStage:
     ``blocks[i]`` the block map ``quotient`` gave for ``originals[i]``, or
     None where the component entered as it is (see ``quotient``'s
     ``keep``).  ``lift_witness`` reads all three to map a path of ``sq``
-    onto states of ``originals``.  ``sq`` is the squares pruned, then with
-    their home copies merged (see ``merge_home``); ``unpruned_states``
-    counts the squares before both.  ``result`` is ``cmpl(sq)`` at the top
-    stage and, below it, the one-state ``summary(sq)`` the parent's stage
-    glues in.  ``deleted`` counts the states pruning removed from the
-    unpruned squares, not those the merge folded; when it is 0, ``sq``
-    holds the unpruned squares with their home copies merged.
+    onto states of ``originals``.  ``sq`` is the squares pruned, with
+    their home copies merged, as
+    ``merge_home(prune_locked(build_sq_unreduced(net)), net)`` gives them,
+    though the reduction builds them in one pass (see ``_squares``).
+    ``unpruned_states`` counts the states of ``build_sq_unreduced(net)``,
+    which the reduction counts but does not build.  ``result`` is
+    ``cmpl(sq)`` at the top stage and, below it, the one-state
+    ``summary(sq)`` the parent's stage glues in.  ``deleted`` counts the
+    states pruning removed from the unpruned squares, not those the merge
+    folded; when it is 0, ``sq`` holds the unpruned squares with their
+    home copies merged.
     """
 
     net: Network
@@ -655,10 +724,47 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
 
 
 def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int, int]:
-    """The squares of a two-level stage, pruned unless ``prune`` is false,
-    with their home copies merged (see ``merge_home``), the number of
-    unpruned square states, and the number of states pruning deleted."""
-    sq = build_sq_unreduced(net, epsilon)
-    pruned = prune_locked(sq) if prune else sq
-    unpruned = sq.lts.n_states
-    return merge_home(pruned, net), unpruned, unpruned - pruned.lts.n_states
+    """``merge_home(prune_locked(build_sq_unreduced(net, epsilon)), net)``,
+    unpruned when ``prune`` is false, built in one pass: a handoff enters
+    the one state of its root position's surviving copies of home, not
+    every square.  Also returns the number of unpruned square states and
+    the number of states pruning deleted (see ``_pruned``)."""
+    m = _square_moves(net, epsilon)
+    gone = _pruned(m) if prune else set()
+    home_rows = {e // m.width for e in m.entries}
+    # one state per kept code, and one for the copies of home at rs (key -1 - rs)
+    state: dict[int, int] = {}
+    ids: dict[int, int] = {}
+    for code in m.codes:
+        if code not in gone:
+            row, rs = divmod(code, m.width)
+            ids[code] = state.setdefault(-1 - rs if row in home_rows else code, len(state) + 1)
+    targets = {rs: [state[-1 - rs]] for rs in m.entered if -1 - rs in state}
+    return _emit(net, m, ids, targets), len(m.codes) + 1, len(gone)
+
+
+def _pruned(m: _Moves) -> set[int]:
+    """The codes ``prune_locked`` deletes from the squares of ``m``, found
+    from their in-square moves.
+
+    Every move the root takes part in seeds ``compute_locked``'s closure at
+    its source, so only child-local moves carry it further; a handoff,
+    which moves the root, changes nothing.  A locked state has only
+    child-local moves, so whether it reaches a label is decided by those
+    moves too.
+    """
+    width = m.width
+    preds: dict[int, list[int]] = {code: [] for code in m.codes}
+    seeds = []
+    for code in m.codes:
+        row, rs = divmod(code, width)
+        for _, d, _ in m.child_local[row]:
+            preds[code + d].append(code)
+        if m.root_local[rs] or m.root_up[rs] or any(
+                a in m.root_dsts[rs] for a, _ in m.handoffs[row]):
+            seeds.append(code)
+    alive = _closure(preds, seeds)
+    locked = [code for code in m.codes if code not in alive]
+    reaching = _closure(preds, [code for code in locked
+                                if m.row_labels[code // width] or m.root_labels[code % width]])
+    return {code for code in locked if code not in reaching}

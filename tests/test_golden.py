@@ -20,11 +20,13 @@ import pytest
 import treelts
 from treelts import (
     Component,
+    GenConfig,
     build_sq_unreduced,
     check_ef,
     component_lts,
     equivalence_suite,
     full_product,
+    gen_random_tree,
     harness,
     infer_topology,
     prune_locked,
@@ -136,25 +138,57 @@ def test_wide_golden_reduction_agrees_with_the_full_product():
         assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
 
 
-@pytest.mark.parametrize("make", [
-    lambda: load(gx_path()), chain_out_of_order, wide_tree, all_locked_tree,
-    lambda: ring_tree([None, 0, 1, 1, 0]),
-], ids=["gx", "chain", "wide", "all-locked", "ring-tree"])
+STAGE_NETWORKS = {
+    "gx": lambda: [load(gx_path())],
+    "chain": lambda: [chain_out_of_order()],
+    "wide": lambda: [wide_tree()],
+    "all-locked": lambda: [all_locked_tree()],
+    "ring-tree": lambda: [ring_tree([None, 0, 1, 1, 0])],
+    "non-ring-tree": lambda: [ring_tree([None, 0, 1, 1, 0], ring=False)],
+    "random-depth-4": lambda: [
+        gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=3, max_states=5))
+        for seed in range(600)],
+}
+# where pruning deletes a copy of home and keeps another at the same root
+# position: merging the copies before pruning would keep the deleted one's
+# moves, so these cases tell the two orders apart
+SPLIT_HOME = {"gx", "random-depth-4"}
+
+
+def splits_home(unpruned, pruned, net):
+    """Whether ``pruned`` keeps some copy of home at a root position where
+    it deleted another."""
+    home = {k: net.components[k].initial for k in net.children[net.root_index]}
+    by_root = {}
+    for p in unpruned.lts.payloads[1:]:
+        if home[p.child_index] == p.child_state:
+            by_root.setdefault(p.root_state, set()).add(pruned.lts.has_payload(p))
+    return {True, False} in by_root.values()
+
+
+@pytest.mark.parametrize("name", STAGE_NETWORKS)
 @pytest.mark.parametrize("prune", [True, False])
-def test_stage_squares_rebuild_from_the_stage_network(make, prune):
-    # the benchmark's per-stage records and equivalence_suite rebuild the
-    # unpruned squares from stage.net, so it must be the network the squares
-    # were built from, pre-minimised components included
-    for stage in reduce_net_traced(make(), prune=prune)[1]:
-        unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
-        assert stage.unpruned_states == unpruned.lts.n_states
-        pruned = prune_locked(unpruned) if prune else unpruned
-        assert unpruned.lts.n_states - stage.deleted == pruned.lts.n_states
-        rebuilt, lts = merge_home(pruned, stage.net).lts, stage.sq.lts
-        assert (rebuilt.payloads, rebuilt.labels) == (lts.payloads, lts.labels)
-        edges = list(zip(lts.src, lts.act, lts.dst, lts.movers))
-        assert list(zip(rebuilt.src, rebuilt.act, rebuilt.dst, rebuilt.movers)) == edges
-        assert len(set(edges)) == len(edges)
+def test_stage_squares_rebuild_from_the_stage_network(name, prune):
+    # the pipeline builds its pruned, merged squares in one pass; they must
+    # be the reference construction's, edge for edge.  The benchmark's
+    # per-stage records and equivalence_suite rebuild the unpruned squares
+    # from stage.net, so it must be the network the squares were built
+    # from, pre-minimised components included
+    split = False
+    for net in STAGE_NETWORKS[name]():
+        for stage in reduce_net_traced(net, prune=prune)[1]:
+            unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
+            assert stage.unpruned_states == unpruned.lts.n_states
+            pruned = prune_locked(unpruned) if prune else unpruned
+            assert unpruned.lts.n_states - stage.deleted == pruned.lts.n_states
+            rebuilt, lts = merge_home(pruned, stage.net).lts, stage.sq.lts
+            assert (rebuilt.initial, rebuilt.payloads, rebuilt.labels) == (
+                lts.initial, lts.payloads, lts.labels)
+            edges = list(zip(lts.src, lts.act, lts.dst, lts.movers))
+            assert list(zip(rebuilt.src, rebuilt.act, rebuilt.dst, rebuilt.movers)) == edges
+            assert len(set(edges)) == len(edges)
+            split = split or splits_home(unpruned, pruned, stage.net)
+    assert split == (prune and name in SPLIT_HOME)
 
 
 @pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])
@@ -238,7 +272,10 @@ def perfbench_module(name, monkeypatch):
 
 def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch):
     # what ``perfbench/run.py --trace 1`` counts and records: the patched
-    # calls' first arguments, stage.net, stage.sq and stage.result
+    # calls' first arguments, stage.net, stage.sq and stage.result, and the
+    # unpruned squares and locked count rebuilt by the public reference
+    # functions; the pipeline no longer calls those, so their sizes come
+    # from the records
     spans, run = perfbench_module("spans", monkeypatch), perfbench_module("run", monkeypatch)
     before = dict(vars(reduction)), dict(vars(harness))
     tracer = spans.Tracer()
@@ -248,14 +285,13 @@ def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch):
     finally:
         tracer.restore()
     assert (dict(vars(reduction)), dict(vars(harness))) == before
-    expected = {
-        "reduction.square_states": 21, "reduction.square_transitions": 26,
-        "reduction.locked_states": 9, "reduction.deleted_states": 9,
-        "reduction.stages": 1, "product.full_states": 15,
-    }
+    expected = {"reduction.stages": 1, "product.full_states": 15}
     assert {key: tracer.counts[key] for key in expected} == expected
     records = run.stage_records(tracer.stage_phases(len(tracer.spans)), [gx_path()])
     assert len(records) == 1 and records[0]["result_states"] == 11
+    sizes = {key: records[0][key] for key in ("unpruned_states", "unpruned_transitions", "locked")}
+    assert sizes == {"unpruned_states": 21, "unpruned_transitions": 26, "locked": 9}
+    assert reduce_net_traced(load(gx_path()))[1][0].deleted == 9
 
 
 def test_names_the_benchmark_imports_from_treelts_exist():
@@ -308,8 +344,9 @@ def constructor_callers(module, name):
 
 
 def test_one_renumbering_and_one_namer():
-    # prune_locked and merge_home renumber through _fold; cmpl, quotient and
-    # product -o name their states through flat_component
-    assert constructor_callers("reduction", "ExplicitLts") == {"build_sq_unreduced", "_fold"}
+    # both square builders emit through _emit, prune_locked and merge_home
+    # renumber through _fold; cmpl, quotient and product -o name their
+    # states through flat_component
+    assert constructor_callers("reduction", "ExplicitLts") == {"_emit", "_fold"}
     assert constructor_callers("reduction", "Component") == set()
     assert constructor_callers("product", "Component") == {"flat_component"}

@@ -394,13 +394,13 @@ class TestReduceNet:
 
     def test_one_build_sq_call_per_internal_node(self, chain_net, monkeypatch):
         calls = []
-        original = reduction_module.build_sq_unreduced
+        original = reduction_module._squares
 
-        def counting(net, epsilon=None):
+        def counting(net, epsilon, prune):
             calls.append(net.root.name)
-            return original(net, epsilon)
+            return original(net, epsilon, prune)
 
-        monkeypatch.setattr(reduction_module, "build_sq_unreduced", counting)
+        monkeypatch.setattr(reduction_module, "_squares", counting)
         reduce_net(chain_net)
         assert sorted(calls) == ["A", "B"]
         # every square is locked at both stages: the fallback to the bare
@@ -408,6 +408,21 @@ class TestReduceNet:
         calls.clear()
         reduce_net(all_locked_tree())
         assert sorted(calls) == ["r", "t"]
+
+    def test_the_pipeline_builds_no_unmerged_squares(self, monkeypatch):
+        # the reference construction puts one handoff into every square, so
+        # 2,000 leaves would give 2,000 x 2,000 handoff edges
+        def unused(*args):
+            raise AssertionError("the pipeline builds its squares in one pass")
+
+        for name in ("build_sq_unreduced", "prune_locked", "merge_home"):
+            monkeypatch.setattr(reduction_module, name, unused)
+        _, stages = reduce_net_traced(ring_tree([None] + [0] * 2000))
+        for stage in stages:
+            size = sum(len(c.states) + len(c.transitions) for c in stage.net.components)
+            assert stage.unpruned_states == 2001
+            assert stage.sq.lts.n_states == 2
+            assert len(stage.sq.lts.src) <= 2 * size
 
     def test_keep_locked_mode_skips_pruning(self, gx):
         comp, stages = reduce_net_traced(gx, prune=False)
