@@ -353,7 +353,8 @@ def stats(net: Network, cap: int = DEFAULT_STATE_CAP) -> StatsReport:
     The reduced sizes are those of ``reduced_lts``, the graph that
     ``check --reduced`` checks.  A capped product is reported as a lower
     bound instead of failing.  Each time is of one run; repeated timing is
-    left to the benchmark (``perfbench/``).
+    left to the benchmark (``perfbench/``).  The ``reduce`` time covers the
+    summary pass and the top stage: no squares below the top are built.
     """
     full_states = full_transitions = 0
     capped = False

@@ -10,16 +10,19 @@ and ``merge_home`` are that construction step by step; the reduction
 builds the same pruned, merged squares in one pass (see ``_squares``), so
 a handoff enters the merged home state once instead of every square.  The
 top stage's result is completed into a live-reset component.  Below the
-top, a stage's result is a one-state summary of what its parent can
-observe (see ``summary``), so the construction nests bottom-up over trees
-of any height.  A path of any
-stage's squares lifts back to the components that entered the stage.
+top, a subtree is seen by its parent only through the labels it can reach
+and the upacts it can fire; one linear pass computes both for every node
+(see ``summaries``), and the stage's result is a one-state summary of
+them, so a stage below the top builds its squares only when they are
+read.  A path of any stage's squares lifts back to the components that
+entered the stage.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import compress
 from operator import and_
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -371,24 +374,47 @@ def cmpl(sq: SumOfSquares) -> Component:
     return flat_component(sq.root_name, lts.initial, zip(lts.src, lts.act, dst), lts.labels)
 
 
-def summary(sq: SumOfSquares) -> Component:
-    """The one-state component a parent's stage glues in for a reduced
-    subtree: named after the root, carrying every label of the squares, with
-    a self-loop on each upstream action of the root that some transition of
-    the squares takes, in sorted order.
+def summaries(
+    net: Network, node: int | None = None,
+) -> dict[int, tuple[frozenset[str], frozenset[str]]]:
+    """What a parent can observe of each subtree, per node of the subtree
+    under ``node`` (the whole tree by default), children first: the labels
+    the subtree can reach and the upacts the node can fire.
 
-    Every state of the squares is reachable: they are built reachable, and
-    pruning deletes only locked states, which form a forward-closed set, so
-    no kept state lies beyond a deleted one.  The subtree shares only its
-    root's upacts with the parent, and each of them resets the subtree
-    (see ``cmpl``).  So all the parent can learn of it is which labels it
-    can reach and which upacts it can fire from its initial state, which is
-    what the summary keeps.  This preserves the reachability of every single
-    proposition, and nothing more: safety and ``EG`` verdicts may change.
+    One pass, linear in the components: each is searched from its initial
+    state along its local and silent moves, and along a downact only where
+    the child declaring it can fire it; an upact is recorded, not followed.
+    A node's labels are its visited states' and its children's.
+
+    Sound under live reset (``validate_live_reset``): an upact move resets
+    its component, so what a component reaches does not depend on its
+    parent, and a child reaches a label or an enabled upact by moves the
+    parent takes no part in while the parent waits.  The subtree shares
+    only its root's upacts with the parent, each resetting it, so the
+    parent learns nothing more of it, and ``EF p`` holds iff ``p`` is among
+    the root's labels.  Only single-proposition reachability is preserved:
+    safety and ``EG`` verdicts may change.  The two sets are what the node's
+    pruned squares show (their labels, and the root upacts their
+    transitions take); on a network that violates live reset they may not
+    be.
     """
-    lts = sq.lts
-    loops = [(0, a, 0) for a in sorted(sq.root_upacts.intersection(lts.act))]
-    return flat_component(sq.root_name, 0, loops, [frozenset().union(*lts.labels)])
+    out: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
+    todo = [(net.root_index if node is None else node, False)]
+    while todo:
+        i, ready = todo.pop()
+        kids = net.children[i]
+        if kids and not ready:
+            todo.append((i, True))
+            todo.extend((k, False) for k in reversed(kids))
+            continue
+        comp, up = net.components[i], net.upacts[i]
+        skip = up | net.downacts[i].difference(*(out[k][1] for k in kids))
+        seen = _closure([[d for a, d in moves if a not in skip] for moves in comp.succ],
+                        [comp.index[comp.initial]])
+        out[i] = (frozenset().union(*(comp.label_of(comp.states[s]) for s in seen),
+                                    *(out[k][0] for k in kids)),
+                  frozenset(a for s in seen for a, _ in comp.succ[s] if a in up))
+    return out
 
 
 def quotient(
@@ -507,35 +533,68 @@ def _sccs(succ: list[list[int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class ReductionStage:
-    """One two-level collapse performed during a bottom-up reduction.
+    """One two-level collapse of a bottom-up reduction: node ``node`` of
+    the network ``tree`` with its children.
 
-    ``net`` is the network the squares ``sq`` were built from.  Its root
-    and its leaf children are pre-minimised: ``originals`` holds the
-    components as they entered the stage (the summaries of the inner
-    children among them), aligned with ``net.components``, and
-    ``blocks[i]`` the block map ``quotient`` gave for ``originals[i]``, or
-    None where the component entered as it is (see ``quotient``'s
-    ``keep``).  ``lift_witness`` reads all three to map a path of ``sq``
-    onto states of ``originals``.  ``sq`` is the squares pruned, with
-    their home copies merged, as
-    ``merge_home(prune_locked(build_sq_unreduced(net)), net)`` gives them,
-    though the reduction builds them in one pass (see ``_squares``).
-    ``unpruned_states`` counts the states of ``build_sq_unreduced(net)``,
-    which the reduction counts but does not build.  ``result`` is
-    ``cmpl(sq)`` at the top stage and, below it, the one-state
-    ``summary(sq)`` the parent's stage glues in.  ``deleted`` counts the
-    states pruning removed from the unpruned squares, not those the merge
-    folded; when it is 0, ``sq`` holds the unpruned squares with their
-    home copies merged.
+    ``originals`` holds the components as they entered the stage, the
+    node's first and then its children's in network order: a leaf as it
+    is, an inner child as its one-state summary.  ``result`` is
+    ``cmpl(sq)`` at the top stage and, below it, the one-state summary of
+    the node's subtree, made from ``summaries`` alone.
+
+    ``net``, ``blocks``, ``sq``, ``unpruned_states`` and ``deleted`` are
+    built on first access, once per stage; only the top stage, whose
+    ``cmpl`` reads them, builds them at once.  ``net`` is the two-level
+    network the squares ``sq`` are built from, aligned with ``originals``,
+    its root and leaf children pre-minimised: ``blocks[i]`` is the block map
+    ``quotient`` gave for ``originals[i]``, or None where the component
+    entered as it is (see ``quotient``'s ``keep``).  ``lift_witness`` reads
+    all three.  ``sq`` is the squares pruned (unless ``prune`` is false),
+    with their home copies merged, as ``merge_home(prune_locked(
+    build_sq_unreduced(net)), net)`` gives them, though built in one pass
+    (see ``_squares``).  ``unpruned_states`` counts the states of
+    ``build_sq_unreduced(net)``, which is never built, and ``deleted`` those
+    pruning removed, not those the merge folded: when it is 0, ``sq`` holds
+    the unpruned squares merged.  ``epsilon`` and ``hide`` name the glue and
+    the hidden moves (see ``reduce_net_traced``).
     """
 
-    net: Network
-    sq: SumOfSquares
-    result: Component
-    deleted: int
+    result: Component | None  # None: the top stage, completed from its squares
     originals: tuple[Component, ...]
-    blocks: tuple[tuple[int, ...] | None, ...]
-    unpruned_states: int
+    tree: Network
+    node: int
+    epsilon: str
+    hide: str
+    prune: bool
+
+    def __post_init__(self) -> None:
+        if self.result is None:
+            object.__setattr__(self, "result", cmpl(self.sq))
+
+    @cached_property
+    def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
+        tree, kids = self.tree, self.tree.children[self.node]
+        premin = [
+            quotient(c, _interface(tree, i), self.hide, keep=True)
+            if i == self.node or not tree.children[i] else (c, None)
+            for i, c in zip((self.node, *kids), self.originals)]
+        blocks = tuple(b for _, b in premin)
+        # pre-minimised components hide their moves under ``hide``
+        hiding = any(b is not None for b in blocks)
+        silent = tree.silent | {self.hide} if hiding else tree.silent
+        return two_level_network(
+            premin[0][0], [c for c, _ in premin[1:]], [tree.upacts[k] for k in kids],
+            tree.upacts[self.node], silent), blocks
+
+    @cached_property
+    def _built(self) -> tuple[SumOfSquares, int, int]:
+        return _squares(self.net, self.epsilon, self.prune)
+
+    net = cached_property(lambda self: self._entered[0])
+    blocks = cached_property(lambda self: self._entered[1])
+    sq = cached_property(lambda self: self._built[0])
+    unpruned_states = cached_property(lambda self: self._built[1])
+    deleted = cached_property(lambda self: self._built[2])
 
 
 def lift_witness(
@@ -639,14 +698,14 @@ def lift_witness(
 def reduce_net(net: Network) -> Component:
     """Collapse a live-reset tree network into a single component.
 
-    A lone component is returned unchanged.  Every internal node is
-    replaced by the sum-of-squares of itself and its children, pruned and
-    with its home copies merged: completed by ``cmpl`` at the root, and
-    summarised in one state by ``summary`` below it.  The node and its leaf
+    A lone component is returned unchanged.  The root is replaced by the
+    sum-of-squares of itself and its children, pruned and with its home
+    copies merged, and completed by ``cmpl``.  The root and its leaf
     children enter the squares pre-minimised against their tree interface
-    (upacts and downacts); its inner children enter as their summaries.
-    The result satisfies the same reachability verdicts as the full product
-    for every single proposition.
+    (upacts and downacts); each inner child enters as a one-state summary
+    of its subtree, which ``summaries`` computes in one pass.  The result
+    satisfies the same reachability verdicts as the full product for every
+    single proposition.  The network must pass ``validate_live_reset``.
     """
     return reduce_net_traced(net)[0]
 
@@ -659,10 +718,13 @@ def reduce_net_traced(
 
     Stages come in post-order over the original tree, children in network
     order.  Below the top, each stage's ``result`` is the one-state summary
-    its parent's stage glues in.  The last stage is the top-level one; its
-    ``originals`` are the original root and leaves and the summaries of the
-    inner children, which is what a witness found on the final component
-    lifts to (see ``lift_witness``).
+    its parent's stage glues in, straight from ``summaries``: no stage
+    below the top builds its squares until they are read.  On a network
+    that fails ``validate_live_reset`` these summaries may differ from what
+    the squares show, and no verdict is promised.  The last stage is the
+    top-level one; its ``originals`` are the original root and leaves and
+    the summaries of the inner children, which is what a witness found on
+    the final component lifts to (see ``lift_witness``).
 
     Every stage glues its squares under one fresh name, ``eps0`` unless the
     network uses it.  Pre-minimised components hide their moves under one
@@ -671,44 +733,28 @@ def reduce_net_traced(
     Sharing these names is safe because pruning reads who moved from the
     squares' movers.
     """
-    stages: list[ReductionStage] = []
-    reserved = frozenset(
-        {a for c in net.components for a in c.acts} | net.silent
-    )
+    r, kids = net.root_index, net.children[net.root_index]
+    if not kids:
+        return net.root, ()
+    reserved = frozenset({a for c in net.components for a in c.acts} | net.silent)
     hide = min(net.silent) if net.silent else fresh_action(reserved, "tau")
     epsilon = fresh_action(reserved, "eps0")
-    reduced: dict[int, Component] = {}
-    todo = [(net.root_index, False)]
-    while todo:
-        node, ready = todo.pop()
-        kids = net.children[node]
-        if not kids:
-            reduced[node] = net.components[node]
-        elif not ready:
-            todo.append((node, True))
-            todo.extend((k, False) for k in reversed(kids))
-        else:
-            originals = (net.components[node], *(reduced.pop(k) for k in kids))
-            premin = [
-                quotient(c, _interface(net, i), hide, keep=True)
-                if i == node or not net.children[i] else (c, None)
-                for i, c in zip((node, *kids), originals)]
-            blocks = tuple(b for _, b in premin)
-            # pre-minimised components hide their moves under ``hide``
-            hiding = any(b is not None for b in blocks)
-            two_level = two_level_network(
-                premin[0][0],
-                [c for c, _ in premin[1:]],
-                child_upacts=[net.upacts[k] for k in kids],
-                root_upacts=net.upacts[node],
-                silent=net.silent | {hide} if hiding else net.silent,
-            )
-            sq, unpruned, deleted = _squares(two_level, epsilon, prune)
-            result = cmpl(sq) if node == net.root_index else summary(sq)
-            reduced[node] = result
-            stages.append(ReductionStage(
-                two_level, sq, result, deleted, originals, blocks, unpruned))
-    return reduced[net.root_index], tuple(stages)
+    entering = list(net.components)  # what each node brings to its parent's stage
+
+    def stage(i: int, result: Component | None) -> ReductionStage:
+        originals = (net.components[i], *(entering[k] for k in net.children[i]))
+        return ReductionStage(result, originals, net, i, epsilon, hide, prune)
+
+    stages = []
+    for k in kids:  # the pass runs only inside inner children's subtrees
+        if net.children[k]:
+            for i, (labels, upacts) in summaries(net, k).items():
+                if net.children[i]:
+                    entering[i] = flat_component(net.components[i].name, 0, [
+                        (0, a, 0) for a in sorted(upacts)], [labels])
+                    stages.append(stage(i, entering[i]))
+    stages.append(stage(r, None))
+    return stages[-1].result, tuple(stages)
 
 
 def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> ExplicitLts:

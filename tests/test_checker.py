@@ -315,6 +315,7 @@ class TestLiftWitness:
         assert s1.name == "S1" and top.blocks[1] is None
         stuck = replace(top, originals=(
             top.originals[0], Component(s1.name, s1.states, s1.initial, ()), top.originals[2]))
+        vars(stuck).update(net=top.net, blocks=top.blocks, sq=top.sq)  # not rebuilt from S1
         verdict = check_ef(top.sq.lts, "r3_reached")
         assert lift_witness(top, verdict.witness, "r3_reached").actions
         with pytest.raises(InvalidWitness, match="no hidden walk in component 'S1'"):

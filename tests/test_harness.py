@@ -138,15 +138,26 @@ class TestEquivalenceSuite:
             assert report.size_bound_ok and not report.divergences
 
 
-def patch_top_stage(monkeypatch, change):
-    """Make ``harness.reduce_net_traced`` return its top stage through ``change``."""
+def patch_stage(monkeypatch, change, at=-1):
+    """Make ``harness.reduce_net_traced`` return its stage ``at`` (the top
+    one by default) through ``change``."""
     original = harness.reduce_net_traced
 
     def patched(net):
         component, stages = original(net)
-        return component, stages[:-1] + (change(stages[-1]),)
+        stages = list(stages)
+        stages[at] = change(stages[at])
+        return component, tuple(stages)
 
     monkeypatch.setattr(harness, "reduce_net_traced", patched)
+
+
+def built_as(stage: ReductionStage, **values) -> ReductionStage:
+    """A copy of ``stage`` in which the fields built on first access (``sq``,
+    ``deleted``, ``unpruned_states``, ...) read ``values``."""
+    copy = replace(stage)
+    vars(copy).update(values)
+    return copy
 
 
 class TestSuiteFailureReporting:
@@ -177,8 +188,14 @@ class TestSuiteFailureReporting:
     def test_an_oversized_stage_breaks_the_size_bound(self, gx, monkeypatch):
         # gx: three components of at most five states, so the bound is 51
         assert equivalence_suite(gx).size_bound_ok
-        patch_top_stage(monkeypatch, lambda stage: replace(stage, unpruned_states=52))
+        patch_stage(monkeypatch, lambda stage: built_as(stage, unpruned_states=52))
         assert not equivalence_suite(gx).size_bound_ok
+
+    def test_an_oversized_inner_stage_breaks_the_size_bound(self, chain_net, monkeypatch):
+        # the inner stage B - C: two components of two states, so the bound is 5
+        assert equivalence_suite(chain_net).size_bound_ok
+        patch_stage(monkeypatch, lambda stage: built_as(stage, unpruned_states=6), at=0)
+        assert not equivalence_suite(chain_net).size_bound_ok
 
     def test_a_label_lost_by_pruning_is_a_divergence(self, monkeypatch):
         net = ring_tree([None, 0, 0])  # nothing pruned: the suite would skip the stage
@@ -187,9 +204,9 @@ class TestSuiteFailureReporting:
             lts = stage.sq.lts
             stripped = ExplicitLts(lts.initial, lts.src, lts.act, lts.dst, lts.movers,
                                    [ps - {"p1"} for ps in lts.labels], lts.payloads)
-            return replace(stage, sq=replace(stage.sq, lts=stripped), deleted=1)
+            return built_as(stage, sq=replace(stage.sq, lts=stripped), deleted=1)
 
-        patch_top_stage(monkeypatch, strip_p1)
+        patch_stage(monkeypatch, strip_p1)
         report = equivalence_suite(net)
         assert [(d.stage_root, d.proposition, d.pruned_holds, d.unpruned_holds)
                 for d in report.divergences] == [("n0", "p1", False, True)]

@@ -5,7 +5,7 @@ import gc
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 from treelts import (
@@ -40,13 +40,17 @@ from treelts import (
     validate_live_reset,
 )
 from treelts import reduction as reduction_module
-from treelts.cli import main, save
-from treelts.reduction import fresh_action, merge_home, quotient
+from treelts.cli import main, save, save_string
+from treelts.product import flat_component
+from treelts.reduction import fresh_action, merge_home, quotient, summaries
 from oracles import naive_ef, naive_product
 from shapes import all_locked_tree, ring_chain, ring_tree
 
 #: Largest product of subtree component sizes the per-stage oracle builds.
 ORACLE_CAP = 20_000
+#: The generator bounds of the acceptance suite (``test_acceptance.SUITE_CFG``).
+ACCEPTANCE_SHAPE = dict(max_depth=3, max_children=3, max_states=5, max_local_actions=2,
+                        propositions=3, density=0.6)
 
 
 def payload_names(sq):
@@ -392,7 +396,7 @@ class TestReduceNet:
         for prop in chain_net.propositions():
             assert check_ef(lts, prop).holds == naive_ef(reach, labels, prop)
 
-    def test_one_build_sq_call_per_internal_node(self, chain_net, monkeypatch):
+    def test_only_the_top_stage_builds_its_squares(self, chain_net, monkeypatch):
         calls = []
         original = reduction_module._squares
 
@@ -401,13 +405,19 @@ class TestReduceNet:
             return original(net, epsilon, prune)
 
         monkeypatch.setattr(reduction_module, "_squares", counting)
-        reduce_net(chain_net)
-        assert sorted(calls) == ["A", "B"]
-        # every square is locked at both stages: the fallback to the bare
-        # glue state reuses the squares already built
+        for net, top in ((ring_chain(6), "n0"), (chain_net, "A"), (all_locked_tree(), "t")):
+            calls.clear()
+            reduce_net(net)
+            assert calls == [top]
+        # an inner stage builds its network on first access, and its
+        # squares once, when they are first read
         calls.clear()
-        reduce_net(all_locked_tree())
-        assert sorted(calls) == ["r", "t"]
+        _, stages = reduce_net_traced(ring_chain(6))
+        inner = stages[0]
+        assert inner.net.root.name == "n4" and len(inner.blocks) == 2 and calls == ["n0"]
+        sq = inner.sq
+        assert inner.sq is sq and inner.unpruned_states and not inner.deleted
+        assert calls == ["n0", "n4"]
 
     def test_the_pipeline_builds_no_unmerged_squares(self, monkeypatch):
         # the reference construction puts one handoff into every square, so
@@ -595,11 +605,69 @@ class TestQuotient:
         assert "HOLDS" in capsys.readouterr().out
 
 
+def summary_of_squares(sq):
+    """The one-state summary read off a stage's squares: every label they
+    carry, and a self-loop on each root upact some transition takes."""
+    loops = [(0, a, 0) for a in sorted(sq.root_upacts.intersection(sq.lts.act))]
+    return flat_component(sq.root_name, 0, loops, [frozenset().union(*sq.lts.labels)])
+
+
+def assert_inner_summaries_match_their_squares(net, prune):
+    _, stages = reduce_net_traced(net, prune=prune)
+    for stage in stages[:-1]:
+        assert stage.result == summary_of_squares(stage.sq), stage.result.name
+    return len(stages) - 1
+
+
 class TestSummary:
     """Below the top, a reduced subtree enters its parent's stage as one
     state.  The non-ring shapes have no silent cycle to pre-minimise, so
     a strong-bisimulation quotient of each completed stage grows with the
     depth of the subtree below it."""
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "keep-locked"])
+    @pytest.mark.parametrize("shape", [
+        ACCEPTANCE_SHAPE,
+        dict(max_depth=5, max_children=2, max_states=4, density=0.6),
+    ], ids=["acceptance", "depth5"])
+    def test_inner_summaries_equal_what_their_squares_show(self, shape, prune):
+        inner = sum(assert_inner_summaries_match_their_squares(
+            gen_random_tree(GenConfig(seed=seed, **shape)), prune) for seed in range(600))
+        assert inner > 600
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9), st.integers(1, 3), st.integers(1, 5),
+           st.sampled_from([0.3, 0.6, 1.0]), st.booleans())
+    def test_inner_summaries_of_deeper_trees(self, seed, children, states, density, prune):
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=children,
+                                        max_states=states, density=density))
+        note(save_string(net))  # a failing network, as a file ``treelts`` loads
+        assert_inner_summaries_match_their_squares(net, prune)
+
+    @pytest.mark.parametrize("shape", [
+        ACCEPTANCE_SHAPE,
+        dict(max_depth=5, max_children=2, max_states=3, density=0.6),
+    ], ids=["acceptance", "depth5"])
+    def test_root_labels_decide_reachability(self, shape):
+        checked = 0
+        for seed in range(200):
+            net = gen_random_tree(GenConfig(seed=seed, **shape))
+            if prod(len(c.states) for c in net.components) > ORACLE_CAP:
+                continue
+            labels = summaries(net)[net.root_index][0]
+            full = full_product(net)
+            for prop in net.propositions():
+                assert check_ef(full, prop).holds == (prop in labels), (seed, prop)
+                checked += 1
+        assert checked > 400
+
+    @pytest.mark.parametrize("net", [
+        ring_chain(5, ring=False), ring_tree([None, 0, 0, 1, 1, 2, 2], ring=False),
+    ], ids=["chain5", "balanced3"])
+    def test_root_labels_decide_reachability_on_shapes(self, net):
+        labels = summaries(net)[net.root_index][0]
+        full = full_product(net)
+        assert {p for p in net.propositions() if check_ef(full, p).holds} == labels
 
     def test_two_thousand_level_non_ring_chain_keeps_one_state_per_inner_stage(self):
         labelled = {0, 1000, 1999}
