@@ -63,18 +63,21 @@ _COMPONENT_KEYS = {"name", "states", "initial", "labels", "transitions"}
 def load(path: str | FsPath) -> Network:
     """Parse a network file and infer its topology.
 
-    Raises ParseError for malformed JSON (with position) and
+    Raises ParseError for an unreadable or non-UTF-8 file, for malformed
+    JSON (with position) and for JSON nested too deep to parse, and
     ValidationError for structurally invalid documents.  The reset
     discipline is not enforced here; run validate_live_reset separately.
     """
     try:
         text = FsPath(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} is nested too deep to parse") from exc
     return network_from_doc(doc)
 
 

@@ -230,8 +230,11 @@ def product_of(
     silent and unshared actions interleave.  States are numbered in BFS
     discovery order, which is deterministic in the component and transition
     declaration order.  Raises StateLimitExceeded when more than ``cap``
-    states are discovered.
+    states are discovered, and ValidationError when ``cap`` is below 1:
+    the initial state is always admitted.
     """
+    if cap < 1:
+        raise ValidationError(f"the state cap must be at least 1, not {cap}")
     comps = tuple(components)
     n = len(comps)
     succ = [c.succ for c in comps]

@@ -418,71 +418,47 @@ def summaries(
 
 
 def quotient(
-    component: Component, visible: frozenset[str], epsilon: str, keep: bool = False,
+    component: Component, visible: frozenset[str], epsilon: str,
 ) -> tuple[Component, tuple[int, ...] | None]:
-    """Minimise a component as tree neighbours synchronising over
-    ``visible`` see it.
+    """Contract the silent SCCs of a component as tree neighbours
+    synchronising over ``visible`` see it.
 
-    Every action outside ``visible`` is renamed to ``epsilon``.  Each
-    strongly connected component of ``epsilon`` moves collapses into one
-    state carrying the union of its members' labels, and its silent
-    self-loops are dropped.  Bisimilar states then merge by signature
-    refinement, starting from the partition by label set.  Blocks are
-    numbered by the first state position each contains and transitions are
-    emitted sorted, so the result never depends on hashing order.
-
-    Returns the minimised component and its block map: per state position
-    of ``component``, the position of the result state its silent SCC
-    merged into.  With ``keep``, a component whose silent moves contain no
-    cycle comes back as it is, with no block map: its SCC contraction
-    merges nothing, and what bisimulation alone would merge in it is not
-    worth the refinement's cost.  A single state, or no action outside
-    ``visible``, is such a component without a look at its moves; any other
-    comes back right after the SCC pass.
+    A component with no cycle of moves outside ``visible`` comes back as it
+    is, with no block map: a single state, or no action outside
+    ``visible``, is such a component without a look at its moves.
+    Otherwise every action outside ``visible`` is renamed to ``epsilon``,
+    each strongly connected component of ``epsilon`` moves collapses into
+    one state carrying the union of its members' labels, and its silent
+    self-loops are dropped.  Blocks are numbered by the first state
+    position each contains and transitions are emitted sorted, so the
+    result never depends on hashing order.  The block map gives, per state
+    position of ``component``, the position of the result state its silent
+    SCC merged into.
 
     Reachability of every single proposition is preserved inside any
     network whose other components share only ``visible`` with this one: a
     silent move involves no other component, so all members of a silent
-    cycle are reachable alongside any state of the others, and strong
-    bisimulation is a congruence for synchronisation over ``visible``.
+    cycle are reachable from each other alongside any state of the others.
     """
-    if keep and (len(component.states) < 2 or component.acts <= visible):
+    if len(component.states) < 2 or component.acts <= visible:
         return component, None
     scc = _sccs([[d for a, d in out if a not in visible] for out in component.succ])
-    n = max(scc) + 1
-    if keep and n == len(scc):
-        return component, None
-    moves = [[(a if a in visible else epsilon, d) for a, d in out] for out in component.succ]
-    labels: list[frozenset[str]] = [frozenset()] * n
-    edges: list[set[tuple[str, int]]] = [set() for _ in range(n)]
-    for pos, out in enumerate(moves):
-        src = scc[pos]
-        labels[src] = _union(labels[src], component.label_of(component.states[pos]))
-        edges[src].update((a, scc[d]) for a, d in out if a != epsilon or scc[d] != src)
-
-    by_label: dict[frozenset[str], int] = {}
-    block = [by_label.setdefault(lab, len(by_label)) for lab in labels]
-    count = len(by_label)
-    while count < n:  # a partition into singletons is stable
-        # a block splits by the blocks its members' moves reach
-        sigs: dict[tuple[int, frozenset[tuple[str, int]]], int] = {}
-        block = [sigs.setdefault((block[s], frozenset((a, block[d]) for a, d in edges[s])),
-                                 len(sigs)) for s in range(n)]
-        if len(sigs) == count:
-            break
-        count = len(sigs)
-
     rank: dict[int, int] = {}
     for s in scc:
-        rank.setdefault(block[s], len(rank))
-    of = [rank[b] for b in block]
-    block_labels = [frozenset()] * len(rank)
-    for s in range(n):  # a block's members carry one label set
-        block_labels[of[s]] = labels[s]
+        rank.setdefault(s, len(rank))
+    if len(rank) == len(scc):
+        return component, None
+    of = [rank[s] for s in scc]
+    labels: list[frozenset[str]] = [frozenset()] * len(rank)
+    edges: set[tuple[int, str, int]] = set()
+    for pos, out in enumerate(component.succ):
+        src = of[pos]
+        labels[src] = _union(labels[src], component.label_of(component.states[pos]))
+        edges.update((src, a if a in visible else epsilon, of[d])
+                     for a, d in out if a in visible or of[d] != src)
     minimal = flat_component(
-        component.name, of[scc[component.index[component.initial]]],
-        sorted({(of[s], a, of[d]) for s in range(n) for a, d in edges[s]}), block_labels)
-    return minimal, tuple(of[s] for s in scc)
+        component.name, of[component.index[component.initial]], sorted(edges), labels)
+    return minimal, tuple(of)
 
 
 def _interface(net: Network, i: int) -> frozenset[str]:
@@ -548,11 +524,11 @@ class ReductionStage:
     network the squares ``sq`` are built from, aligned with ``originals``,
     its root and leaf children pre-minimised: ``blocks[i]`` is the block map
     ``quotient`` gave for ``originals[i]``, or None where the component
-    entered as it is (see ``quotient``'s ``keep``).  ``lift_witness`` reads
-    all three.  ``sq`` is the squares pruned (unless ``prune`` is false),
-    with their home copies merged, as ``merge_home(prune_locked(
-    build_sq_unreduced(net)), net)`` gives them, though built in one pass
-    (see ``_squares``).  ``unpruned_states`` counts the states of
+    entered as it is: an inner child, or one with no silent cycle.
+    ``lift_witness`` reads all three.  ``sq`` is the squares pruned (unless
+    ``prune`` is false), with their home copies merged, as ``merge_home(
+    prune_locked(build_sq_unreduced(net)), net)`` gives them, though built
+    in one pass (see ``_squares``).  ``unpruned_states`` counts the states of
     ``build_sq_unreduced(net)``, which is never built, and ``deleted`` those
     pruning removed, not those the merge folded: when it is 0, ``sq`` holds
     the unpruned squares merged.  ``epsilon`` and ``hide`` name the glue and
@@ -575,7 +551,7 @@ class ReductionStage:
     def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
         tree, kids = self.tree, self.tree.children[self.node]
         premin = [
-            quotient(c, _interface(tree, i), self.hide, keep=True)
+            quotient(c, _interface(tree, i), self.hide)
             if i == self.node or not tree.children[i] else (c, None)
             for i, c in zip((self.node, *kids), self.originals)]
         blocks = tuple(b for _, b in premin)
@@ -613,9 +589,9 @@ def lift_witness(
     its tree interface in ``stage.net``) through members of its block, up
     to a member with an original move into the target block on the step's
     action, or on any hidden action when the step's is hidden; the first
-    such move follows.  Such a member is reachable inside the silent SCC
-    the walk starts in, because the blocks are a bisimulation of the
-    SCC-contracted component.  With ``proposition``, unless some coordinate
+    such move follows.  Such a member is reachable: each block is one
+    silent SCC, so every member is reachable from every other by hidden
+    moves inside it.  With ``proposition``, unless some coordinate
     carries it at the end already, the first component whose block carries
     it walks the same way to a member that does.
 

@@ -232,6 +232,17 @@ class TestMain:
         assert main(["validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unparsable_file_exits_two(self, content, tmp_path, capsys):
+        # exit 1 would read as "the formula does not hold"
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(["check", str(bad), "--ef", "p", "--full"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("field, value", [
         ("states", "ab"), ("labels", {"b": "goal"}), ("labels", {"b": ["goal", 1]}),
     ])
@@ -261,6 +272,22 @@ class TestMain:
     def test_cap_exit_code(self, capsys):
         assert main(["product", str(gx_path()), "--cap", "3"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["product", "ONE", "--cap", "0"],
+        ["product", "ONE", "--cap", "-3"],
+        ["check", "ONE", "--ef", "p", "--full", "--cap", "0"],
+        ["stats", "ONE", "--cap", "0"],
+        ["suite", "--seeds", "1", "--cap", "0"],
+    ], ids=["product-0", "product-negative", "check", "stats", "suite"])
+    def test_a_cap_below_one_exits_two(self, argv, tmp_path, capsys):
+        # the initial state is always admitted, so no cap below 1 holds
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"root": "c", "components": [
+            {"name": "c", "states": ["a"], "initial": "a", "labels": {"a": ["p"]}}]}),
+            encoding="utf-8")
+        assert main([str(one) if a == "ONE" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: the state cap must be at least 1")
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
