@@ -321,8 +321,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     lts = reduced_lts(component, stages)
     print(f"reduced: {lts.n_states} states, "
           f"{len(lts.src)} transitions ({len(stages)} reduction stage(s))")
-    # the top stage's silent names and its glue name
-    silent = stages[-1].net.silent | {stages[-1].sq.epsilon} if stages else net.silent
+    silent = net.silent | {stages[-1].sq.epsilon} if stages else net.silent
     if args.out:
         reduced_net = infer_topology([component], component.name, silent=silent)
         save(reduced_net, args.out)
@@ -422,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-o", "--out", help="save the product as a one-component network file")
     p.add_argument("--dot", help="export the product as DOT")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="most states the full product may have (exit 3 beyond)")
     p.set_defaults(func=_cmd_product)
 
     p = sub.add_parser("reduce", help="collapse the network into one component")
@@ -442,12 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
     side.add_argument("--full", action="store_true")
     side.add_argument("--reduced", action="store_true")
     p.add_argument("--witness", action="store_true", help="print a witness when it holds")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="most states the full product of --full may have (exit 3 beyond); "
+                        "--reduced builds no product and ignores it")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("stats", help="compare statespace sizes and times")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="most states the full product may have; a larger one is "
+                        "reported as a lower bound")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("gen", help="generate a random reset-on-sync tree network")
@@ -459,7 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the oracle-equivalence suite on random instances")
     p.add_argument("--seeds", type=int, required=True, help="number of seeds, starting at 0")
     _add_gen_bounds(p)
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+                   help="most states each instance's full product may have; "
+                        "a larger instance is skipped")
     p.add_argument("--json", help="write a machine-readable report")
     p.set_defaults(func=_cmd_suite)
     return parser

@@ -418,7 +418,7 @@ def summaries(
 
 
 def quotient(
-    component: Component, visible: frozenset[str], epsilon: str,
+    component: Component, visible: frozenset[str],
 ) -> tuple[Component, tuple[int, ...] | None]:
     """Contract the silent SCCs of a component as tree neighbours
     synchronising over ``visible`` see it.
@@ -426,10 +426,10 @@ def quotient(
     A component with no cycle of moves outside ``visible`` comes back as it
     is, with no block map: a single state, or no action outside
     ``visible``, is such a component without a look at its moves.
-    Otherwise every action outside ``visible`` is renamed to ``epsilon``,
-    each strongly connected component of ``epsilon`` moves collapses into
-    one state carrying the union of its members' labels, and its silent
-    self-loops are dropped.  Blocks are numbered by the first state
+    Otherwise each strongly connected component of moves outside
+    ``visible`` collapses into one state carrying the union of its members'
+    labels.  Every move keeps its own action; a move outside ``visible``
+    inside one block is dropped.  Blocks are numbered by the first state
     position each contains and transitions are emitted sorted, so the
     result never depends on hashing order.  The block map gives, per state
     position of ``component``, the position of the result state its silent
@@ -454,8 +454,7 @@ def quotient(
     for pos, out in enumerate(component.succ):
         src = of[pos]
         labels[src] = _union(labels[src], component.label_of(component.states[pos]))
-        edges.update((src, a if a in visible else epsilon, of[d])
-                     for a, d in out if a in visible or of[d] != src)
+        edges.update((src, a, of[d]) for a, d in out if a in visible or of[d] != src)
     minimal = flat_component(
         component.name, of[component.index[component.initial]], sorted(edges), labels)
     return minimal, tuple(of)
@@ -531,8 +530,9 @@ class ReductionStage:
     in one pass (see ``_squares``).  ``unpruned_states`` counts the states of
     ``build_sq_unreduced(net)``, which is never built, and ``deleted`` those
     pruning removed, not those the merge folded: when it is 0, ``sq`` holds
-    the unpruned squares merged.  ``epsilon`` and ``hide`` name the glue and
-    the hidden moves (see ``reduce_net_traced``).
+    the unpruned squares merged.  ``epsilon`` names the glue (see
+    ``reduce_net_traced``).  Pre-minimisation renames nothing, so ``net``
+    has the silent names of ``tree``.
     """
 
     result: Component | None  # None: the top stage, completed from its squares
@@ -540,7 +540,6 @@ class ReductionStage:
     tree: Network
     node: int
     epsilon: str
-    hide: str
     prune: bool
 
     def __post_init__(self) -> None:
@@ -551,16 +550,12 @@ class ReductionStage:
     def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
         tree, kids = self.tree, self.tree.children[self.node]
         premin = [
-            quotient(c, _interface(tree, i), self.hide)
+            quotient(c, _interface(tree, i))
             if i == self.node or not tree.children[i] else (c, None)
             for i, c in zip((self.node, *kids), self.originals)]
-        blocks = tuple(b for _, b in premin)
-        # pre-minimised components hide their moves under ``hide``
-        hiding = any(b is not None for b in blocks)
-        silent = tree.silent | {self.hide} if hiding else tree.silent
         return two_level_network(
             premin[0][0], [c for c, _ in premin[1:]], [tree.upacts[k] for k in kids],
-            tree.upacts[self.node], silent), blocks
+            tree.upacts[self.node], tree.silent), tuple(b for _, b in premin)
 
     @cached_property
     def _built(self) -> tuple[SumOfSquares, int, int]:
@@ -588,12 +583,12 @@ def lift_witness(
     A step that moves a component becomes hidden moves (on actions outside
     its tree interface in ``stage.net``) through members of its block, up
     to a member with an original move into the target block on the step's
-    action, or on any hidden action when the step's is hidden; the first
-    such move follows.  Such a member is reachable: each block is one
-    silent SCC, so every member is reachable from every other by hidden
-    moves inside it.  With ``proposition``, unless some coordinate
-    carries it at the end already, the first component whose block carries
-    it walks the same way to a member that does.
+    action, which pre-minimisation left as it was; the first such move
+    follows.  Such a member is reachable: each block is one silent SCC, so
+    every member is reachable from every other by hidden moves inside it.
+    With ``proposition``, unless some coordinate carries it at the end
+    already, the first component whose block carries it walks the same way
+    to a member that does.
 
     The result replays on the product of ``stage.originals``: the full
     product when the stage is the top one of a two-level network.  Raises
@@ -628,7 +623,7 @@ def lift_witness(
         lifted_movers.append(moved)
         lifted_at.append(tuple(at))
 
-    def walk(i: int, goal: Callable[[int], tuple | None]) -> tuple:
+    def walk(i: int, goal: Callable[[int], int | None]) -> int:
         """Take the hidden moves of ``i``, breadth-first, up to the first
         state for which ``goal`` is not None; return what it gave there."""
         comp, block, visible = originals[i], blocks[i], _interface(net, i)
@@ -653,18 +648,16 @@ def lift_witness(
     for act, moved, target in zip(actions, movers, payloads[1:]):
         to: dict[int, int] = {}
         for i in sorted(moved):
-            succ, block, visible = originals[i].succ, blocks[i], _interface(net, i)
+            succ, block = originals[i].succ, blocks[i]
             goal = net.components[i].index[place(target, i)]
-            # on a hidden step ``act`` becomes the original action taken
-            act, to[i] = walk(i, lambda p: next(
-                ((a, d) for a, d in succ[p] if block[d] == goal
-                 and (a == act if act in visible else a not in visible)), None))
+            to[i] = walk(i, lambda p: next(
+                (d for a, d in succ[p] if a == act and block[d] == goal), None))
         take(moved, act, to)
     if proposition is not None and not any(
             proposition in c.label_of(c.states[p]) for c, p in zip(originals, at)):
         for i, comp in enumerate(originals):
             if proposition in net.components[i].label_of(place(payloads[-1], i)):
-                walk(i, lambda p: () if proposition in comp.label_of(comp.states[p]) else None)
+                walk(i, lambda p: p if proposition in comp.label_of(comp.states[p]) else None)
                 break
     states = tuple(GlobalTuple(tuple(c.states[p] for c, p in zip(originals, v)))
                    for v in lifted_at)
@@ -703,23 +696,19 @@ def reduce_net_traced(
     the final component lifts to (see ``lift_witness``).
 
     Every stage glues its squares under one fresh name, ``eps0`` unless the
-    network uses it.  Pre-minimised components hide their moves under one
-    name too: one of ``net.silent``, or a fresh one that is then silent in
-    the networks of the stages where some component is pre-minimised.
-    Sharing these names is safe because pruning reads who moved from the
-    squares' movers.
+    network uses it.  No other name is made up: pre-minimised components
+    keep their own actions, so every stage's network has the silent names
+    of ``net``.
     """
     r, kids = net.root_index, net.children[net.root_index]
     if not kids:
         return net.root, ()
-    reserved = frozenset({a for c in net.components for a in c.acts} | net.silent)
-    hide = min(net.silent) if net.silent else fresh_action(reserved, "tau")
-    epsilon = fresh_action(reserved, "eps0")
+    epsilon = fresh_action({a for c in net.components for a in c.acts} | net.silent, "eps0")
     entering = list(net.components)  # what each node brings to its parent's stage
 
     def stage(i: int, result: Component | None) -> ReductionStage:
         originals = (net.components[i], *(entering[k] for k in net.children[i]))
-        return ReductionStage(result, originals, net, i, epsilon, hide, prune)
+        return ReductionStage(result, originals, net, i, epsilon, prune)
 
     stages = []
     for k in kids:  # the pass runs only inside inner children's subtrees

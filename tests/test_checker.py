@@ -183,7 +183,7 @@ class TestCheckerProperties:
 
 def merging_two_level():
     """A root over one leaf; both have a tau-cycle that pre-minimisation
-    collapses, and the leaf a local move ``l`` that it hides."""
+    collapses, and the leaf a hidden local move ``l`` out of its cycle."""
     root = Component(
         "R", ("r0", "r1", "r2"), "r0",
         (("r0", "tau", "r1"), ("r1", "tau", "r0"), ("r1", "up", "r2"), ("r2", "tau", "r0")),

@@ -289,6 +289,15 @@ class TestMain:
         assert main([str(one) if a == "ONE" else a for a in argv]) == 2
         assert capsys.readouterr().err.startswith("error: the state cap must be at least 1")
 
+    @pytest.mark.parametrize("command", ["product", "check", "stats", "suite"])
+    def test_every_cap_flag_says_it_bounds_the_full_product(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert re.search(r"--cap CAP most states [^.;]*full product", help_text)
+        if command == "check":
+            assert "--reduced builds no product and ignores it" in help_text
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["check", str(gx_path()), "--full"])  # no formula given

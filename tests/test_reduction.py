@@ -3,6 +3,7 @@ bottom-up reduction."""
 
 import gc
 import importlib.util
+import json
 import random
 import sys
 from itertools import combinations
@@ -455,9 +456,8 @@ class TestReduceNet:
         assert [stage.sq.epsilon for stage in stages] == ["eps0"] * 4
 
     def test_no_fresh_hidden_name_where_nothing_hides(self):
-        # every square of r is locked, so its summary has no moves; no
-        # component of either stage merges under pre-minimisation, so
-        # neither stage lists a fresh name for hidden moves
+        # every square of r is locked, so its summary has no moves; neither
+        # stage lists a silent name the network does not declare
         net = all_locked_tree()
         net = infer_topology(net.components, net.root.name, silent=frozenset())
         _, stages = reduce_net_traced(net)
@@ -468,8 +468,8 @@ class TestReduceNet:
     def test_one_epsilon_name_is_registered_for_every_level(self, chain_net):
         _, stages = reduce_net_traced(chain_net)
         assert [stage.sq.epsilon for stage in stages] == ["eps0", "eps0"]
-        # the inner stage's result hides its glue moves under tau, which is
-        # silent at the outer stage
+        # the inner stage's result moves on its upact only, and the
+        # network's silent tau stays silent at the outer stage
         assert stages[0].result.acts <= {"tau", "x"}
         assert "tau" in stages[-1].net.silent
         # a name the network uses is not taken
@@ -510,10 +510,10 @@ class TestQuotient:
             (("s0", "t", "s1"), ("s1", "l", "s0"), ("s1", "up", "s0"), ("s0", "t", "s2")),
             labels={"s0": frozenset({"q"}), "s1": frozenset({"p"}), "s2": frozenset({"r"})},
         )
-        got, block = quotient(c, frozenset({"up"}), "e")
+        got, block = quotient(c, frozenset({"up"}))
         assert block == (0, 0, 1)
         assert got.states == ("q0", "q1")
-        assert got.transitions == (("q0", "e", "q1"), ("q0", "up", "q0"))
+        assert got.transitions == (("q0", "t", "q1"), ("q0", "up", "q0"))
         assert got.labels == {"q0": frozenset({"p", "q"}), "q1": frozenset({"r"})}
 
     def test_blocks_follow_state_positions(self):
@@ -522,10 +522,10 @@ class TestQuotient:
         c = Component("c", ("s2", "s1", "s0"), "s0",
                       (("s2", "a", "s1"), ("s1", "b", "s2"), ("s1", "c", "s0"),
                        ("s0", "up", "s2")))
-        got, block = quotient(c, frozenset({"up"}), "e")
+        got, block = quotient(c, frozenset({"up"}))
         assert block == (0, 0, 1)
         assert got.initial == "q1"
-        assert got.transitions == (("q0", "e", "q1"), ("q1", "up", "q0"))
+        assert got.transitions == (("q0", "c", "q1"), ("q1", "up", "q0"))
 
     def test_block_map_is_taken_after_scc_contraction(self):
         # s1 and s2 form a silent cycle; s3 behaves like their block but
@@ -534,7 +534,7 @@ class TestQuotient:
             "c", ("s0", "s1", "s2", "s3"), "s0",
             (("s0", "go", "s1"), ("s0", "go", "s3"), ("s1", "t", "s2"), ("s2", "t", "s1"),
              ("s1", "up", "s0"), ("s3", "up", "s0")))
-        got, block = quotient(c, frozenset({"go", "up"}), "e")
+        got, block = quotient(c, frozenset({"go", "up"}))
         assert block == (0, 1, 1, 2)
         assert got.transitions == (("q0", "go", "q1"), ("q0", "go", "q2"),
                                    ("q1", "up", "q0"), ("q2", "up", "q0"))
@@ -545,7 +545,7 @@ class TestQuotient:
             "c", ("s0", "s1", "s2"), "s0",
             (("s0", "t", "s1"), ("s0", "t", "s2"), ("s1", "up", "s0"), ("s2", "up", "s0"),
              ("s1", "t", "s1")))
-        assert quotient(c, frozenset({"up"}), "e") == (c, None)
+        assert quotient(c, frozenset({"up"})) == (c, None)
 
     @pytest.mark.parametrize("c", [
         Component("c", ("s0",), "s0", (("s0", "t", "s0"),)),
@@ -553,7 +553,7 @@ class TestQuotient:
         Component("c", ("s0", "s1"), "s0", (("s0", "up", "s1"), ("s1", "up", "s0"))),
     ], ids=["one-state", "all-visible"])
     def test_a_single_state_or_all_visible_component_is_returned_as_it_is(self, c):
-        got, block = quotient(c, frozenset({"up"}), "e")
+        got, block = quotient(c, frozenset({"up"}))
         assert got is c and block is None
 
     @settings(max_examples=80, deadline=None)
@@ -565,7 +565,14 @@ class TestQuotient:
         note(save_string(net))
         for i, c in enumerate(net.components):
             visible = net.upacts[i] | net.downacts[i]
-            _, block = quotient(c, visible, "e")
+            got, block = quotient(c, visible)
+            if block is not None:
+                # a quotient on c's own alphabet: every move keeps its action,
+                # and only hidden moves inside one block go
+                assert got.acts <= c.acts
+                assert {(got.index[s], a, got.index[d]) for s, a, d in got.transitions} == {
+                    (block[s], a, block[d]) for s, out in enumerate(c.succ) for a, d in out
+                    if a in visible or block[s] != block[d]}
             block = range(len(c.states)) if block is None else block
             hidden = [[d for a, d in out if a not in visible] for out in c.succ]
             # members of a block reach each other by hidden moves inside it
@@ -800,7 +807,7 @@ class TestInterfacePreminimisation:
         # the glue state, and the copies (q0,q0)#1 and (q0,q0)#2 of home merged
         assert stage.sq.lts.n_states == 2
 
-    def test_a_fresh_silent_name_hides_moves_when_none_is_declared(self):
+    def test_nothing_is_made_silent_when_none_is_declared(self, tmp_path):
         root = Component("r", ("r0", "r1"), "r0",
                          (("r0", "loop", "r1"), ("r1", "loop", "r0"), ("r1", "u", "r1")))
         leaf = Component("c", ("c0", "c1", "c2"), "c0",
@@ -809,9 +816,14 @@ class TestInterfacePreminimisation:
                          labels={"c1": frozenset({"p"}), "c2": frozenset({"q"})})
         net = infer_topology([root, leaf], "r", silent=frozenset())
         _, (stage,) = reduce_net_traced(net)
-        assert stage.net.silent == {"tau"}
+        assert stage.net.silent == frozenset()
         assert stage.blocks == ((0, 0), (0, 0, 1))
-        assert {a for c in stage.net.components for a in c.acts} == {"tau", "u"}
+        # the contracted leaf keeps its hidden move into c2 under its own name
+        assert {a for c in stage.net.components for a in c.acts} == {"exit", "u"}
+        src, out = tmp_path / "net.json", tmp_path / "out.json"
+        save(net, src)
+        assert main(["reduce", str(src), "-o", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["silent"] == ["eps0"]
         assert_agrees_with_the_full_product(net)
 
     def test_components_that_merge_nothing_are_kept(self, gx):
