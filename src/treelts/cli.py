@@ -21,7 +21,8 @@ Action names may carry a ``?``/``!`` prefix marking the expected direction
 against the inferred classification, never trusted.
 
 Exit codes: 0 success or formula holds, 1 formula does not hold,
-2 validation or usage error, 3 state cap exceeded.
+2 validation or usage error or an output file that cannot be written,
+3 state cap exceeded.
 """
 
 from __future__ import annotations
@@ -317,7 +318,7 @@ def _require_live_reset(net: Network) -> None:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     net = load(args.file)
     _require_live_reset(net)
-    component, stages = reduce_net_traced(net, prune=not args.keep_locked)
+    component, stages = reduce_net_traced(net)
     lts = reduced_lts(component, stages)
     print(f"reduced: {lts.n_states} states, "
           f"{len(lts.src)} transitions ({len(stages)} reduction stage(s))")
@@ -429,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("-o", "--out", help="save the result as a one-component network file")
     p.add_argument("--dot", help="export the result as DOT")
-    p.add_argument("--keep-locked", action="store_true",
-                   help="skip locked-state pruning (debugging aid)")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("check", help="check EF/EG of a single proposition")
@@ -479,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except (StateLimitExceeded, OracleTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TreeLtsError as exc:
+    except (TreeLtsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -271,10 +271,10 @@ def compute_locked(sq: SumOfSquares) -> frozenset[int]:
     return frozenset(i for i in range(lts.n_states) if i not in alive)
 
 
-def build_sq(net: Network, epsilon: str | None = None) -> SumOfSquares:
-    """The pruned sum-of-squares: locked states removed, ids renumbered
-    (see ``prune_locked``)."""
-    return prune_locked(build_sq_unreduced(net, epsilon))
+def build_sq(net: Network) -> SumOfSquares:
+    """The pruned sum-of-squares, glued under ``eps0`` unless the network
+    uses it: locked states removed, ids renumbered (see ``prune_locked``)."""
+    return prune_locked(build_sq_unreduced(net))
 
 
 def prune_locked(sq: SumOfSquares) -> SumOfSquares:
@@ -521,11 +521,11 @@ class ReductionStage:
     built on first access, once per stage; only the top stage, whose
     ``cmpl`` reads them, builds them at once.  ``net`` is the two-level
     network the squares ``sq`` are built from, aligned with ``originals``,
-    its root and leaf children pre-minimised: ``blocks[i]`` is the block map
+    every component pre-minimised: ``blocks[i]`` is the block map
     ``quotient`` gave for ``originals[i]``, or None where the component
-    entered as it is: an inner child, or one with no silent cycle.
-    ``lift_witness`` reads all three.  ``sq`` is the squares pruned (unless
-    ``prune`` is false), with their home copies merged, as ``merge_home(
+    entered as it is, with no silent cycle (an inner child's one-state
+    summary among them).  ``lift_witness`` reads all three.  ``sq`` is the
+    squares pruned, with their home copies merged, as ``merge_home(
     prune_locked(build_sq_unreduced(net)), net)`` gives them, though built
     in one pass (see ``_squares``).  ``unpruned_states`` counts the states of
     ``build_sq_unreduced(net)``, which is never built, and ``deleted`` those
@@ -540,7 +540,6 @@ class ReductionStage:
     tree: Network
     node: int
     epsilon: str
-    prune: bool
 
     def __post_init__(self) -> None:
         if self.result is None:
@@ -549,17 +548,15 @@ class ReductionStage:
     @cached_property
     def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
         tree, kids = self.tree, self.tree.children[self.node]
-        premin = [
-            quotient(c, _interface(tree, i))
-            if i == self.node or not tree.children[i] else (c, None)
-            for i, c in zip((self.node, *kids), self.originals)]
+        premin = [quotient(c, _interface(tree, i))
+                  for i, c in zip((self.node, *kids), self.originals)]
         return two_level_network(
             premin[0][0], [c for c, _ in premin[1:]], [tree.upacts[k] for k in kids],
             tree.upacts[self.node], tree.silent), tuple(b for _, b in premin)
 
     @cached_property
     def _built(self) -> tuple[SumOfSquares, int, int]:
-        return _squares(self.net, self.epsilon, self.prune)
+        return _squares(self.net, self.epsilon)
 
     net = cached_property(lambda self: self._entered[0])
     blocks = cached_property(lambda self: self._entered[1])
@@ -679,11 +676,8 @@ def reduce_net(net: Network) -> Component:
     return reduce_net_traced(net)[0]
 
 
-def reduce_net_traced(
-    net: Network, prune: bool = True,
-) -> tuple[Component, tuple[ReductionStage, ...]]:
-    """Like reduce_net but also returns the per-node stages, bottom-up;
-    with ``prune`` false, no stage prunes its locked states.
+def reduce_net_traced(net: Network) -> tuple[Component, tuple[ReductionStage, ...]]:
+    """Like reduce_net but also returns the per-node stages, bottom-up.
 
     Stages come in post-order over the original tree, children in network
     order.  Below the top, each stage's ``result`` is the one-state summary
@@ -708,7 +702,7 @@ def reduce_net_traced(
 
     def stage(i: int, result: Component | None) -> ReductionStage:
         originals = (net.components[i], *(entering[k] for k in net.children[i]))
-        return ReductionStage(result, originals, net, i, epsilon, prune)
+        return ReductionStage(result, originals, net, i, epsilon)
 
     stages = []
     for k in kids:  # the pass runs only inside inner children's subtrees
@@ -734,14 +728,14 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
     return stages[-1].sq.lts if stages else component_lts(component)
 
 
-def _squares(net: Network, epsilon: str, prune: bool) -> tuple[SumOfSquares, int, int]:
+def _squares(net: Network, epsilon: str) -> tuple[SumOfSquares, int, int]:
     """``merge_home(prune_locked(build_sq_unreduced(net, epsilon)), net)``,
-    unpruned when ``prune`` is false, built in one pass: a handoff enters
-    the one state of its root position's surviving copies of home, not
-    every square.  Also returns the number of unpruned square states and
-    the number of states pruning deleted (see ``_pruned``)."""
+    built in one pass: a handoff enters the one state of its root
+    position's surviving copies of home, not every square.  Also returns
+    the number of unpruned square states and the number of states pruning
+    deleted (see ``_pruned``)."""
     m = _square_moves(net, epsilon)
-    gone = _pruned(m) if prune else set()
+    gone = _pruned(m)
     home_rows = {e // m.width for e in m.entries}
     # one state per kept code, and one for the copies of home at rs (key -1 - rs)
     state: dict[int, int] = {}

@@ -1,5 +1,6 @@
 """File format, DOT export, and command-line behaviour."""
 
+import argparse
 import json
 import os
 import re
@@ -20,6 +21,7 @@ from treelts import (
     infer_topology,
 )
 from treelts.cli import (
+    _GEN_BOUNDS,
     _gen_config,
     build_parser,
     dot_string,
@@ -318,14 +320,6 @@ class TestMain:
         assert main(["check", str(out), "--ef", "r3_reached", "--full"]) == 0
         assert main(["check", str(out), "--ef", "nothing", "--full"]) == 1
 
-    def test_reduce_keep_locked(self, tmp_path, capsys):
-        out = tmp_path / "unpruned.json"
-        assert main(["reduce", str(gx_path()), "--keep-locked", "-o", str(out)]) == 0
-        net = load(out)
-        # the 21 unpruned square states, whose two copies of home at each of
-        # the five root positions merge into one
-        assert len(net.components[0].states) == 16
-
     def test_reduce_prints_the_sizes_of_the_graph_it_draws(self, tmp_path, capsys):
         # on this seed the top squares hold a transition twice, which the
         # completed component keeps once
@@ -359,6 +353,23 @@ class TestMain:
         net = load(out)
         assert len(net.components[0].states) == 15
         assert dot.read_text(encoding="utf-8").startswith("digraph")
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "GX", "-o", "OUT"],
+        ["reduce", "GX", "--dot", "OUT"],
+        ["product", "GX", "-o", "OUT"],
+        ["product", "GX", "--dot", "OUT"],
+        ["gen", "--seed", "0", "-o", "OUT"],
+        ["suite", "--seeds", "1", "--max-states", "3", "--json", "OUT"],
+    ], ids=["reduce-o", "reduce-dot", "product-o", "product-dot", "gen-o", "suite-json"])
+    def test_an_output_file_that_cannot_be_written_exits_two(self, argv, tmp_path, capsys):
+        # exit 1 means "does not hold" or "disagreements", so a failed write
+        # is an error, reported without a traceback
+        out = tmp_path / "missing" / "out"
+        argv = [str(gx_path()) if a == "GX" else str(out) if a == "OUT" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
 
     def test_gen_is_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -402,6 +413,28 @@ class TestMain:
         assert data["skipped"] == 1
         assert [row["seed"] for row in data["instances"]] == [1, 2]
         assert [row["config"]["seed"] for row in data["instances"]] == [1, 2]
+
+
+def test_readme_command_line_summary_matches_the_parser():
+    # every option the summary shows exists, and every option of the parser
+    # is shown but -h and the generator bounds, which it writes "bounds..."
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    shown = {}
+    for line in block.splitlines():
+        _, command, *rest = line.split()
+        shown[command] = set(re.findall(r"(?<![\w.-])--?[a-z][a-z-]*", " ".join(rest)))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert shown.keys() == subparsers.choices.keys()
+    bounds = {f.name for f in _GEN_BOUNDS}
+    for command, parser in subparsers.choices.items():
+        options = [a for a in parser._actions
+                   if a.option_strings and a.dest != "help" and a.dest not in bounds]
+        known = {s for a in parser._actions for s in a.option_strings}
+        assert shown[command] <= known, command
+        for action in options:
+            assert shown[command] & set(action.option_strings), (command, action.option_strings)
 
 
 #: The directory holding the ``treelts`` package, for a child interpreter.

@@ -73,15 +73,13 @@ def network_file(name, tmp_path):
 
 
 def reduce_outputs(name, tmp_path):
-    """``reduce -o``/``--dot`` and ``reduce --keep-locked -o`` file texts."""
+    """``reduce -o``/``--dot`` file texts."""
     src = network_file(name, tmp_path)
-    out, dot, kept = tmp_path / "out.json", tmp_path / "out.dot", tmp_path / "kept.json"
+    out, dot = tmp_path / "out.json", tmp_path / "out.dot"
     assert main(["reduce", src, "-o", str(out), "--dot", str(dot)]) == 0
-    assert main(["reduce", src, "--keep-locked", "-o", str(kept)]) == 0
     return {
         f"{name}-reduce.json": out.read_text(encoding="utf-8"),
         f"{name}-reduce.dot": dot.read_text(encoding="utf-8"),
-        f"{name}-keep-locked.json": kept.read_text(encoding="utf-8"),
     }
 
 
@@ -96,10 +94,9 @@ def test_golden_reductions_agree_with_the_full_product(name, tmp_path):
     source = load(network_file(name, tmp_path))
     full = full_product(source)
     assert source.propositions()
-    for kind in ("reduce", "keep-locked"):
-        lts = component_lts(load(GOLDEN / f"{name}-{kind}.json").root)
-        for prop in source.propositions():
-            assert check_ef(lts, prop).holds == check_ef(full, prop).holds, (kind, prop)
+    lts = component_lts(load(GOLDEN / f"{name}-reduce.json").root)
+    for prop in source.propositions():
+        assert check_ef(lts, prop).holds == check_ef(full, prop).holds, prop
 
 
 def wide_tree():
@@ -167,8 +164,7 @@ def splits_home(unpruned, pruned, net):
 
 
 @pytest.mark.parametrize("name", STAGE_NETWORKS)
-@pytest.mark.parametrize("prune", [True, False])
-def test_stage_squares_rebuild_from_the_stage_network(name, prune):
+def test_stage_squares_rebuild_from_the_stage_network(name):
     # the pipeline builds its pruned, merged squares in one pass; they must
     # be the reference construction's, edge for edge.  The benchmark's
     # per-stage records and equivalence_suite rebuild the unpruned squares
@@ -176,10 +172,10 @@ def test_stage_squares_rebuild_from_the_stage_network(name, prune):
     # from, pre-minimised components included
     split = False
     for net in STAGE_NETWORKS[name]():
-        for stage in reduce_net_traced(net, prune=prune)[1]:
+        for stage in reduce_net_traced(net)[1]:
             unpruned = build_sq_unreduced(stage.net, epsilon=stage.sq.epsilon)
             assert stage.unpruned_states == unpruned.lts.n_states
-            pruned = prune_locked(unpruned) if prune else unpruned
+            pruned = prune_locked(unpruned)
             assert unpruned.lts.n_states - stage.deleted == pruned.lts.n_states
             rebuilt, lts = merge_home(pruned, stage.net).lts, stage.sq.lts
             assert (rebuilt.initial, rebuilt.payloads, rebuilt.labels) == (
@@ -188,7 +184,7 @@ def test_stage_squares_rebuild_from_the_stage_network(name, prune):
             assert list(zip(rebuilt.src, rebuilt.act, rebuilt.dst, rebuilt.movers)) == edges
             assert len(set(edges)) == len(edges)
             split = split or splits_home(unpruned, pruned, stage.net)
-    assert split == (prune and name in SPLIT_HOME)
+    assert split == (name in SPLIT_HOME)
 
 
 @pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])
@@ -220,7 +216,7 @@ def test_chain_reduction_text_ignores_the_hash_seed(tmp_path):
 
 def test_chain_exercises_pruning_and_declaration_order(tmp_path):
     texts = reduce_outputs("chain", tmp_path)
-    assert texts["chain-reduce.json"] != texts["chain-keep-locked.json"]
+    assert reduce_net_traced(chain_out_of_order())[1][-1].deleted > 0
     # square payloads of the top stage list B's reduced states before A's
     # states, each in declaration order: a2 precedes a0
     dot = texts["chain-reduce.dot"]

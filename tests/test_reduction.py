@@ -406,9 +406,9 @@ class TestReduceNet:
         calls = []
         original = reduction_module._squares
 
-        def counting(net, epsilon, prune):
+        def counting(net, epsilon):
             calls.append(net.root.name)
-            return original(net, epsilon, prune)
+            return original(net, epsilon)
 
         monkeypatch.setattr(reduction_module, "_squares", counting)
         for net, top in ((ring_chain(6), "n0"), (chain_net, "A"), (all_locked_tree(), "t")):
@@ -439,14 +439,6 @@ class TestReduceNet:
             assert stage.unpruned_states == 2001
             assert stage.sq.lts.n_states == 2
             assert len(stage.sq.lts.src) <= 2 * size
-
-    def test_keep_locked_mode_skips_pruning(self, gx):
-        comp, stages = reduce_net_traced(gx, prune=False)
-        # 1 + 5 + 15 unpruned square states; the two copies of home at each
-        # of R's five positions merge into one
-        assert len(comp.states) == 16
-        assert all(stage.deleted == 0 for stage in stages)
-        assert stages[-1].sq.lts.n_states == 16
 
     def test_stages_are_post_order_in_network_order(self):
         # n0 has children n1 and n4; n1 has n2, which has n3; n4 has n5
@@ -643,10 +635,13 @@ def summary_of_squares(sq):
     return flat_component(sq.root_name, 0, loops, [frozenset().union(*sq.lts.labels)])
 
 
-def assert_inner_summaries_match_their_squares(net, prune):
-    _, stages = reduce_net_traced(net, prune=prune)
+def assert_inner_summaries_match_their_squares(net):
+    # summaries do not depend on pruning: the unpruned squares show the same
+    _, stages = reduce_net_traced(net)
     for stage in stages[:-1]:
         assert stage.result == summary_of_squares(stage.sq), stage.result.name
+        unpruned = build_sq_unreduced(stage.net, stage.sq.epsilon)
+        assert stage.result == summary_of_squares(unpruned), stage.result.name
     return len(stages) - 1
 
 
@@ -656,24 +651,23 @@ class TestSummary:
     a strong-bisimulation quotient of each completed stage grows with the
     depth of the subtree below it."""
 
-    @pytest.mark.parametrize("prune", [True, False], ids=["pruned", "keep-locked"])
     @pytest.mark.parametrize("shape", [
         ACCEPTANCE_SHAPE,
         dict(max_depth=5, max_children=2, max_states=4, density=0.6),
     ], ids=["acceptance", "depth5"])
-    def test_inner_summaries_equal_what_their_squares_show(self, shape, prune):
+    def test_inner_summaries_equal_what_their_squares_show(self, shape):
         inner = sum(assert_inner_summaries_match_their_squares(
-            gen_random_tree(GenConfig(seed=seed, **shape)), prune) for seed in range(600))
+            gen_random_tree(GenConfig(seed=seed, **shape))) for seed in range(600))
         assert inner > 600
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(1, 3), st.integers(1, 5),
-           st.sampled_from([0.3, 0.6, 1.0]), st.booleans())
-    def test_inner_summaries_of_deeper_trees(self, seed, children, states, density, prune):
+           st.sampled_from([0.3, 0.6, 1.0]))
+    def test_inner_summaries_of_deeper_trees(self, seed, children, states, density):
         net = gen_random_tree(GenConfig(seed=seed, max_depth=4, max_children=children,
                                         max_states=states, density=density))
         note(save_string(net))  # a failing network, as a file ``treelts`` loads
-        assert_inner_summaries_match_their_squares(net, prune)
+        assert_inner_summaries_match_their_squares(net)
 
     @pytest.mark.parametrize("shape", [
         ACCEPTANCE_SHAPE,
