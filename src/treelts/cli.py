@@ -355,6 +355,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     net = load(args.file)
+    _require_live_reset(net)
     print(stats(net, cap=args.cap).table())
     return 0
 
@@ -375,6 +376,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise ValidationError(f"--seeds must be at least 1, not {args.seeds}")
+    if args.json:  # a report path that cannot be written fails before any seed runs
+        FsPath(args.json).open("a", encoding="utf-8").close()
     rows = []
     disagreements = 0
     skipped = 0
@@ -460,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("suite", help="run the oracle-equivalence suite on random instances")
-    p.add_argument("--seeds", type=int, required=True, help="number of seeds, starting at 0")
+    p.add_argument("--seeds", type=int, required=True, help="number of seeds (at least 1), starting at 0")
     _add_gen_bounds(p)
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
                    help="most states each instance's full product may have; "

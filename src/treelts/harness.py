@@ -355,6 +355,8 @@ def stats(net: Network, cap: int = DEFAULT_STATE_CAP) -> StatsReport:
     bound instead of failing.  Each time is of one run; repeated timing is
     left to the benchmark (``perfbench/``).  The ``reduce`` time covers the
     summary pass and the top stage: no squares below the top are built.
+    ``net`` must pass ``validate_live_reset``: on other networks the
+    reduction is not sound, and the ``stats`` command refuses them.
     """
     full_states = full_transitions = 0
     capped = False

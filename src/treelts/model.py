@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import LiveResetWarning, NotATree, UnknownRoot, ValidationError
 
@@ -22,6 +22,20 @@ from .errors import LiveResetWarning, NotATree, UnknownRoot, ValidationError
 DEFAULT_SILENT = frozenset({"tau"})
 
 _NO_LABELS: frozenset[str] = frozenset()
+
+
+def closure(
+    succ: Sequence[Iterable[int]] | Mapping[int, Iterable[int]], seeds: Iterable[int],
+) -> set[int]:
+    """The ``seeds`` together with every node ``succ[node]`` leads to from them."""
+    closed = set(seeds)
+    stack = list(closed)
+    while stack:
+        for v in succ[stack.pop()]:
+            if v not in closed:
+                closed.add(v)
+                stack.append(v)
+    return closed
 
 
 @dataclass(frozen=True)
@@ -105,19 +119,6 @@ class Component:
     @cached_property
     def transition_set(self) -> frozenset[tuple[str, str, str]]:
         return frozenset(self.transitions)
-
-    @cached_property
-    def reachable(self) -> frozenset[str]:
-        """States reachable from the initial state via any transition."""
-        succ = self.succ
-        seen = {self.index[self.initial]}
-        stack = list(seen)
-        while stack:
-            for _, dst in succ[stack.pop()]:
-                if dst not in seen:
-                    seen.add(dst)
-                    stack.append(dst)
-        return frozenset(self.states[i] for i in seen)
 
     def label_of(self, state: str) -> frozenset[str]:
         return self.labels.get(state, _NO_LABELS)
@@ -300,12 +301,10 @@ def subnetwork(net: Network, index: int) -> Network:
 
     Components keep their order and their classification: the new root
     keeps the actions it shares with its parent in ``net`` as declared
-    upacts.
+    upacts.  The kept components are ``index`` and every component below it,
+    found by ``closure`` over ``net.children``.
     """
-    kept = [index]
-    for u in kept:
-        kept += net.children[u]
-    kept.sort()
+    kept = sorted(closure(net.children, [index]))
     new = {old: i for i, old in enumerate(kept)}
     return _network(
         tuple(net.components[i] for i in kept),
@@ -330,23 +329,26 @@ def validate_live_reset(net: Network) -> list[Violation]:
     Returns one Violation per reachable transition labelled with an upstream
     action whose target is not the component's initial state.  The same
     defect on an unreachable transition only emits a LiveResetWarning.
+    Both come in transition order.  Only a component with such a stray
+    transition is searched (one ``closure`` from its initial state), so
+    validating a live-reset network searches nothing.
     """
     violations: list[Violation] = []
     for i, c in enumerate(net.components):
         up = net.upacts[i]
-        if not up:
+        stray = [tr for tr in c.transitions if tr[1] in up and tr[2] != c.initial]
+        if not stray:
             continue
-        reachable = c.reachable
-        for tr in c.transitions:
-            src, act, dst = tr
-            if act in up and dst != c.initial:
-                if src in reachable:
-                    violations.append(Violation(c.name, tr))
-                else:
-                    warnings.warn(
-                        f"unreachable transition {tr} in component {c.name!r} "
-                        f"does not reset on upstream action {act!r}",
-                        LiveResetWarning,
-                        stacklevel=2,
-                    )
+        index = c.index
+        reached = closure([[d for _, d in moves] for moves in c.succ], [index[c.initial]])
+        for tr in stray:
+            if index[tr[0]] in reached:
+                violations.append(Violation(c.name, tr))
+            else:
+                warnings.warn(
+                    f"unreachable transition {tr} in component {c.name!r} "
+                    f"does not reset on upstream action {tr[1]!r}",
+                    LiveResetWarning,
+                    stacklevel=2,
+                )
     return violations

@@ -25,11 +25,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 from operator import and_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
-from .model import Component, Network, subnetwork, two_level_network  # noqa: F401
+from .model import Component, Network, closure, subnetwork, two_level_network  # noqa: F401
 from .product import (
     ExplicitLts,
     FreshInit,
@@ -241,19 +241,7 @@ def _backward_closure(lts: ExplicitLts, seeds: Iterable[int]) -> set[int]:
     rev: list[list[int]] = [[] for _ in range(lts.n_states)]
     for s, d in zip(lts.src, lts.dst):
         rev[d].append(s)
-    return _closure(rev, seeds)
-
-
-def _closure(preds: Sequence[list[int]] | dict[int, list[int]], seeds: Iterable[int]) -> set[int]:
-    """The ``seeds`` together with every node ``preds`` leads to from them."""
-    closed = set(seeds)
-    stack = list(closed)
-    while stack:
-        for v in preds[stack.pop()]:
-            if v not in closed:
-                closed.add(v)
-                stack.append(v)
-    return closed
+    return closure(rev, seeds)
 
 
 def compute_locked(sq: SumOfSquares) -> frozenset[int]:
@@ -409,8 +397,8 @@ def summaries(
             continue
         comp, up = net.components[i], net.upacts[i]
         skip = up | net.downacts[i].difference(*(out[k][1] for k in kids))
-        seen = _closure([[d for a, d in moves if a not in skip] for moves in comp.succ],
-                        [comp.index[comp.initial]])
+        seen = closure([[d for a, d in moves if a not in skip] for moves in comp.succ],
+                       [comp.index[comp.initial]])
         out[i] = (frozenset().union(*(comp.label_of(comp.states[s]) for s in seen),
                                     *(out[k][0] for k in kids)),
                   frozenset(a for s in seen for a, _ in comp.succ[s] if a in up))
@@ -768,8 +756,8 @@ def _pruned(m: _Moves) -> set[int]:
         if m.root_local[rs] or m.root_up[rs] or any(
                 a in m.root_dsts[rs] for a, _ in m.handoffs[row]):
             seeds.append(code)
-    alive = _closure(preds, seeds)
+    alive = closure(preds, seeds)
     locked = [code for code in m.codes if code not in alive]
-    reaching = _closure(preds, [code for code in locked
-                                if m.row_labels[code // width] or m.root_labels[code % width]])
+    reaching = closure(preds, [code for code in locked
+                               if m.row_labels[code // width] or m.root_labels[code % width]])
     return {code for code in locked if code not in reaching}

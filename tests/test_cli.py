@@ -345,6 +345,11 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["reduce", str(bad), "-o", str(tmp_path / "out.json")]) == 2
+        # stats reduces too, so it refuses the same file
+        capsys.readouterr()
+        assert main(["stats", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: network is not live-reset")
 
     def test_product_save_and_dot(self, tmp_path, capsys):
         out = tmp_path / "product.json"
@@ -370,6 +375,18 @@ class TestMain:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(out) in err
+
+    def test_suite_checks_its_report_path_before_the_first_seed(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        assert main(["suite", "--seeds", "2", "--max-states", "3", "--json", str(out)]) == 2
+        assert not [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("seed ")]
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_suite_needs_at_least_one_seed(self, seeds, capsys):
+        assert main(["suite", "--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: --seeds")
 
     def test_gen_is_deterministic(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -193,6 +193,18 @@ class TestComponent:
         assert c.labels == {"s0": ps, "s2": {"q", "r"}}
 
 
+def choose_r_lands_on_t1(gx):
+    """gx with S2's upact move ``t2 -chooseR-> t0`` retargeted to ``t1``."""
+    r, s1, s2 = gx.components
+    bad = Component(
+        name="S2", states=s2.states, initial=s2.initial,
+        transitions=tuple(
+            ("t2", "chooseR", "t1") if tr == ("t2", "chooseR", "t0") else tr
+            for tr in s2.transitions),
+        labels=s2.labels)
+    return infer_topology([r, s1, bad], "R")
+
+
 class TestLiveReset:
     def test_gx_is_live_reset(self, gx):
         assert validate_live_reset(gx) == []
@@ -203,14 +215,7 @@ class TestLiveReset:
         assert validate_live_reset(net) == []
 
     def test_single_broken_reset_is_reported(self, gx):
-        r, s1, s2 = gx.components
-        bad = Component(
-            name="S2", states=s2.states, initial=s2.initial,
-            transitions=tuple(
-                ("t2", "chooseR", "t1") if tr == ("t2", "chooseR", "t0") else tr
-                for tr in s2.transitions),
-            labels=s2.labels)
-        net = infer_topology([r, s1, bad], "R")
+        net = choose_r_lands_on_t1(gx)
         # reference scan straight from the definition
         expected = [
             Violation(c.name, tr)
@@ -230,6 +235,28 @@ class TestLiveReset:
         net = infer_topology([root, child], "r")
         with pytest.warns(LiveResetWarning):
             assert validate_live_reset(net) == []
+
+    def test_reachable_and_unreachable_stray_moves_are_told_apart(self):
+        root = Component("r", ("r0",), "r0", (("r0", "up", "r0"),))
+        # c0 -up-> c1 is reachable, c2 -up-> c3 is not; both miss c0
+        child = Component("c", ("c0", "c1", "c2", "c3"), "c0",
+                          (("c0", "up", "c1"), ("c2", "up", "c3"), ("c1", "up", "c0")))
+        net = infer_topology([root, child], "r")
+        with pytest.warns(LiveResetWarning) as caught:
+            assert validate_live_reset(net) == [Violation("c", ("c0", "up", "c1"))]
+        assert [str(w.message) for w in caught] == [
+            "unreachable transition ('c2', 'up', 'c3') in component 'c' "
+            "does not reset on upstream action 'up'"]
+
+    @pytest.mark.parametrize("broken, searches", [(False, 0), (True, 1)])
+    def test_only_a_component_with_a_stray_move_is_searched(self, gx, broken, searches,
+                                                            monkeypatch):
+        # a stray move: on an upact, to a state other than the initial one
+        real, calls = model.closure, []
+        monkeypatch.setattr(model, "closure",
+                            lambda succ, seeds: calls.append(seeds) or real(succ, seeds))
+        validate_live_reset(choose_r_lands_on_t1(gx) if broken else gx)
+        assert len(calls) == searches
 
 
 class TestSubnetwork:
