@@ -45,7 +45,8 @@ class Component:
     The action set ``acts`` is implicit: it is derived from the transitions
     at construction, so a component cannot declare actions it never uses.
     States keep their declaration order, which downstream constructions
-    rely on for deterministic numbering.
+    rely on for deterministic numbering; ``index`` gives each state's
+    position in it, built at construction by the check for duplicates.
     """
 
     name: str
@@ -55,6 +56,8 @@ class Component:
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValidationError(f"component name {self.name!r} is not a string")
         # one pass per collection: tuples, the first of equal transitions
         # kept, empty label sets dropped, a given frozenset kept as it is
         states = tuple(self.states)
@@ -71,6 +74,11 @@ class Component:
             raise ValidationError(
                 f"transition {bad!r} in component {self.name!r} is not a "
                 f"(src, action, dst) triple")
+        for s, ps in self.labels.items():
+            if isinstance(ps, str):  # frozenset(ps) would split it into letters
+                raise ValidationError(
+                    f"labels {ps!r} of state {s!r} in component {self.name!r} "
+                    f"are a string, not a set of propositions")
         labels = {s: ps if type(ps) is frozenset else frozenset(ps)
                   for s, ps in self.labels.items() if ps}
         acts = frozenset(map(itemgetter(1), transitions))
@@ -85,26 +93,22 @@ class Component:
             if bad:
                 raise ValidationError(
                     f"name {bad[0]!r} in component {self.name!r} is not a string")
-        state_set = set(states)
-        if len(state_set) != len(states):
+        index = dict(zip(states, range(len(states))))
+        if len(index) != len(states):
             raise ValidationError(f"duplicate state names in component {self.name!r}")
-        if self.initial not in state_set:
+        if self.initial not in index:
             raise ValidationError(
                 f"initial state {self.initial!r} is not a state of component {self.name!r}")
         for src, act, dst in transitions:
-            if src not in state_set or dst not in state_set:
+            if src not in index or dst not in index:
                 raise ValidationError(
                     f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
                     f"in component {self.name!r}")
         for s in labels:
-            if s not in state_set:
+            if s not in index:
                 raise ValidationError(
                     f"label on unknown state {s!r} in component {self.name!r}")
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        """Position of each state in declaration order."""
-        return dict(zip(self.states, range(len(self.states))))
+        object.__setattr__(self, "index", index)
 
     @cached_property
     def succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:

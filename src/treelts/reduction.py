@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import compress
 from operator import and_
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
 # subnetwork is not called here; perfbench/spans.py patches it in this namespace
@@ -82,9 +82,31 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     network order, child states varying slower than root states, both in
     declaration order.  Each transition is then emitted once, with its ids.
     """
-    m = _square_moves(net, epsilon)
+    views = replace(net, components=tuple(map(_view, net.components)))
+    m = _square_moves(views, epsilon)
     ids = dict(zip(m.codes, range(1, len(m.codes) + 1)))
-    return _emit(net, m, ids, {rs: [ids[e + rs] for e in m.entries] for rs in m.entered})
+    return _emit(views, m, ids, {rs: [ids[e + rs] for e in m.entries] for rs in m.entered})
+
+
+class _View(NamedTuple):
+    """A component as the squares read it: integer tables over its state
+    positions.  ``succ`` holds the ``(action, target)`` moves per position,
+    ``labels`` the label set per position, and ``acts`` the actions the
+    moves use.  A network of views is classified by ``two_level_network``
+    like one of components."""
+
+    name: str
+    states: tuple[str, ...]
+    init: int
+    succ: Sequence[Sequence[tuple[str, int]]]
+    labels: Sequence[frozenset[str]]
+    acts: frozenset[str]
+
+
+def _view(c: Component) -> _View:
+    """The view of a component as it is."""
+    return _View(c.name, c.states, c.index[c.initial], c.succ,
+                 tuple(map(c.label_of, c.states)), c.acts)
 
 
 class _Moves(NamedTuple):
@@ -105,7 +127,7 @@ class _Moves(NamedTuple):
     root_local: list[list[tuple[str, int, frozenset[int]]]]
     root_up: list[list[tuple[str, int, frozenset[int]]]]
     root_dsts: list[dict[str, list[int]]]
-    root_labels: list[frozenset[str]]
+    root_labels: Sequence[frozenset[str]]
     entries: list[int]  # the code of each square's initial pair at root position 0
     root_init: int
     entered: set[int]  # root positions at which every square has been entered
@@ -113,7 +135,8 @@ class _Moves(NamedTuple):
 
 
 def _square_moves(net: Network, epsilon: str | None) -> _Moves:
-    """The move tables of ``net``'s squares and their reachable codes."""
+    """The move tables of the squares of ``net``, a network of views, and
+    their reachable codes."""
     r = net.root_index
     kids = net.children[r]
     if not kids:
@@ -141,16 +164,16 @@ def _square_moves(net: Network, epsilon: str | None) -> _Moves:
             dsts.setdefault(a, []).append(d)
     rows, row_labels, child_local, handoffs, entries = [], [], [], [], []
     for k in kids:
-        init, loc, up = comps[k].index[comps[k].initial], net.locacts[k], net.upacts[k]
+        init, loc, up = comps[k].init, net.locacts[k], net.upacts[k]
         at_child, at_both = frozenset((k,)), frozenset((k, r))
         entries.append((len(rows) + init) * width)
-        row_labels += map(comps[k].label_of, comps[k].states)
+        row_labels += comps[k].labels
         for cs, moves in enumerate(comps[k].succ):
             rows.append((k, cs))
             child_local.append([(a, (d - cs) * width, at_child) for a, d in moves if a in loc])
             handoffs.append([(a, at_both) for a, d in moves if a in up and d == init])
 
-    root_init = root.index[root.initial]
+    root_init = root.init
     found = {e + root_init for e in entries}
     entered = {root_init}
     stack = list(found)
@@ -166,14 +189,14 @@ def _square_moves(net: Network, epsilon: str | None) -> _Moves:
         stack += new - found
         found |= new
     return _Moves(epsilon, width, rows, row_labels, child_local, handoffs, root_local, root_up,
-                  root_dsts, list(map(root.label_of, root.states)), entries, root_init,
+                  root_dsts, root.labels, entries, root_init,
                   entered, sorted(found))
 
 
 def _emit(net: Network, m: _Moves, ids: dict[int, int],
           targets: dict[int, list[int]]) -> SumOfSquares:
-    """The squares over the codes of ``ids``, in code order, each becoming
-    state ``ids[code]``.
+    """The squares of ``net``, a network of views, over the codes of
+    ``ids``, in code order, each becoming state ``ids[code]``.
 
     Codes that share an id merge into one state, which keeps the payload of
     the first and the union of their labels; their transitions keep their
@@ -428,24 +451,52 @@ def quotient(
     silent move involves no other component, so all members of a silent
     cycle are reachable from each other alongside any state of the others.
     """
-    if len(component.states) < 2 or component.acts <= visible:
+    contracted = _contract(component, visible)
+    if contracted is None:
         return component, None
-    scc = _sccs([[d for a, d in out if a not in visible] for out in component.succ])
+    return _named(contracted[0]), contracted[1]
+
+
+def _contract(
+    component: Component, visible: frozenset[str],
+) -> tuple[_View, tuple[int, ...]] | None:
+    """``quotient`` on integer tables: the contracted component as a view
+    over states ``q0``, ``q1``, ..., with its block map, or None where
+    ``quotient`` returns the component as it is.  The view's moves come
+    sorted per position."""
+    n = len(component.states)
+    if n < 2 or component.acts <= visible:
+        return None
+    index = component.index
+    triples = [(index[s], a, index[d]) for s, a, d in component.transitions]
+    hidden: list[list[int]] = [[] for _ in range(n)]
+    for s, a, d in triples:
+        if a not in visible:
+            hidden[s].append(d)
+    scc = _sccs(hidden)
     rank: dict[int, int] = {}
     for s in scc:
         rank.setdefault(s, len(rank))
-    if len(rank) == len(scc):
-        return component, None
-    of = [rank[s] for s in scc]
+    if len(rank) == n:
+        return None
+    of = tuple(map(rank.__getitem__, scc))
     labels: list[frozenset[str]] = [frozenset()] * len(rank)
-    edges: set[tuple[int, str, int]] = set()
-    for pos, out in enumerate(component.succ):
-        src = of[pos]
-        labels[src] = _union(labels[src], component.label_of(component.states[pos]))
-        edges.update((src, a, of[d]) for a, d in out if a in visible or of[d] != src)
-    minimal = flat_component(
-        component.name, of[component.index[component.initial]], sorted(edges), labels)
-    return minimal, tuple(of)
+    for s, ps in component.labels.items():
+        b = of[index[s]]
+        labels[b] = _union(labels[b], ps)
+    edges = sorted({(of[s], a, of[d]) for s, a, d in triples if a in visible or of[s] != of[d]})
+    succ: list[list[tuple[str, int]]] = [[] for _ in labels]
+    for s, a, d in edges:
+        succ[s].append((a, d))
+    names = tuple(f"q{i}" for i in range(len(labels)))
+    acts = frozenset(a for _, a, _ in edges)
+    return _View(component.name, names, of[index[component.initial]], succ, labels, acts), of
+
+
+def _named(view: _View) -> Component:
+    """The component a contracted view stands for, named by ``flat_component``."""
+    return flat_component(view.name, view.init, (
+        (s, a, d) for s, moves in enumerate(view.succ) for a, d in moves), view.labels)
 
 
 def _interface(net: Network, i: int) -> frozenset[str]:
@@ -477,14 +528,16 @@ def _sccs(succ: list[list[int]]) -> list[int]:
                     path.append(w)
                     work.append((w, iter(succ[w])))
                     break
-                if scc[w] < 0:  # still on the path stack
-                    low[v] = min(low[v], order[w])
+                if scc[w] < 0 and order[w] < low[v]:  # w is still on the path stack
+                    low[v] = order[w]
             else:
                 work.pop()
+                lv = low[v]
                 if work:
                     u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == order[v]:
+                    if lv < low[u]:
+                        low[u] = lv
+                if lv == order[v]:
                     while True:
                         w = path.pop()
                         scc[w] = found
@@ -507,15 +560,18 @@ class ReductionStage:
 
     ``net``, ``blocks``, ``sq``, ``unpruned_states`` and ``deleted`` are
     built on first access, once per stage; only the top stage, whose
-    ``cmpl`` reads them, builds them at once.  ``net`` is the two-level
+    ``cmpl`` reads them, builds them at once.  Each input is contracted
+    once, into a view whose integer tables the squares read; ``net`` names
+    the same views when it is first read.  ``net`` is the two-level
     network the squares ``sq`` are built from, aligned with ``originals``,
-    every component pre-minimised: ``blocks[i]`` is the block map
-    ``quotient`` gave for ``originals[i]``, or None where the component
-    entered as it is, with no silent cycle (an inner child's one-state
-    summary among them).  ``lift_witness`` reads all three.  ``sq`` is the
-    squares pruned, with their home copies merged, as ``merge_home(
-    prune_locked(build_sq_unreduced(net)), net)`` gives them, though built
-    in one pass (see ``_squares``).  ``unpruned_states`` counts the states of
+    every component pre-minimised: ``net.components[i]`` and
+    ``blocks[i]`` are what ``quotient`` gives for ``originals[i]``, the
+    component itself and None where it entered as it is, with no silent
+    cycle (an inner child's one-state summary among them).
+    ``lift_witness`` reads all three.  ``sq`` is the squares pruned, with
+    their home copies merged, as ``merge_home(prune_locked(
+    build_sq_unreduced(net)), net)`` gives them, though built in one pass
+    (see ``_squares``).  ``unpruned_states`` counts the states of
     ``build_sq_unreduced(net)``, which is never built, and ``deleted`` those
     pruning removed, not those the merge folded: when it is 0, ``sq`` holds
     the unpruned squares merged.  ``epsilon`` names the glue (see
@@ -535,18 +591,27 @@ class ReductionStage:
 
     @cached_property
     def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
+        """The stage's network of views, each input contracted by
+        ``_contract`` or viewed as it is, and the block maps."""
         tree, kids = self.tree, self.tree.children[self.node]
-        premin = [quotient(c, _interface(tree, i))
-                  for i, c in zip((self.node, *kids), self.originals)]
-        return two_level_network(
-            premin[0][0], [c for c, _ in premin[1:]], [tree.upacts[k] for k in kids],
-            tree.upacts[self.node], tree.silent), tuple(b for _, b in premin)
+        contracted = [_contract(c, _interface(tree, i))
+                      for i, c in zip((self.node, *kids), self.originals)]
+        views = [_view(c) if k is None else k[0] for c, k in zip(self.originals, contracted)]
+        blocks = tuple(None if k is None else k[1] for k in contracted)
+        return two_level_network(views[0], views[1:], [tree.upacts[k] for k in kids],
+                                 tree.upacts[self.node], tree.silent), blocks
 
     @cached_property
     def _built(self) -> tuple[SumOfSquares, int, int]:
-        return _squares(self.net, self.epsilon)
+        return _squares(self._entered[0], self.epsilon)
 
-    net = cached_property(lambda self: self._entered[0])
+    @cached_property
+    def net(self) -> Network:
+        views, blocks = self._entered
+        return replace(views, components=tuple(
+            c if b is None else _named(v)
+            for c, v, b in zip(self.originals, views.components, blocks)))
+
     blocks = cached_property(lambda self: self._entered[1])
     sq = cached_property(lambda self: self._built[0])
     unpruned_states = cached_property(lambda self: self._built[1])
@@ -717,8 +782,9 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
 
 
 def _squares(net: Network, epsilon: str) -> tuple[SumOfSquares, int, int]:
-    """``merge_home(prune_locked(build_sq_unreduced(net, epsilon)), net)``,
-    built in one pass: a handoff enters the one state of its root
+    """``merge_home(prune_locked(build_sq_unreduced(net, epsilon)), net)``
+    for the components the views of ``net`` stand for, built from the views
+    in one pass: a handoff enters the one state of its root
     position's surviving copies of home, not every square.  Also returns
     the number of unpruned square states and the number of states pruning
     deleted (see ``_pruned``)."""

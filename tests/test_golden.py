@@ -324,6 +324,24 @@ def treelts_imports(module):
     return found
 
 
+def test_the_package_imports_the_standard_library_alone():
+    # pyproject.toml declares no dependencies, so a module that happens to be
+    # installed beside the package must not be imported by it
+    assert re.search(r"^dependencies = \[\]$", (PERFBENCH.parent / "pyproject.toml").read_text(
+        encoding="utf-8"), re.M)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "treelts", f"{path.name}: {name}"
+
+
 def test_core_modules_do_not_import_the_layers_above():
     assert treelts_imports("checker") == {"product"}
     for module in ("model", "product", "reduction", "fixtures/__init__"):

@@ -192,6 +192,21 @@ class TestComponent:
         given["s1"] = frozenset({"r"})
         assert c.labels == {"s0": ps, "s2": {"q", "r"}}
 
+    def test_a_string_label_set_is_rejected_not_split_into_letters(self):
+        # frozenset("goal") would label s1 with g, o, a and l
+        with pytest.raises(ValidationError) as info:
+            Component("c", ("s0", "s1"), "s0", labels={"s0": {"p"}, "s1": "goal"})
+        assert str(info.value) == (
+            "labels 'goal' of state 's1' in component 'c' are a string, "
+            "not a set of propositions")
+
+    @pytest.mark.parametrize("name", [7, None, ("c",)], ids=["int", "none", "tuple"])
+    def test_a_component_name_that_is_not_a_string_is_rejected(self, name):
+        # save_string would fail on it later with a TypeError
+        with pytest.raises(ValidationError) as info:
+            Component(name, ("s0",), "s0")
+        assert str(info.value) == f"component name {name!r} is not a string"
+
 
 def choose_r_lands_on_t1(gx):
     """gx with S2's upact move ``t2 -chooseR-> t0`` retargeted to ``t1``."""

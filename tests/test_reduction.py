@@ -47,6 +47,7 @@ from treelts import (
 )
 from treelts import reduction as reduction_module
 from treelts.cli import main, save, save_string
+from treelts.model import closure
 from treelts.product import flat_component
 from treelts.reduction import fresh_action, merge_home, quotient, summaries
 from oracles import naive_ef, naive_product
@@ -615,6 +616,80 @@ class TestQuotient:
         save(net, path)
         assert main(["check", str(path), "--ef", "p1999", "--reduced"]) == 0
         assert "HOLDS" in capsys.readouterr().out
+
+
+#: Graphs of 0 to 12 nodes as successor lists; repeats are parallel edges,
+#: ``v`` among the successors of ``v`` a self-loop, an empty list a sink.
+GRAPHS = st.integers(0, 12).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, n - 1), max_size=4) if n else st.nothing(),
+    min_size=n, max_size=n))
+
+
+class TestIntegerCore:
+    @settings(max_examples=200, deadline=None)
+    @given(GRAPHS)
+    def test_sccs_are_the_mutually_reachable_nodes(self, succ):
+        scc = reduction_module._sccs(succ)
+        reach = [closure(succ, [v]) for v in range(len(succ))]
+        for v, u in combinations(range(len(succ)), 2):
+            assert (scc[v] == scc[u]) == (u in reach[v] and v in reach[u]), (v, u)
+        assert sorted(set(scc)) == list(range(len(set(scc))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(GRAPHS.filter(len))
+    def test_quotient_ranks_blocks_by_their_first_position(self, succ):
+        # every move hidden: the blocks are the silent SCCs, and block b is
+        # the (b + 1)-th new one met in state position order
+        names = [f"s{v}" for v in range(len(succ))]
+        c = Component("c", names, "s0",
+                      [(names[v], "t", names[w]) for v, out in enumerate(succ) for w in out])
+        got, block = quotient(c, frozenset())
+        scc = reduction_module._sccs(succ)
+        if block is None:
+            assert len(set(scc)) == len(succ)
+            return
+        assert list(dict.fromkeys(block)) == list(range(len(got.states)))
+        for v, u in combinations(range(len(succ)), 2):
+            assert (block[v] == block[u]) == (scc[v] == scc[u]), (v, u)
+
+    def test_the_verdict_path_names_only_the_completed_component(self, monkeypatch):
+        # every ring contracts to one state, and no contraction is named
+        named = []
+        original = reduction_module.flat_component
+
+        def naming(*args):
+            named.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        monkeypatch.setattr(reduction_module, "flat_component", naming)
+        reduce_net(ring_tree([None, 0, 0, 0]))
+        assert named == ["cmpl"]
+
+    @pytest.mark.parametrize("make", [
+        lambda: ring_tree([None, 0, 1, 0]),
+        lambda: gen_random_tree(GenConfig(seed=3, max_depth=3, max_children=2, max_states=5,
+                                          density=1.0)),
+    ], ids=["rings", "random"])
+    def test_each_stage_input_is_contracted_once(self, make, monkeypatch):
+        calls = []
+        original = reduction_module._contract
+
+        def counting(component, visible):
+            calls.append(component.name)
+            return original(component, visible)
+
+        monkeypatch.setattr(reduction_module, "_contract", counting)
+        _, stages = reduce_net_traced(make())
+        for stage in stages:
+            stage.net, stage.blocks, stage.sq, stage.net, stage.blocks
+        assert sorted(calls) == sorted(c.name for stage in stages for c in stage.originals)
+        monkeypatch.setattr(reduction_module, "_contract", original)
+        # the stage network holds what quotient names for each input
+        for stage in stages:
+            tree, kids = stage.tree, stage.tree.children[stage.node]
+            for i, c, got in zip((stage.node, *kids), stage.originals, stage.net.components):
+                assert got == quotient(c, tree.upacts[i] | tree.downacts[i])[0], c.name
+        assert any(b is not None for stage in stages for b in stage.blocks)
 
 
 def reached(succ, start):
