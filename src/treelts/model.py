@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
 
 from .errors import LiveResetWarning, NotATree, UnknownRoot, ValidationError
 
@@ -58,22 +58,24 @@ class Component:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValidationError(f"component name {self.name!r} is not a string")
+        if isinstance(self.states, str):  # tuple() would split it into letters
+            raise ValidationError(
+                f"states {self.states!r} of component {self.name!r} are a string, "
+                f"not a sequence of state names")
         # one pass per collection: tuples, the first of equal transitions
         # kept, empty label sets dropped, a given frozenset kept as it is
         states = tuple(self.states)
         triples = given = tuple(self.transitions)
         if not {tuple}.issuperset(map(type, given)):  # lists and other sequences
-            try:
-                triples = None if str in map(type, given) else tuple(map(tuple, given))
-            except TypeError:  # an element that is not a sequence
-                triples = None
-        transitions = tuple(dict.fromkeys(triples or ()))
-        if triples is None or not {3}.issuperset(map(len, transitions)):
-            bad = next(t for t in given if type(t) is str
-                       or not hasattr(t, "__len__") or len(t) != 3)
+            # a string, set or dict is no (src, action, dst) sequence: it reads as ()
+            triples = tuple(tuple(t) if isinstance(t, Sequence) and not isinstance(t, str)
+                            else () for t in given)
+        if not {3}.issuperset(map(len, triples)):
+            bad = next(t for t, triple in zip(given, triples) if len(triple) != 3)
             raise ValidationError(
                 f"transition {bad!r} in component {self.name!r} is not a "
                 f"(src, action, dst) triple")
+        transitions = tuple(dict.fromkeys(triples))
         for s, ps in self.labels.items():
             if isinstance(ps, str):  # frozenset(ps) would split it into letters
                 raise ValidationError(

@@ -13,18 +13,18 @@ top stage's result is completed into a live-reset component.  Below the
 top, a subtree is seen by its parent only through the labels it can reach
 and the upacts it can fire; one linear pass computes both for every node
 (see ``summaries``), and the stage's result is a one-state summary of
-them, so a stage below the top builds its squares only when they are
-read.  A path of any stage's squares lifts back to the components that
-entered the stage.
+them, so a stage below the top builds its squares, and even that
+summary, only when they are read.  A path of any stage's squares lifts
+back to the components that entered the stage.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, reduce
 from itertools import compress
-from operator import and_
+from operator import and_, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
@@ -395,7 +395,9 @@ def summaries(
     One pass, linear in the components: each is searched from its initial
     state along its local and silent moves, and along a downact only where
     the child declaring it can fire it; an upact is recorded, not followed.
-    A node's labels are its visited states' and its children's.
+    A node's labels are its visited states' and its children's.  The pass
+    carries them as bitmasks (see ``_summary_masks``); this decodes every
+    node's, where the reduction decodes only the nodes it reads.
 
     Sound under live reset (``validate_live_reset``): an upact move resets
     its component, so what a component reaches does not depend on its
@@ -409,8 +411,20 @@ def summaries(
     transitions take); on a network that violates live reset they may not
     be.
     """
-    out: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
-    todo = [(net.root_index if node is None else node, False)]
+    masks, names = _summary_masks(net, [net.root_index if node is None else node])
+    return {i: (_decode(mask, names), upacts) for i, (mask, upacts) in masks.items()}
+
+
+def _summary_masks(
+    net: Network, tops: Sequence[int],
+) -> tuple[dict[int, tuple[int, frozenset[str]]], list[str]]:
+    """The ``summaries`` pass over the subtree under each node of ``tops``
+    in turn, with each node's labels as an ``int`` mask: bit ``b`` stands
+    for proposition ``names[b]``, the names interned in the order the pass
+    meets them."""
+    bit: dict[str, int] = {}  # the bit position of each proposition met
+    out: dict[int, tuple[int, frozenset[str]]] = {}
+    todo = [(top, False) for top in reversed(tops)]
     while todo:
         i, ready = todo.pop()
         kids = net.children[i]
@@ -419,13 +433,50 @@ def summaries(
             todo.extend((k, False) for k in reversed(kids))
             continue
         comp, up = net.components[i], net.upacts[i]
+        index = comp.index
         skip = up | net.downacts[i].difference(*(out[k][1] for k in kids))
-        seen = closure([[d for a, d in moves if a not in skip] for moves in comp.succ],
-                       [comp.index[comp.initial]])
-        out[i] = (frozenset().union(*(comp.label_of(comp.states[s]) for s in seen),
-                                    *(out[k][0] for k in kids)),
-                  frozenset(a for s in seen for a, _ in comp.succ[s] if a in up))
-    return out
+        succ: list[list[int]] = [[] for _ in comp.states]
+        for s, a, d in comp.transitions:
+            if a not in skip:
+                succ[index[s]].append(index[d])
+        seen = closure(succ, [index[comp.initial]])
+        mask = reduce(or_, (out[k][0] for k in kids), 0)
+        for s, ps in comp.labels.items():
+            if index[s] in seen:
+                for p in ps:
+                    mask |= 1 << bit.setdefault(p, len(bit))
+        out[i] = (mask, frozenset(
+            a for s, a, _ in comp.transitions if a in up and index[s] in seen))
+    return out, list(bit)
+
+
+def _decode(mask: int, names: Sequence[str]) -> frozenset[str]:
+    """The propositions of the bits set in ``mask``."""
+    # bin's digits, least significant first; its "0b" falls past the top bit
+    return frozenset(compress(names, map("1".__eq__, reversed(bin(mask)))))
+
+
+class _Inner(NamedTuple):
+    """What a reduction's stages read of its inner nodes: per node the
+    label mask and upacts of the summary pass, the proposition of each
+    mask bit, and the one-state summary components built so far."""
+
+    masks: dict[int, tuple[int, frozenset[str]]]
+    names: list[str]
+    built: dict[int, Component]
+
+    def view(self, tree: Network, i: int) -> _View:
+        """Inner node ``i`` of ``tree`` as the squares read its summary:
+        state ``q0`` with its labels and a self-loop on each of its upacts."""
+        mask, upacts = self.masks[i]
+        return _View(tree.components[i].name, ("q0",), 0, [[(a, 0) for a in sorted(upacts)]],
+                     [_decode(mask, self.names)], upacts)
+
+    def component(self, tree: Network, i: int) -> Component:
+        """The one-state summary of inner node ``i`` of ``tree``, built once."""
+        if i not in self.built:
+            self.built[i] = _named(self.view(tree, i))
+        return self.built[i]
 
 
 def quotient(
@@ -550,54 +601,67 @@ def _sccs(succ: list[list[int]]) -> list[int]:
 @dataclass(frozen=True)
 class ReductionStage:
     """One two-level collapse of a bottom-up reduction: node ``node`` of
-    the network ``tree`` with its children.
+    the network ``tree`` with its children.  ``inner`` holds the summary
+    pass's data on the inner nodes, shared by the reduction's stages.
 
-    ``originals`` holds the components as they entered the stage, the
-    node's first and then its children's in network order: a leaf as it
-    is, an inner child as its one-state summary.  ``result`` is
-    ``cmpl(sq)`` at the top stage and, below it, the one-state summary of
-    the node's subtree, made from ``summaries`` alone.
+    Every other field is built on first access, once; ``reduce_net_traced``
+    reads the top stage's ``result`` at once.  ``originals`` holds the
+    components as they entered the stage, the node's first and then its
+    children's in network order: a leaf as it is, an inner child as its
+    one-state summary.  ``result`` is ``cmpl(sq)`` at the top stage and,
+    below it, the one-state summary of the node's subtree.
 
-    ``net``, ``blocks``, ``sq``, ``unpruned_states`` and ``deleted`` are
-    built on first access, once per stage; only the top stage, whose
-    ``cmpl`` reads them, builds them at once.  Each input is contracted
-    once, into a view whose integer tables the squares read; ``net`` names
-    the same views when it is first read.  ``net`` is the two-level
-    network the squares ``sq`` are built from, aligned with ``originals``,
-    every component pre-minimised: ``net.components[i]`` and
-    ``blocks[i]`` are what ``quotient`` gives for ``originals[i]``, the
-    component itself and None where it entered as it is, with no silent
-    cycle (an inner child's one-state summary among them).
-    ``lift_witness`` reads all three.  ``sq`` is the squares pruned, with
-    their home copies merged, as ``merge_home(prune_locked(
-    build_sq_unreduced(net)), net)`` gives them, though built in one pass
-    (see ``_squares``).  ``unpruned_states`` counts the states of
-    ``build_sq_unreduced(net)``, which is never built, and ``deleted`` those
-    pruning removed, not those the merge folded: when it is 0, ``sq`` holds
-    the unpruned squares merged.  ``epsilon`` names the glue (see
-    ``reduce_net_traced``).  Pre-minimisation renames nothing, so ``net``
-    has the silent names of ``tree``.
+    The root and each leaf are contracted once, into a view whose integer
+    tables the squares read; an inner child is viewed straight from its
+    summary.  ``net`` names the same views: it is the two-level network
+    the squares ``sq`` are built from, aligned with ``originals``, every
+    component pre-minimised: ``net.components[i]`` and ``blocks[i]`` are
+    what ``quotient`` gives for ``originals[i]``, the component itself and
+    None where it entered as it is, with no silent cycle (an inner child's
+    one-state summary among them).  ``lift_witness`` reads all three.
+    ``sq`` is the squares pruned, with their home copies merged, as
+    ``merge_home(prune_locked(build_sq_unreduced(net)), net)`` gives them,
+    though built in one pass (see ``_squares``).  ``unpruned_states``
+    counts the states of ``build_sq_unreduced(net)``, which is never
+    built, and ``deleted`` those pruning removed, not those the merge
+    folded: when it is 0, ``sq`` holds the unpruned squares merged.
+    ``epsilon`` names the glue (see ``reduce_net_traced``).
+    Pre-minimisation renames nothing, so ``net`` has the silent names of
+    ``tree``.
     """
 
-    result: Component | None  # None: the top stage, completed from its squares
-    originals: tuple[Component, ...]
     tree: Network
     node: int
     epsilon: str
+    inner: _Inner = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.result is None:
-            object.__setattr__(self, "result", cmpl(self.sq))
+    @cached_property
+    def originals(self) -> tuple[Component, ...]:
+        tree = self.tree
+        return (tree.components[self.node], *(
+            self.inner.component(tree, k) if tree.children[k] else tree.components[k]
+            for k in tree.children[self.node]))
+
+    @cached_property
+    def result(self) -> Component:
+        if self.node == self.tree.root_index:
+            return cmpl(self.sq)
+        return self.inner.component(self.tree, self.node)
+
+    def _input(self, i: int) -> tuple[_View, tuple[int, ...] | None]:
+        """Component ``i`` of ``tree`` as the squares read it, with its
+        block map (see ``_contract``): an inner child's summary as it is."""
+        tree = self.tree
+        if i != self.node and tree.children[i]:
+            return self.inner.view(tree, i), None
+        c = tree.components[i]
+        return _contract(c, _interface(tree, i)) or (_view(c), None)
 
     @cached_property
     def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
-        """The stage's network of views, each input contracted by
-        ``_contract`` or viewed as it is, and the block maps."""
+        """The stage's network of views and the block maps."""
         tree, kids = self.tree, self.tree.children[self.node]
-        contracted = [_contract(c, _interface(tree, i))
-                      for i, c in zip((self.node, *kids), self.originals)]
-        views = [_view(c) if k is None else k[0] for c, k in zip(self.originals, contracted)]
-        blocks = tuple(None if k is None else k[1] for k in contracted)
+        views, blocks = zip(*map(self._input, (self.node, *kids)))
         return two_level_network(views[0], views[1:], [tree.upacts[k] for k in kids],
                                  tree.upacts[self.node], tree.silent), blocks
 
@@ -722,9 +786,10 @@ def reduce_net(net: Network) -> Component:
     copies merged, and completed by ``cmpl``.  The root and its leaf
     children enter the squares pre-minimised against their tree interface
     (upacts and downacts); each inner child enters as a one-state summary
-    of its subtree, which ``summaries`` computes in one pass.  The result
-    satisfies the same reachability verdicts as the full product for every
-    single proposition.  The network must pass ``validate_live_reset``.
+    of its subtree, which the summary pass computes (see ``summaries``).
+    The result satisfies the same reachability verdicts as the full
+    product for every single proposition.  The network must pass
+    ``validate_live_reset``.
     """
     return reduce_net_traced(net)[0]
 
@@ -734,8 +799,10 @@ def reduce_net_traced(net: Network) -> tuple[Component, tuple[ReductionStage, ..
 
     Stages come in post-order over the original tree, children in network
     order.  Below the top, each stage's ``result`` is the one-state summary
-    its parent's stage glues in, straight from ``summaries``: no stage
-    below the top builds its squares until they are read.  On a network
+    its parent's stage glues in, straight from the summary pass: no stage
+    below the top builds a component or its squares until they are read,
+    and the top stage's squares read its inner children's summaries as
+    integer tables, so the one component built is the result.  On a network
     that fails ``validate_live_reset`` these summaries may differ from what
     the squares show, and no verdict is promised.  The last stage is the
     top-level one; its ``originals`` are the original root and leaves and
@@ -751,21 +818,11 @@ def reduce_net_traced(net: Network) -> tuple[Component, tuple[ReductionStage, ..
     if not kids:
         return net.root, ()
     epsilon = fresh_action({a for c in net.components for a in c.acts} | net.silent, "eps0")
-    entering = list(net.components)  # what each node brings to its parent's stage
-
-    def stage(i: int, result: Component | None) -> ReductionStage:
-        originals = (net.components[i], *(entering[k] for k in net.children[i]))
-        return ReductionStage(result, originals, net, i, epsilon)
-
-    stages = []
-    for k in kids:  # the pass runs only inside inner children's subtrees
-        if net.children[k]:
-            for i, (labels, upacts) in summaries(net, k).items():
-                if net.children[i]:
-                    entering[i] = flat_component(net.components[i].name, 0, [
-                        (0, a, 0) for a in sorted(upacts)], [labels])
-                    stages.append(stage(i, entering[i]))
-    stages.append(stage(r, None))
+    # the pass runs only inside inner children's subtrees
+    masks, names = _summary_masks(net, [k for k in kids if net.children[k]])
+    inner = _Inner(masks, names, {})
+    stages = [ReductionStage(net, i, epsilon, inner) for i in masks if net.children[i]]
+    stages.append(ReductionStage(net, r, epsilon, inner))
     return stages[-1].result, tuple(stages)
 
 

@@ -1,6 +1,6 @@
 """Reachability and invariance checking, witnesses, and witness lifting."""
 
-from dataclasses import replace
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -313,9 +313,10 @@ class TestLiftWitness:
         top = reduce_net_traced(gx)[1][-1]
         s1 = top.originals[1]
         assert s1.name == "S1" and top.blocks[1] is None
-        stuck = replace(top, originals=(
-            top.originals[0], Component(s1.name, s1.states, s1.initial, ()), top.originals[2]))
-        vars(stuck).update(net=top.net, blocks=top.blocks, sq=top.sq)  # not rebuilt from S1
+        stuck = copy.copy(top)
+        vars(stuck).update(originals=(  # net, blocks and sq not rebuilt from S1
+            top.originals[0], Component(s1.name, s1.states, s1.initial, ()), top.originals[2]),
+            net=top.net, blocks=top.blocks, sq=top.sq)
         verdict = check_ef(top.sq.lts, "r3_reached")
         assert lift_witness(top, verdict.witness, "r3_reached").actions
         with pytest.raises(InvalidWitness, match="no hidden walk in component 'S1'"):

@@ -342,6 +342,17 @@ def test_the_package_imports_the_standard_library_alone():
                 assert top in sys.stdlib_module_names or top == "treelts", f"{path.name}: {name}"
 
 
+def test_the_package_parses_as_its_oldest_declared_python():
+    # pyproject.toml declares the oldest Python the package supports; every
+    # module must be written in that version's grammar (library calls that
+    # came later are not caught)
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', (PERFBENCH.parent / "pyproject.toml")
+                      .read_text(encoding="utf-8"), re.M)
+    assert floor, "requires-python is not of the form >=3.N"
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, int(floor[1])))
+
+
 def test_core_modules_do_not_import_the_layers_above():
     assert treelts_imports("checker") == {"product"}
     for module in ("model", "product", "reduction", "fixtures/__init__"):

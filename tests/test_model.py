@@ -200,6 +200,23 @@ class TestComponent:
             "labels 'goal' of state 's1' in component 'c' are a string, "
             "not a set of propositions")
 
+    def test_a_string_of_states_is_rejected_not_split_into_letters(self):
+        # tuple("ab") would make the states a and b
+        with pytest.raises(ValidationError) as info:
+            Component("c", "ab", "a")
+        assert str(info.value) == (
+            "states 'ab' of component 'c' are a string, not a sequence of state names")
+
+    @pytest.mark.parametrize("bad", [
+        {"a", "go", "b"}, frozenset({"a", "go", "b"}), {"a": 0, "go": 1, "b": 2},
+    ], ids=["set", "frozenset", "dict"])
+    def test_a_transition_with_no_order_is_rejected(self, bad):
+        # a set would read in hash order, a dict as its keys
+        with pytest.raises(ValidationError) as info:
+            Component("c", ("a", "b"), "a", [("b", "go", "a"), bad])
+        assert str(info.value) == (
+            f"transition {bad!r} in component 'c' is not a (src, action, dst) triple")
+
     @pytest.mark.parametrize("name", [7, None, ("c",)], ids=["int", "none", "tuple"])
     def test_a_component_name_that_is_not_a_string_is_rejected(self, name):
         # save_string would fail on it later with a TypeError

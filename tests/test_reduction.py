@@ -6,6 +6,7 @@ import importlib.util
 import json
 import random
 import sys
+import tracemalloc
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -665,6 +666,30 @@ class TestIntegerCore:
         reduce_net(ring_tree([None, 0, 0, 0]))
         assert named == ["cmpl"]
 
+    @pytest.mark.parametrize("nets", [
+        lambda: [ring_chain(6)],
+        lambda: [ring_tree([None, 0, 0, 1, 1, 2, 2])],
+        lambda: [gen_random_tree(GenConfig(seed=seed, max_depth=4)) for seed in range(40)],
+    ], ids=["chain", "balanced", "random"])
+    def test_the_verdict_path_of_a_deep_tree_names_one_component(self, nets, monkeypatch):
+        # inner children enter the top stage as views of their summaries
+        named = []
+        original = reduction_module.flat_component
+
+        def naming(*args):
+            named.append(sys._getframe(1).f_code.co_name)
+            return original(*args)
+
+        nets = nets()
+        monkeypatch.setattr(reduction_module, "flat_component", naming)
+        for k, net in enumerate(nets):
+            named.clear()
+            reduce_net(net)
+            assert named == ["cmpl"], k
+        monkeypatch.setattr(reduction_module, "flat_component", original)
+        # reading the inner stages afterwards builds what their squares show
+        assert sum(map(assert_inner_summaries_match_their_squares, nets)) >= len(nets)
+
     @pytest.mark.parametrize("make", [
         lambda: ring_tree([None, 0, 1, 0]),
         lambda: gen_random_tree(GenConfig(seed=3, max_depth=3, max_children=2, max_states=5,
@@ -682,7 +707,11 @@ class TestIntegerCore:
         _, stages = reduce_net_traced(make())
         for stage in stages:
             stage.net, stage.blocks, stage.sq, stage.net, stage.blocks
-        assert sorted(calls) == sorted(c.name for stage in stages for c in stage.originals)
+        # inner children enter as their summaries, which are never contracted
+        assert sorted(calls) == sorted(
+            c.name for stage in stages
+            for i, c in zip((stage.node, *stage.tree.children[stage.node]), stage.originals)
+            if i == stage.node or not stage.tree.children[i])
         monkeypatch.setattr(reduction_module, "_contract", original)
         # the stage network holds what quotient names for each input
         for stage in stages:
@@ -780,6 +809,20 @@ class TestSummary:
         assert net.propositions() == ("p0", "p1000", "p1999")
         for prop in net.propositions():
             assert check_ef(lts, prop).holds, prop
+
+    def test_a_labelled_deep_chain_stays_linear_in_memory(self):
+        # each inner node reaches the labels of all below it: held as sets,
+        # the summaries of a chain grow with the square of its depth
+        net = ring_chain(2000, ring=False)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _, stages = reduce_net_traced(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stages) == 1999
+        assert peak < 16 * 2**20, peak
 
     @pytest.mark.parametrize("net", [
         ring_chain(6, ring=False),
