@@ -1,6 +1,8 @@
 """Reduction and reachability checking for tree networks of reset-on-sync
 labelled transition systems."""
 
+import types
+
 from .checker import Entry, Verdict, check_ef, check_eg
 from .errors import (
     EmptyProjection,
@@ -43,7 +45,6 @@ from .product import (
     full_product,
     prefix_from_states,
     prefix_of,
-    product_of,
     project_prefix,
     replay,
     resolve_prefix,
@@ -64,58 +65,6 @@ from .reduction import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Component",
-    "DEFAULT_SILENT",
-    "EmptyProjection",
-    "Entry",
-    "ExplicitLts",
-    "FreshInit",
-    "GenConfig",
-    "GlobalTuple",
-    "InvalidWitness",
-    "Network",
-    "NotATree",
-    "NotTwoLevel",
-    "OracleTooLarge",
-    "ParseError",
-    "Path",
-    "PathPrefix",
-    "ReductionStage",
-    "SquareOrigin",
-    "StateLimitExceeded",
-    "StatsReport",
-    "SuiteReport",
-    "SumOfSquares",
-    "TreeLtsError",
-    "UnknownRoot",
-    "ValidationError",
-    "Verdict",
-    "Violation",
-    "build_sq",
-    "build_sq_unreduced",
-    "check_ef",
-    "check_eg",
-    "cmpl",
-    "component_lts",
-    "compute_locked",
-    "equivalence_suite",
-    "full_product",
-    "gen_random_tree",
-    "infer_topology",
-    "lift_witness",
-    "prefix_from_states",
-    "prefix_of",
-    "product_of",
-    "project_prefix",
-    "prune_locked",
-    "reduce_net",
-    "reduce_net_traced",
-    "reduced_lts",
-    "replay",
-    "resolve_prefix",
-    "stats",
-    "subnetwork",
-    "two_level_network",
-    "validate_live_reset",
-]
+#: The names imported above; the submodules stay reachable as attributes.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

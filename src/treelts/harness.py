@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field, replace
 
 from .checker import Entry, check_ef, check_eg, render_witness
 from .errors import InvalidWitness, OracleTooLarge, StateLimitExceeded
@@ -22,7 +23,6 @@ from .product import (  # noqa: F401
     ExplicitLts,
     component_lts,
     full_product,
-    product_of,
     resolve_prefix,
 )
 from .reduction import build_sq_unreduced, lift_witness, reduce_net_traced, reduced_lts
@@ -219,12 +219,13 @@ def equivalence_suite(
     divergence there is expected and only flagged.  On every network with a
     stage, reachability witnesses found on ``reduced_lts``, the top stage's
     squares, are lifted by ``lift_witness`` and replayed against the product
-    of the stage's original components: the full product on a two-level
-    network, and otherwise the original root and leaves with the reduced
-    inner children.  The stage's squares and the unpruned ones are compared
-    at every stage where pruning deleted a state; elsewhere the squares are
-    the unpruned ones with their home copies merged, which reach the same
-    labels.  ``size_bound_ok`` checks each stage's unpruned square count
+    of the stage's network over its original components: the full product
+    on a two-level network, and otherwise the original root and leaves with
+    the one-state summaries of the inner children, synchronised on the
+    edges the network declares.  The stage's squares and the unpruned ones
+    are compared at every stage where pruning deleted a state; elsewhere
+    the squares are the unpruned ones with their home copies merged, which
+    reach the same labels.  ``size_bound_ok`` checks each stage's unpruned square count
     against ``(n - 1) * m * m + 1`` for its ``n`` components of at most
     ``m`` states.  Raises OracleTooLarge when the product exceeds ``cap``.
     """
@@ -247,14 +248,11 @@ def equivalence_suite(
 
     top = stages[-1] if stages else None
     lift_target: ExplicitLts | None = None
-    if top is not None:
-        if top.originals == net.components:
-            lift_target = full
-        else:
-            try:
-                lift_target = product_of(top.originals, top.net.silent, cap=cap)
-            except StateLimitExceeded:
-                lift_target = None
+    if top is not None and top.originals == net.components:
+        lift_target = full
+    elif top is not None:
+        with suppress(StateLimitExceeded):
+            lift_target = full_product(replace(top.net, components=top.originals), cap=cap)
 
     for prop in net.propositions():
         vf = check_ef(full, prop)

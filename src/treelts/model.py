@@ -58,9 +58,11 @@ class Component:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
             raise ValidationError(f"component name {self.name!r} is not a string")
-        if isinstance(self.states, str):  # tuple() would split it into letters
+        # tuple() would split a string into letters, and number a set in hash order
+        if isinstance(self.states, (str, set, frozenset)):
+            kind = "a string" if isinstance(self.states, str) else "a set"
             raise ValidationError(
-                f"states {self.states!r} of component {self.name!r} are a string, "
+                f"states {self.states!r} of component {self.name!r} are {kind}, "
                 f"not a sequence of state names")
         # one pass per collection: tuples, the first of equal transitions
         # kept, empty label sets dropped, a given frozenset kept as it is
@@ -75,14 +77,20 @@ class Component:
             raise ValidationError(
                 f"transition {bad!r} in component {self.name!r} is not a "
                 f"(src, action, dst) triple")
-        transitions = tuple(dict.fromkeys(triples))
         for s, ps in self.labels.items():
             if isinstance(ps, str):  # frozenset(ps) would split it into letters
                 raise ValidationError(
                     f"labels {ps!r} of state {s!r} in component {self.name!r} "
                     f"are a string, not a set of propositions")
-        labels = {s: ps if type(ps) is frozenset else frozenset(ps)
-                  for s, ps in self.labels.items() if ps}
+        try:
+            transitions = tuple(dict.fromkeys(triples))
+            labels = {s: ps if type(ps) is frozenset else frozenset(ps)
+                      for s, ps in self.labels.items() if ps}
+        except TypeError:  # a list or another unhashable name inside a triple or label set
+            bad = next(name for name in chain(chain.from_iterable(triples), *self.labels.values())
+                       if not isinstance(name, str))
+            raise ValidationError(
+                f"name {bad!r} in component {self.name!r} is not a string") from None
         acts = frozenset(map(itemgetter(1), transitions))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", transitions)
@@ -130,18 +138,6 @@ class Component:
         return self.labels.get(state, _NO_LABELS)
 
 
-def sharers_of(
-    components: Iterable[Component], silent: frozenset[str],
-) -> dict[str, tuple[int, ...]]:
-    """For every non-silent action, the indices of the components using it."""
-    sharers: dict[str, tuple[int, ...]] = {}
-    for i, c in enumerate(components):
-        for act in c.acts:
-            if act not in silent:
-                sharers[act] = sharers.get(act, ()) + (i,)
-    return sharers
-
-
 @dataclass(frozen=True)
 class Network:
     """An ordered list of components with a tree topology.
@@ -150,7 +146,10 @@ class Network:
     ``parent[i]`` is the parent index (``None`` for the root), ``children[i]``
     the child indices in component order, and ``upacts``/``downacts``/
     ``locacts`` the action classification, which ``_network`` alone computes.
-    Local actions include the silent ones.
+    ``upacts[i]`` is the set component ``i`` declares on its edge to the
+    parent, used or not; this record of who synchronises on what is the
+    one every construction reads, the product included.  Local actions
+    include the silent ones.
     """
 
     components: tuple[Component, ...]
@@ -189,18 +188,18 @@ def _network(
     """Classify every component's actions by the tree edge they lie on.
 
     ``declared[i]``: the actions component ``i`` shares with its parent
-    (for the root, with one outside the network).  Upacts are the declared
-    actions a component uses, downacts those it uses that a child declares
-    (even one a reduced child no longer uses: it must not fire as a local
-    move), and the rest are local.
+    (for the root, with one outside the network), kept as the upacts even
+    where the component does not use them: a partner that declares an
+    action it cannot fire blocks it.  Downacts are the actions a component
+    uses that a child declares (even one the child no longer uses: it must
+    not fire as a local move), and the rest are local.
     """
-    declared = tuple(declared)
+    upacts = tuple(declared)
     children: tuple[list[int], ...] = tuple([] for _ in comps)
     for j, p in enumerate(parent):
         if p is not None:
             children[p].append(j)
-    upacts = tuple(d & c.acts for d, c in zip(declared, comps))
-    downacts = tuple(c.acts & frozenset().union(*(declared[j] for j in kids))
+    downacts = tuple(c.acts & frozenset().union(*(upacts[j] for j in kids))
                      for c, kids in zip(comps, children))
     return Network(
         components=comps,
@@ -241,7 +240,11 @@ def infer_topology(
 
     n = len(comps)
     adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    sharers = sharers_of(comps, silent)
+    sharers: dict[str, list[int]] = {}
+    for i, c in enumerate(comps):
+        for act in c.acts:
+            if act not in silent:
+                sharers.setdefault(act, []).append(i)
     for act in sorted(sharers):
         group = sharers[act]
         if len(group) > 2:
@@ -287,19 +290,28 @@ def two_level_network(
     may have shrunk below the declared upstream actions, so inferring the
     topology from shared names again could misclassify.  The declared
     upstream actions of each child, and ``root_upacts`` of the root, are
-    classified as given; upstream actions a child no longer uses simply
-    never fire.
+    classified as given: a child's upact synchronises it with the root,
+    so one that either of them cannot fire never fires, and the root's
+    own upacts move it alone.  Raises ValidationError when a declared
+    action is silent or is declared on two edges (by two children, or by
+    a child and the root).
     """
     kids = tuple(children)
-    ups = tuple(frozenset(u) for u in child_upacts)
-    if len(kids) != len(ups):
+    ups = (frozenset(root_upacts), *map(frozenset, child_upacts))
+    if len(kids) != len(ups) - 1:
         raise ValidationError("one upact set per child is required")
     comps = (root, *kids)
     names = [c.name for c in comps]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate component names: {sorted(names)}")
-    return _network(comps, 0, silent, (None,) + (0,) * len(kids),
-                    (frozenset(root_upacts), *ups))
+    owner: dict[str, str] = {}  # the component declaring each action
+    for c, up in zip(comps, ups):
+        for act in sorted(up):
+            if act in silent or act in owner:
+                why = "silent" if act in silent else f"declared by {owner[act]!r} too"
+                raise ValidationError(f"action {act!r} declared by {c.name!r} is {why}")
+            owner[act] = c.name
+    return _network(comps, 0, silent, (None,) + (0,) * len(kids), ups)
 
 
 def subnetwork(net: Network, index: int) -> Network:

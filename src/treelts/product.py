@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import EmptyProjection, InvalidWitness, StateLimitExceeded, ValidationError
-from .model import DEFAULT_SILENT, Component, Network, sharers_of
+from .model import Component, Network
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -219,26 +219,38 @@ def resolve_prefix(lts: ExplicitLts, prefix: PathPrefix) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def product_of(
-    components: Sequence[Component],
-    silent: frozenset[str] = DEFAULT_SILENT,
-    cap: int = DEFAULT_STATE_CAP,
-) -> ExplicitLts:
-    """Asynchronous product of the given components, reachable part only.
+def _pairs(net: Network) -> list[dict[str, tuple[int, int]]]:
+    """Per component, each action it synchronises on, with the two ends of
+    the tree edge that declares it, lower index first (the product combines
+    their moves in network order): a child's upacts pair it with its
+    parent.  Every other action moves its component alone: silent actions,
+    local actions and a root's own upacts."""
+    pairs: list[dict[str, tuple[int, int]]] = [{} for _ in net.components]
+    for k, p in enumerate(net.parent):
+        if p is not None:
+            pair = (min(p, k), max(p, k))
+            for act in net.upacts[k]:
+                pairs[k][act] = pairs[p][act] = pair
+    return pairs
 
-    Non-silent shared actions synchronise every component that uses them;
-    silent and unshared actions interleave.  States are numbered in BFS
-    discovery order, which is deterministic in the component and transition
-    declaration order.  Raises StateLimitExceeded when more than ``cap``
-    states are discovered, and ValidationError when ``cap`` is below 1:
-    the initial state is always admitted.
+
+def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
+    """Reachable product of all network components, in network order.
+
+    An action synchronises the two ends of the tree edge that declares it,
+    so a partner that declares an action but cannot fire it blocks it;
+    every other action interleaves (see ``_pairs``).  States are numbered
+    in BFS discovery order, which is deterministic in the component and
+    transition declaration order.  Raises StateLimitExceeded when more
+    than ``cap`` states are discovered, and ValidationError when ``cap`` is
+    below 1: the initial state is always admitted.
     """
     if cap < 1:
         raise ValidationError(f"the state cap must be at least 1, not {cap}")
-    comps = tuple(components)
+    comps = net.components
     n = len(comps)
     succ = [c.succ for c in comps]
-    sharers = sharers_of(comps, silent)
+    pairs = _pairs(net)
 
     init = tuple(c.index[c.initial] for c in comps)
     ids: dict[tuple[int, ...], int] = {init: 0}
@@ -249,7 +261,7 @@ def product_of(
     dst_ids: list[int] = []
     movers: list[frozenset[int]] = []
     alone = [frozenset((i,)) for i in range(n)]
-    together = {act: frozenset(group) for act, group in sharers.items()}
+    together = {pair: frozenset(pair) for by_act in pairs for pair in by_act.values()}
 
     def state_id(tup: tuple[int, ...]) -> int:
         sid = ids.get(tup)
@@ -268,26 +280,26 @@ def product_of(
         for i in range(n):
             seen_shared: set[str] = set()
             for act, dst in succ[i][src[i]]:
-                if act in silent or len(sharers[act]) == 1:
+                pair = pairs[i].get(act)
+                if pair is None:
                     src_ids.append(src_id)
                     acts.append(act)
                     dst_ids.append(state_id(src[:i] + (dst,) + src[i + 1:]))
                     movers.append(alone[i])
                     continue
-                group = sharers[act]
-                if group[0] != i or act in seen_shared:
+                if pair[0] != i or act in seen_shared:
                     continue
                 seen_shared.add(act)
-                # no combination when some member cannot take part
-                options = [[d for a, d in succ[j][src[j]] if a == act] for j in group]
+                # no combination when a partner cannot take part
+                options = [[d for a, d in succ[j][src[j]] if a == act] for j in pair]
                 for combo in itertools.product(*options):
                     nxt_list = list(src)
-                    for j, d in zip(group, combo):
+                    for j, d in zip(pair, combo):
                         nxt_list[j] = d
                     src_ids.append(src_id)
                     acts.append(act)
                     dst_ids.append(state_id(tuple(nxt_list)))
-                    movers.append(together[act])
+                    movers.append(together[pair])
 
     names = [c.states for c in comps]
     labels = [[c.label_of(s) for s in c.states] for c in comps]
@@ -296,11 +308,6 @@ def product_of(
         labels=[frozenset().union(*(labels[i][tup[i]] for i in range(n))) for tup in tuples],
         payloads=[GlobalTuple(tuple(names[i][tup[i]] for i in range(n))) for tup in tuples],
     )
-
-
-def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
-    """Reachable product of all network components, in network order."""
-    return product_of(net.components, net.silent, cap)
 
 
 def component_lts(component: Component) -> ExplicitLts:
@@ -350,51 +357,62 @@ def prefix_from_states(
 ) -> PathPrefix:
     """Build a product prefix from raw tuples, inferring who moved.
 
-    Each step is checked against the component transition relations.  For a
-    silent step the mover is the component whose coordinate changed; a
-    silent self-loop is attributed to the unique component that can perform
-    it, and an ambiguous silent self-loop is rejected.
+    Each step is checked against the component transition relations, with
+    the synchronisation of ``full_product``: an action on a tree edge moves
+    both ends of the edge, any other one the component that takes it.  For
+    a silent step the mover is the component whose coordinate changed.  A
+    self-loop, silent or on a local name that several components use, is
+    attributed to the unique component that can perform it, and an
+    ambiguous one is rejected.
     """
     tuples = [s.states if isinstance(s, GlobalTuple) else tuple(s) for s in states]
     if len(tuples) != len(actions) + 1:
         raise ValidationError("a prefix needs exactly one more state than actions")
-    n = len(net.components)
+    comps = net.components
+    n = len(comps)
     for tup in tuples:
         if len(tup) != n:
             raise ValidationError(f"state tuple {tup} does not match the network arity")
-    sharers = sharers_of(net.components, net.silent)
+    pairs = _pairs(net)
+
+    def fault(k: int, group: tuple[int, ...]) -> str | None:
+        """Why step ``k`` is no move of the components of ``group`` alone."""
+        act, src, dst = actions[k], tuples[k], tuples[k + 1]
+        for i in range(n):
+            if i in group:
+                if (src[i], act, dst[i]) not in comps[i].transition_set:
+                    return (f"step {k}: ({src[i]!r}, {act!r}, {dst[i]!r}) is not a "
+                            f"transition of component {comps[i].name!r}")
+            elif src[i] != dst[i]:
+                return (f"step {k}: component {comps[i].name!r} "
+                        f"moved without participating in {act!r}")
+        return None
 
     movers: list[frozenset[int]] = []
     for k, act in enumerate(actions):
         src, dst = tuples[k], tuples[k + 1]
         if act in net.silent:
-            changed = [i for i in range(n) if src[i] != dst[i]]
+            changed = [(i,) for i in range(n) if src[i] != dst[i]]
             if len(changed) > 1:
                 raise ValidationError(f"silent step {k} moves several components")
-            if changed:
-                group: tuple[int, ...] = (changed[0],)
-            else:
-                loopers = tuple(
-                    i for i in range(n)
-                    if (src[i], act, src[i]) in net.components[i].transition_set
-                )
-                if len(loopers) != 1:
-                    raise ValidationError(
-                        f"silent self-loop at step {k} cannot be attributed to one component")
-                group = loopers
+            groups = changed or [
+                (i,) for i in range(n) if (src[i], act, src[i]) in comps[i].transition_set]
+            if len(groups) != 1:
+                raise ValidationError(
+                    f"silent self-loop at step {k} cannot be attributed to one component")
         else:
-            group = sharers.get(act, ())
-            if not group:
+            # the edge that declares act, or a component that takes it alone
+            groups = sorted({pairs[i].get(act, (i,)) for i in range(n) if act in comps[i].acts})
+            if not groups:
                 raise ValidationError(f"action {act!r} does not belong to the network")
-        for i in range(n):
-            if i in group:
-                if (src[i], act, dst[i]) not in net.components[i].transition_set:
-                    raise ValidationError(
-                        f"step {k}: ({src[i]!r}, {act!r}, {dst[i]!r}) is not a transition "
-                        f"of component {net.components[i].name!r}")
-            elif src[i] != dst[i]:
-                raise ValidationError(f"step {k}: component {net.components[i].name!r} "
-                                      f"moved without participating in {act!r}")
+            fits = [g for g in groups if fault(k, g) is None]
+            if len(fits) > 1:
+                raise ValidationError(
+                    f"self-loop on {act!r} at step {k} cannot be attributed to one component")
+            groups = fits or groups
+        group = groups[0]
+        if (why := fault(k, group)) is not None:
+            raise ValidationError(why)
         movers.append(frozenset(group))
     return PathPrefix(
         states=tuple(GlobalTuple(t) for t in tuples),

@@ -1,6 +1,7 @@
 """Reachability and invariance checking, witnesses, and witness lifting."""
 
 import copy
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,6 @@ from treelts import (
     infer_topology,
     lift_witness,
     prefix_of,
-    product_of,
     reduce_net_traced,
     replay,
     resolve_prefix,
@@ -279,7 +279,8 @@ class TestLiftWitness:
 
     def test_witnesses_lift_at_every_stage(self):
         # inner stages too: their pre-minimised leaves lift to original
-        # states, against the product of the components that entered the stage
+        # states, against the product of the stage's network over the
+        # components that entered the stage
         lifted = premin_lifted = 0
         for seed in range(300):
             net = gen_random_tree(GenConfig(seed, max_depth=4, max_children=2,
@@ -293,7 +294,8 @@ class TestLiftWitness:
                     if not verdict.holds:
                         continue
                     if target is None:
-                        target = product_of(stage.originals, stage.net.silent, cap=20_000)
+                        target = full_product(
+                            replace(stage.net, components=stage.originals), cap=20_000)
                     resolved = resolve_prefix(target, lift_witness(stage, verdict.witness, prop))
                     assert prop in target.labels[resolved.states[-1]], (seed, prop)
                     lifted += 1

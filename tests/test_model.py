@@ -217,6 +217,25 @@ class TestComponent:
         assert str(info.value) == (
             f"transition {bad!r} in component 'c' is not a (src, action, dst) triple")
 
+    @pytest.mark.parametrize("states", [{"a", "b", "c"}, frozenset({"a", "b", "c"})],
+                             ids=["set", "frozenset"])
+    def test_a_set_of_states_is_rejected_not_numbered_in_hash_order(self, states):
+        # tuple() of a set follows the hash seed, and the state numbering with it
+        with pytest.raises(ValidationError) as info:
+            Component("c", states, "a")
+        assert str(info.value) == (
+            f"states {states!r} of component 'c' are a set, not a sequence of state names")
+
+    def test_a_list_inside_a_transition_is_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            Component("c", ("a", "b"), "a", [("a", "go", "b"), ("a", ["x"], "b")])
+        assert str(info.value) == "name ['x'] in component 'c' is not a string"
+
+    def test_a_list_inside_a_label_set_is_rejected(self):
+        with pytest.raises(ValidationError) as info:
+            Component("c", ("a", "b"), "a", labels={"b": {"q"}, "a": [["p"]]})
+        assert str(info.value) == "name ['p'] in component 'c' is not a string"
+
     @pytest.mark.parametrize("name", [7, None, ("c",)], ids=["int", "none", "tuple"])
     def test_a_component_name_that_is_not_a_string_is_rejected(self, name):
         # save_string would fail on it later with a TypeError
@@ -338,6 +357,26 @@ class TestTwoLevelNetwork:
         inferred = infer_topology(
             [net.root, *(net.components[k] for k in kids)], net.root.name, silent=net.silent)
         assert built == inferred
+
+    def test_a_declared_action_the_child_does_not_use_stays_declared(self):
+        root = Component("r", ("s0", "s1"), "s0", (("s0", "go", "s1"),))
+        net = two_level_network(root, [Component("c", ("c0",), "c0")], [frozenset({"go"})])
+        assert net.upacts[1] == {"go"} and net.downacts[0] == {"go"}
+        assert net.locacts[0] == frozenset()
+
+    @pytest.mark.parametrize("child_upacts, root_upacts, message", [
+        ([{"tau"}, set()], set(), "action 'tau' declared by 'c1' is silent"),
+        ([set(), set()], {"tau"}, "action 'tau' declared by 'r' is silent"),
+        ([{"x", "go"}, {"go"}], set(), "action 'go' declared by 'c2' is declared by 'c1' too"),
+        ([set(), {"go"}], {"go"}, "action 'go' declared by 'c2' is declared by 'r' too"),
+    ], ids=["silent-by-child", "silent-by-root", "two-children", "child-and-root"])
+    def test_an_action_is_declared_on_one_edge_and_is_not_silent(
+            self, child_upacts, root_upacts, message):
+        r, c1, c2 = (Component(name, ("s0",), "s0", (("s0", "go", "s0"),))
+                     for name in ("r", "c1", "c2"))
+        with pytest.raises(ValidationError) as info:
+            two_level_network(r, [c1, c2], child_upacts, root_upacts)
+        assert str(info.value) == message
 
 
 class TestGeneratedInvariants:
