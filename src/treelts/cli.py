@@ -16,9 +16,12 @@ This is the only module that performs I/O.  Network files are JSON:
       ]
     }
 
-Action names may carry a ``?``/``!`` prefix marking the expected direction
-(towards a child / towards the parent); the prefix is stripped and checked
-against the inferred classification, never trusted.
+The loader checks the document's shape and the direction marks only;
+each component's content goes as it is to ``Component``, which checks it
+for files and library callers alike.  Action names may carry a ``?``/``!``
+prefix marking the expected direction (towards a child / towards the
+parent); the prefix is stripped and checked against the inferred
+classification, never trusted.
 
 Exit codes: 0 success or formula holds, 1 formula does not hold,
 2 validation or usage error or an output file that cannot be written,
@@ -91,21 +94,14 @@ def network_from_doc(doc: object) -> Network:
         raise ValidationError(f"unknown keys: {sorted(unknown)}")
     if "root" not in doc or "components" not in doc:
         raise ValidationError("both 'root' and 'components' are required")
-    if not isinstance(doc["root"], str):
-        raise ValidationError("'root' must be a component name")
     silent = doc.get("silent", ["tau"])
-    if not _is_str_list(silent):
+    if not (isinstance(silent, list) and all(isinstance(a, str) for a in silent)):
         raise ValidationError("'silent' must be a list of action names")
     raw_components = doc["components"]
     if not isinstance(raw_components, list) or not raw_components:
         raise ValidationError("'components' must be a non-empty list")
 
-    components: list[Component] = []
-    annotations: list[dict[str, str]] = []
-    for raw in raw_components:
-        comp, marks = _component_from_doc(raw)
-        components.append(comp)
-        annotations.append(marks)
+    components, annotations = zip(*map(_component_from_doc, raw_components))
 
     net = infer_topology(components, doc["root"], silent=frozenset(silent))
 
@@ -131,50 +127,22 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
     for key in ("name", "states", "initial"):
         if key not in raw:
             raise ValidationError(f"component is missing required key {key!r}")
-    name = raw["name"]
-    if not isinstance(name, str):
-        raise ValidationError(f"'name' {name!r} of a component must be a string")
-    if not _is_str_list(raw["states"]):
-        raise ValidationError(f"'states' of component {name!r} must be a list of state names")
-    if not isinstance(raw["initial"], str):
-        raise ValidationError(f"'initial' of component {name!r} must be a state name")
-    labels = raw.get("labels", {})
-    if not (isinstance(labels, dict) and all(map(_is_str_list, labels.values()))):
-        raise ValidationError(
-            f"'labels' of component {name!r} must map states to lists of propositions")
-    transitions = raw.get("transitions", [])
-    if not isinstance(transitions, list):
-        raise ValidationError("'transitions' must be a list of [src, action, dst] triples")
-
+    # Component checks the content; only the direction marks are the file's
     marks: dict[str, str] = {}
-    cleaned: list[tuple[str, str, str]] = []
-    for tr in transitions:
-        if not (isinstance(tr, list) and len(tr) == 3 and isinstance(tr[0], str)
-                and isinstance(tr[1], str) and isinstance(tr[2], str)):
-            raise ValidationError(f"malformed transition {tr!r}")
-        src, act, dst = tr
-        if act[:1] in ("?", "!"):
-            mark, act = act[0], act[1:]
-            if not act:
-                raise ValidationError(f"empty action name in transition {tr!r}")
-            previous = marks.get(act)
-            if previous is not None and previous != mark:
-                raise ValidationError(
-                    f"action {act!r} is marked both '?' and '!' in component {name!r}")
-            marks[act] = mark
-        cleaned.append((src, act, dst))
-    comp = Component(
-        name=name,
-        states=tuple(raw["states"]),
-        initial=raw["initial"],
-        transitions=tuple(cleaned),
-        labels={s: frozenset(ps) for s, ps in labels.items()},
-    )
-    return comp, marks
-
-
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    transitions = raw.get("transitions", [])
+    if isinstance(transitions, list):
+        transitions = transitions[:]  # the document keeps its marks
+        for i, tr in enumerate(transitions):
+            if type(tr) is list and len(tr) == 3 and type(tr[1]) is str and tr[1][:1] in ("?", "!"):
+                mark, act = tr[1][0], tr[1][1:]
+                if not act:
+                    raise ValidationError(f"empty action name in transition {tr!r}")
+                if marks.setdefault(act, mark) != mark:
+                    raise ValidationError(f"action {act!r} is marked both '?' and '!' "
+                                          f"in component {raw['name']!r}")
+                transitions[i] = [tr[0], act, tr[2]]
+    return Component(raw["name"], raw["states"], raw["initial"], transitions,
+                     raw.get("labels", {})), marks
 
 
 def network_to_doc(net: Network) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -22,6 +22,7 @@ from .errors import LiveResetWarning, NotATree, UnknownRoot, ValidationError
 DEFAULT_SILENT = frozenset({"tau"})
 
 _NO_LABELS: frozenset[str] = frozenset()
+_LABEL_SETS = frozenset({frozenset, set, list, tuple})  # taken without a further look
 
 
 def closure(
@@ -36,6 +37,22 @@ def closure(
                 closed.add(v)
                 stack.append(v)
     return closed
+
+
+def _misfit(what: str, value: object, want: str) -> str:
+    """The message for ``what``, given as ``value``, which is not ``want``."""
+    kind = ("a string" if isinstance(value, str) else "a set" if isinstance(value, (set, frozenset))
+            else "a mapping" if isinstance(value, Mapping) else f"of type {type(value).__name__}")
+    return f"{what} are {kind}, not {want}"
+
+
+def _as_tuple(value: object, what: str, name: str, items: str) -> tuple:
+    """``value`` as a tuple, if it is a sequence and not a string: tuple() would split
+    a string into letters, number a set in hash order and read a mapping as its keys."""
+    if type(value) is list or (isinstance(value, Sequence) and not isinstance(value, str)):
+        return tuple(value)
+    raise ValidationError(
+        _misfit(f"{what} {value!r} of component {name!r}", value, f"a sequence of {items}"))
 
 
 @dataclass(frozen=True)
@@ -56,41 +73,44 @@ class Component:
     labels: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str):
-            raise ValidationError(f"component name {self.name!r} is not a string")
-        # tuple() would split a string into letters, and number a set in hash order
-        if isinstance(self.states, (str, set, frozenset)):
-            kind = "a string" if isinstance(self.states, str) else "a set"
-            raise ValidationError(
-                f"states {self.states!r} of component {self.name!r} are {kind}, "
-                f"not a sequence of state names")
+        name = self.name
+        if not isinstance(name, str):
+            raise ValidationError(f"component name {name!r} is not a string")
         # one pass per collection: tuples, the first of equal transitions
         # kept, empty label sets dropped, a given frozenset kept as it is
-        states = tuple(self.states)
-        triples = given = tuple(self.transitions)
-        if not {tuple}.issuperset(map(type, given)):  # lists and other sequences
-            # a string, set or dict is no (src, action, dst) sequence: it reads as ()
-            triples = tuple(tuple(t) if isinstance(t, Sequence) and not isinstance(t, str)
-                            else () for t in given)
+        states, given, labelled = self.states, self.transitions, self.labels
+        if type(states) is not tuple:
+            states = _as_tuple(states, "states", name, "state names")
+        if type(given) is not tuple:
+            given = _as_tuple(given, "transitions", name, "(src, action, dst) triples")
+        triples = given
+        if not {tuple}.issuperset(map(type, given)):
+            if {list}.issuperset(map(type, given)):  # as a loaded file gives them
+                triples = tuple(map(tuple, given))
+            else:  # a string, set or dict is no (src, action, dst) sequence: it reads as ()
+                triples = tuple(tuple(t) if isinstance(t, Sequence) and not isinstance(t, str)
+                                else () for t in given)
         if not {3}.issuperset(map(len, triples)):
             bad = next(t for t, triple in zip(given, triples) if len(triple) != 3)
             raise ValidationError(
-                f"transition {bad!r} in component {self.name!r} is not a "
-                f"(src, action, dst) triple")
-        for s, ps in self.labels.items():
-            if isinstance(ps, str):  # frozenset(ps) would split it into letters
-                raise ValidationError(
-                    f"labels {ps!r} of state {s!r} in component {self.name!r} "
-                    f"are a string, not a set of propositions")
+                f"transition {bad!r} in component {name!r} is not a (src, action, dst) triple")
+        if type(labelled) is not dict and not isinstance(labelled, Mapping):
+            raise ValidationError(_misfit(f"labels {labelled!r} of component {name!r}", labelled,
+                                          "a mapping from states to sets of propositions"))
+        for s, ps in labelled.items():  # frozenset() splits a string, reads a mapping's keys
+            if type(ps) not in _LABEL_SETS and (
+                    isinstance(ps, (str, Mapping)) or not isinstance(ps, Collection)):
+                raise ValidationError(_misfit(f"labels {ps!r} of state {s!r} in component "
+                                              f"{name!r}", ps, "a set of propositions"))
         try:
             transitions = tuple(dict.fromkeys(triples))
             labels = {s: ps if type(ps) is frozenset else frozenset(ps)
-                      for s, ps in self.labels.items() if ps}
+                      for s, ps in labelled.items() if ps}
         except TypeError:  # a list or another unhashable name inside a triple or label set
-            bad = next(name for name in chain(chain.from_iterable(triples), *self.labels.values())
-                       if not isinstance(name, str))
+            bad = next(n for n in chain(chain.from_iterable(triples), *labelled.values())
+                       if not isinstance(n, str))
             raise ValidationError(
-                f"name {bad!r} in component {self.name!r} is not a string") from None
+                f"name {bad!r} in component {name!r} is not a string") from None
         acts = frozenset(map(itemgetter(1), transitions))
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transitions", transitions)
@@ -99,25 +119,25 @@ class Component:
         # endpoints and label keys are checked by membership below
         names = (states, (self.initial,), acts, *labels.values())
         if not {str}.issuperset(map(type, chain.from_iterable(names))):
-            bad = [name for name in chain.from_iterable(names) if not isinstance(name, str)]
+            bad = [n for n in chain.from_iterable(names) if not isinstance(n, str)]
             if bad:
                 raise ValidationError(
-                    f"name {bad[0]!r} in component {self.name!r} is not a string")
+                    f"name {bad[0]!r} in component {name!r} is not a string")
         index = dict(zip(states, range(len(states))))
         if len(index) != len(states):
-            raise ValidationError(f"duplicate state names in component {self.name!r}")
+            raise ValidationError(f"duplicate state names in component {name!r}")
         if self.initial not in index:
             raise ValidationError(
-                f"initial state {self.initial!r} is not a state of component {self.name!r}")
+                f"initial state {self.initial!r} is not a state of component {name!r}")
         for src, act, dst in transitions:
             if src not in index or dst not in index:
                 raise ValidationError(
                     f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
-                    f"in component {self.name!r}")
+                    f"in component {name!r}")
         for s in labels:
             if s not in index:
                 raise ValidationError(
-                    f"label on unknown state {s!r} in component {self.name!r}")
+                    f"label on unknown state {s!r} in component {name!r}")
         object.__setattr__(self, "index", index)
 
     @cached_property

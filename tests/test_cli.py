@@ -113,9 +113,10 @@ class TestLoad:
         ({"root": "a", "components": [{"name": "a", "states": ["s0"]}]},
          "component is missing required key 'initial'"),
         ({"root": "a", "components": [{**ONE_STATE, "transitions": "s0"}]},
-         "'transitions' must be a list of [src, action, dst] triples"),
+         "transitions 's0' of component 'a' are a string, "
+         "not a sequence of (src, action, dst) triples"),
         ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "x"]]}]},
-         "malformed transition ['s0', 'x']"),
+         "transition ['s0', 'x'] in component 'a' is not a (src, action, dst) triple"),
         ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "!", "s0"]]}]},
          "empty action name in transition ['s0', '!', 's0']"),
     ], ids=["unreadable", "not-an-object", "no-components", "silent-not-a-list",
@@ -259,15 +260,42 @@ class TestMain:
         assert err.startswith("error: ") and "component 'c'" in err
 
     @pytest.mark.parametrize("root, name, initial, message", [
-        (["c"], "['c']", "0", "'root' must be a component name"),
-        ("['c']", ["c"], "0", "'name' ['c'] of a component must be a string"),
-        ("c", "c", 0, "'initial' of component 'c' must be a state name"),
+        (["c"], "['c']", "0", "no component named ['c']"),
+        ("['c']", ["c"], "0", "component name ['c'] is not a string"),
+        ("c", "c", 0, "name 0 in component 'c' is not a string"),
     ], ids=["root", "name", "initial"])
     def test_names_must_be_strings(self, root, name, initial, message, tmp_path, capsys):
         # str() would turn each into a name that matches: ['c'] and 0
         comp = {"name": name, "states": ["0"], "initial": initial}
         src = tmp_path / "names.json"
         src.write_text(json.dumps({"root": root, "components": [comp]}), encoding="utf-8")
+        assert main(["validate", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}-{shape}")
+        for field in ("name", "states", "initial", "transitions", "labels", "label-set")
+        for shape, value in (("object", {"a": 1}), ("number", 5), ("null", None),
+                             ("string", "zz"), ("non-strings", [1, 2]))
+        if (field, shape) != ("name", "string")  # the one well-formed value
+    ])
+    def test_one_validator_for_files_and_the_library(self, field, value, tmp_path, capsys):
+        # the loader checks the document and the marks; Component all of the content
+        comp = {"name": "c", "states": ["a", "b"], "initial": "a",
+                "transitions": [["a", "tau", "b"]], "labels": {"b": ["p"]}}
+        if field == "label-set":
+            comp["labels"] = {"b": value}
+        else:
+            comp[field] = value
+        with pytest.raises(ValidationError) as direct:
+            Component(**comp)
+        message = str(direct.value)
+        assert repr(comp["name"]) in message
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps({"root": "c", "components": [comp]}), encoding="utf-8")
+        with pytest.raises(ValidationError) as loaded:
+            load(src)
+        assert str(loaded.value) == message
         assert main(["validate", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 

@@ -243,6 +243,37 @@ class TestComponent:
             Component(name, ("s0",), "s0")
         assert str(info.value) == f"component name {name!r} is not a string"
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"labels": {"a": 5}},
+         "labels 5 of state 'a' in component 'c' are of type int, not a set of propositions"),
+        ({"labels": ["a"]}, "labels ['a'] of component 'c' are of type list, "
+                            "not a mapping from states to sets of propositions"),
+        ({"states": 5},
+         "states 5 of component 'c' are of type int, not a sequence of state names"),
+    ], ids=["label-set-int", "labels-list", "states-int"])
+    def test_a_value_of_the_wrong_type_is_a_validation_error(self, fields, message):
+        # not a bare TypeError or AttributeError from tuple(), frozenset() or .items()
+        with pytest.raises(ValidationError) as info:
+            Component(**{"name": "c", "states": ("a",), "initial": "a", **fields})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"states": {"a": 1, "b": 2}},
+         "states {'a': 1, 'b': 2} of component 'c' are a mapping, "
+         "not a sequence of state names"),
+        ({"labels": {"a": {"p": 1}}},
+         "labels {'p': 1} of state 'a' in component 'c' are a mapping, "
+         "not a set of propositions"),
+        ({"transitions": {("a", "x", "a"): 1}},
+         "transitions {('a', 'x', 'a'): 1} of component 'c' are a mapping, "
+         "not a sequence of (src, action, dst) triples"),
+    ], ids=["states", "label-set", "transitions"])
+    def test_a_mapping_is_not_read_as_its_keys(self, fields, message):
+        # each loaded as the mapping's keys: the states a and b, the label p, the triple
+        with pytest.raises(ValidationError) as info:
+            Component(**{"name": "c", "states": ("a", "b"), "initial": "a", **fields})
+        assert str(info.value) == message
+
 
 def choose_r_lands_on_t1(gx):
     """gx with S2's upact move ``t2 -chooseR-> t0`` retargeted to ``t1``."""
