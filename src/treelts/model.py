@@ -134,7 +134,7 @@ class Component:
                 raise ValidationError(
                     f"transition ({src!r}, {act!r}, {dst!r}) uses unknown states "
                     f"in component {name!r}")
-        for s in labels:
+        for s in labelled:  # an empty set is dropped, but must name a state too
             if s not in index:
                 raise ValidationError(
                     f"label on unknown state {s!r} in component {name!r}")

@@ -5,17 +5,18 @@ pairwise products, glued at a fresh silent initial state.  Upstream child
 synchronisations become handoffs that may pass control to any square.
 States from which the root can never act again are pruned.  The squares'
 copies of each state with every child at home, one per child and root
-position, then merge into one.  ``build_sq_unreduced``, ``prune_locked``
-and ``merge_home`` are that construction step by step; the reduction
-builds the same pruned, merged squares in one pass (see ``_squares``), so
-a handoff enters the merged home state once instead of every square.  The
-top stage's result is completed into a live-reset component.  Below the
-top, a subtree is seen by its parent only through the labels it can reach
-and the upacts it can fire; one linear pass computes both for every node
-(see ``summaries``), and the stage's result is a one-state summary of
-them, so a stage below the top builds its squares, and even that
-summary, only when they are read.  A path of any stage's squares lifts
-back to the components that entered the stage.
+position, then merge into one.  Each square builder finds the reachable
+squares (``_square_moves``) and emits them (``_emit``) once:
+``build_sq_unreduced`` all, ``build_sq`` the pruned ones, and the
+reduction those merged too (see ``_squares``), so a handoff enters the
+merged home state once instead of every square.  The top stage's result
+is completed into a live-reset component.  Below the top, a subtree is
+seen by its parent only through the labels it can reach and the upacts it
+can fire; one linear pass computes both for every node (see
+``summaries``), and the stage's result is a one-state summary of them, so
+a stage below the top builds its squares, and even that summary, only
+when they are read.  A path of any stage's squares lifts back to the
+components that entered the stage.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import compress
-from operator import and_, or_
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
@@ -82,10 +83,26 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     network order, child states varying slower than root states, both in
     declaration order.  Each transition is then emitted once, with its ids.
     """
+    return _unmerged(net, epsilon, prune=False)
+
+
+def build_sq(net: Network) -> SumOfSquares:
+    """``prune_locked(build_sq_unreduced(net))``, glued under ``eps0``
+    unless the network uses it, pruned in one pass as the reduction prunes
+    (see ``_pruned``), but with no home merge."""
+    return _unmerged(net, None, prune=True)
+
+
+def _unmerged(net: Network, epsilon: str | None, prune: bool) -> SumOfSquares:
+    """The squares of ``net`` with no home merge: every reachable code, or
+    with ``prune`` those ``_pruned`` keeps, numbered in code order."""
     views = replace(net, components=tuple(map(_view, net.components)))
     m = _square_moves(views, epsilon)
-    ids = dict(zip(m.codes, range(1, len(m.codes) + 1)))
-    return _emit(views, m, ids, {rs: [ids[e + rs] for e in m.entries] for rs in m.entered})
+    gone = _pruned(m) if prune else set()
+    codes = [code for code in m.codes if code not in gone]
+    ids = dict(zip(codes, range(1, len(codes) + 1)))
+    return _emit(views, m, ids, {rs: [ids[e + rs] for e in m.entries if e + rs in ids]
+                                 for rs in m.entered})
 
 
 class _View(NamedTuple):
@@ -282,12 +299,6 @@ def compute_locked(sq: SumOfSquares) -> frozenset[int]:
     return frozenset(i for i in range(lts.n_states) if i not in alive)
 
 
-def build_sq(net: Network) -> SumOfSquares:
-    """The pruned sum-of-squares, glued under ``eps0`` unless the network
-    uses it: locked states removed, ids renumbered (see ``prune_locked``)."""
-    return prune_locked(build_sq_unreduced(net))
-
-
 def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     """Remove the locked states of an unreduced sum-of-squares.
 
@@ -297,78 +308,23 @@ def prune_locked(sq: SumOfSquares) -> SumOfSquares:
     locked states carry no reachable labelling (all the bundled fixtures)
     this deletes exactly the locked set.  The glue initial state is never
     deleted; when every square is locked and label-free, it is all that is
-    left, with no transitions.
+    left, with no transitions.  Kept states and transitions keep their
+    order, renumbered; a transition with a deleted end goes.
     """
-    locked = compute_locked(sq)
     lts = sq.lts
-    if not locked:
-        return sq
-
-    label_reaching = _backward_closure(
-        lts, (i for i in range(lts.n_states) if lts.labels[i]))
-
-    deleted = locked - label_reaching - {lts.initial}
+    label_reaching = _backward_closure(lts, (i for i in range(lts.n_states) if lts.labels[i]))
+    deleted = compute_locked(sq) - label_reaching - {lts.initial}
     if not deleted:
         return sq
-    return _fold(sq, [-1 if i in deleted else i for i in range(lts.n_states)])
-
-
-def merge_home(sq: SumOfSquares, net: Network) -> SumOfSquares:
-    """Merge the squares' copies of each all-children-home state.
-
-    A handoff enters every square at ``(child k, initial of k, rs)``; these
-    copies, one per child, are one global state: the root at ``rs`` and
-    every child at its initial state.  Each root position's surviving
-    copies become one state that keeps the payload of the lowest-id copy
-    and the union of the copies' labels (see ``_fold``).  ``net`` is the
-    two-level network the squares were built from.
-
-    Merging is sound for every single proposition's reachability: every
-    square state is reachable, so the merged state adds no reachable state
-    or label, and its moves are exactly the copies' moves.  ``lift_witness``
-    places every child but the payload's at its initial state already.
-    Squares with fewer than two copies at every root position come back as
-    they are.
-    """
-    home = {k: net.components[k].initial for k in net.children[net.root_index]}
-    lts = sq.lts
-    first: dict[str, int] = {}
-    same = list(range(lts.n_states))
-    to = same[:]
-    for i, p in enumerate(lts.payloads):
-        if type(p) is SquareOrigin and home[p.child_index] == p.child_state:
-            to[i] = first.setdefault(p.root_state, i)
-    return sq if to == same else _fold(sq, to)
-
-
-def _fold(sq: SumOfSquares, to: list[int]) -> SumOfSquares:
-    """The squares with state ``i`` deleted when ``to[i]`` is -1 and merged
-    into state ``to[i]`` otherwise; ``to[j] == j`` for each state ``j`` kept.
-
-    A kept state takes the union of its merged states' labels.  Kept states
-    and transitions keep their order, renumbered; a transition with a
-    deleted end goes, and so do exact repeats of ``(src, act, dst, movers)``.
-    """
-    lts = sq.lts
-    kept = [i for i, t in enumerate(to) if t == i]
+    kept = [i for i in range(lts.n_states) if i not in deleted]
     new_id = dict(zip(kept, range(len(kept))))
-    new_id[-1] = -1
-    remap = [new_id[t] for t in to]
-    labels = [lts.labels[i] for i in kept]
-    for i, t in enumerate(to):
-        if t != i and t >= 0:
-            labels[remap[i]] = _union(labels[remap[i]], lts.labels[i])
-    rows = zip(map(remap.__getitem__, lts.src), lts.act,
-               map(remap.__getitem__, lts.dst), lts.movers)
-    if -1 in to:  # drop the transitions with a deleted end; a merge deletes none
-        alive = [t >= 0 for t in to]
-        rows = compress(rows, map(and_, map(alive.__getitem__, lts.src),
-                                  map(alive.__getitem__, lts.dst)))
-    edges = dict.fromkeys(rows)
+    edges = [(new_id[s], a, new_id[d], mv)
+             for s, a, d, mv in zip(lts.src, lts.act, lts.dst, lts.movers)
+             if s in new_id and d in new_id]
     src, act, dst, movers = (list(col) for col in zip(*edges)) if edges else ([], [], [], [])
     return replace(sq, lts=ExplicitLts(
-        remap[lts.initial], src, act, dst, movers,
-        labels=labels, payloads=[lts.payloads[i] for i in kept]))
+        new_id[lts.initial], src, act, dst, movers,
+        labels=[lts.labels[i] for i in kept], payloads=[lts.payloads[i] for i in kept]))
 
 
 def cmpl(sq: SumOfSquares) -> Component:
@@ -619,9 +575,8 @@ class ReductionStage:
     what ``quotient`` gives for ``originals[i]``, the component itself and
     None where it entered as it is, with no silent cycle (an inner child's
     one-state summary among them).  ``lift_witness`` reads all three.
-    ``sq`` is the squares pruned, with their home copies merged, as
-    ``merge_home(prune_locked(build_sq_unreduced(net)), net)`` gives them,
-    though built in one pass (see ``_squares``).  ``unpruned_states``
+    ``sq`` is the squares of ``net`` pruned, with their home copies
+    merged, built in one pass (see ``_squares``).  ``unpruned_states``
     counts the states of ``build_sq_unreduced(net)``, which is never
     built, and ``deleted`` those pruning removed, not those the merge
     folded: when it is 0, ``sq`` holds the unpruned squares merged.
@@ -839,12 +794,15 @@ def reduced_lts(component: Component, stages: tuple[ReductionStage, ...]) -> Exp
 
 
 def _squares(net: Network, epsilon: str) -> tuple[SumOfSquares, int, int]:
-    """``merge_home(prune_locked(build_sq_unreduced(net, epsilon)), net)``
-    for the components the views of ``net`` stand for, built from the views
-    in one pass: a handoff enters the one state of its root
-    position's surviving copies of home, not every square.  Also returns
-    the number of unpruned square states and the number of states pruning
-    deleted (see ``_pruned``)."""
+    """The squares of the components the views of ``net`` stand for,
+    pruned as by ``build_sq``, each root position's surviving copies of
+    home merged into one state with the first copy's payload and the union
+    of their labels: a handoff enters it once, not every square.  Sound for
+    every single proposition's reachability: every kept state is reachable,
+    so the merge adds no reachable state or label and keeps the copies'
+    moves; ``lift_witness`` places the other children at home already.
+    Also returns the number of unpruned square states and the number of
+    states pruning deleted (see ``_pruned``)."""
     m = _square_moves(net, epsilon)
     gone = _pruned(m)
     home_rows = {e // m.width for e in m.entries}

@@ -4,12 +4,16 @@ The product oracle enumerates the whole tuple space up front and applies
 the synchronisation rule per tuple, then keeps the part reachable from the
 initial tuple via a set fixpoint.  The temporal oracles work on that
 relation with set fixpoints rather than search, so they share no code with
-the structures they check.
+the structures they check.  The home merge is the reduction's last square
+step done on its own, on an explicit graph of pruned squares.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
+
+from treelts import ExplicitLts, SquareOrigin
 
 
 def naive_product(components, silent):
@@ -87,3 +91,38 @@ def naive_eg(initial, reachable, transitions, labels, proposition):
                 good.discard(s)
                 changed = True
     return initial in good
+
+
+def merge_home(sq, net):
+    """Merge the squares' copies of each all-children-home state.
+
+    A handoff enters every square at ``(child k, initial of k, rs)``; these
+    copies, one per child, are one global state: the root at ``rs`` and
+    every child at its initial state.  Each root position's copies in
+    ``sq`` become one state that keeps the payload of the lowest-id copy
+    and the union of the copies' labels; states and transitions keep their
+    order, renumbered, and exact repeats of ``(src, act, dst, movers)`` go.
+    ``net`` is the two-level network the squares were built from.  Squares
+    with fewer than two copies at every root position come back as they
+    are.
+    """
+    home = {k: net.components[k].initial for k in net.children[net.root_index]}
+    lts = sq.lts
+    first = {}
+    to = list(range(lts.n_states))
+    for i, p in enumerate(lts.payloads):
+        if type(p) is SquareOrigin and home[p.child_index] == p.child_state:
+            to[i] = first.setdefault(p.root_state, i)
+    if to == list(range(lts.n_states)):
+        return sq
+    kept = [i for i, t in enumerate(to) if t == i]
+    new_id = {i: k for k, i in enumerate(kept)}
+    remap = [new_id[t] for t in to]
+    labels = [set() for _ in kept]
+    for i, k in enumerate(remap):
+        labels[k] |= lts.labels[i]
+    edges = dict.fromkeys(zip([remap[s] for s in lts.src], lts.act,
+                              [remap[d] for d in lts.dst], lts.movers))
+    src, act, dst, movers = (list(col) for col in zip(*edges)) if edges else ([], [], [], [])
+    return replace(sq, lts=ExplicitLts(remap[lts.initial], src, act, dst, movers,
+                                       labels=labels, payloads=[lts.payloads[i] for i in kept]))

@@ -299,6 +299,13 @@ class TestMain:
         assert main(["validate", str(src)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_an_empty_label_set_on_an_unknown_state_fails_validation(self, tmp_path, capsys):
+        comp = {"name": "c", "states": ["r0"], "initial": "r0", "labels": {"r9": []}}
+        src = tmp_path / "labels.json"
+        src.write_text(json.dumps({"root": "c", "components": [comp]}), encoding="utf-8")
+        assert main(["validate", str(src)]) == 2
+        assert capsys.readouterr().err == "error: label on unknown state 'r9' in component 'c'\n"
+
     def test_cap_exit_code(self, capsys):
         assert main(["product", str(gx_path()), "--cap", "3"]) == 3
         assert "error:" in capsys.readouterr().err

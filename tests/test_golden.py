@@ -21,6 +21,7 @@ import treelts
 from treelts import (
     Component,
     GenConfig,
+    build_sq,
     build_sq_unreduced,
     check_ef,
     component_lts,
@@ -34,8 +35,8 @@ from treelts import (
     reduction,
 )
 from treelts.cli import load, main, save
-from treelts.reduction import merge_home
 from treelts.fixtures import gx_path, gy_path
+from oracles import merge_home
 from shapes import all_locked_tree, ring_chain, ring_tree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -185,6 +186,31 @@ def test_stage_squares_rebuild_from_the_stage_network(name):
             assert len(set(edges)) == len(edges)
             split = split or splits_home(unpruned, pruned, stage.net)
     assert split == (name in SPLIT_HOME)
+
+
+def square_fields(sq):
+    """Every field of a sum-of-squares and of its graph, as one tuple."""
+    lts = sq.lts
+    return (sq.epsilon, sq.root_name, sq.root_index, sq.root_upacts, lts.initial,
+            lts.src, lts.act, lts.dst, lts.movers, lts.labels, lts.payloads)
+
+
+def bounds_sweep():
+    """Random trees whose generator bounds vary with the seed."""
+    return [gen_random_tree(GenConfig(seed=seed, max_depth=2 + seed % 3,
+                                      max_children=1 + seed % 4, max_states=2 + seed % 5,
+                                      density=(0.3, 0.6, 0.9)[seed % 3]))
+            for seed in range(300)]
+
+
+@pytest.mark.parametrize("name", [*STAGE_NETWORKS, "bounds-sweep"])
+def test_one_pass_build_sq_is_the_reference_pruning(name):
+    # build_sq prunes with the pipeline's _pruned in one pass; it must give
+    # what the delete-only reference gives on the unpruned squares
+    for net in bounds_sweep() if name == "bounds-sweep" else STAGE_NETWORKS[name]():
+        for stage in reduce_net_traced(net)[1]:
+            assert square_fields(build_sq(stage.net)) == square_fields(
+                prune_locked(build_sq_unreduced(stage.net)))
 
 
 @pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])
@@ -369,9 +395,9 @@ def constructor_callers(module, name):
 
 
 def test_one_renumbering_and_one_namer():
-    # both square builders emit through _emit, prune_locked and merge_home
-    # renumber through _fold; cmpl, quotient and product -o name their
-    # states through flat_component
-    assert constructor_callers("reduction", "ExplicitLts") == {"_emit", "_fold"}
+    # every square builder emits through _emit; only prune_locked, the
+    # delete-only reference, renumbers an explicit graph; cmpl, quotient and
+    # product -o name their states through flat_component
+    assert constructor_callers("reduction", "ExplicitLts") == {"_emit", "prune_locked"}
     assert constructor_callers("reduction", "Component") == set()
     assert constructor_callers("product", "Component") == {"flat_component"}

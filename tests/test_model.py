@@ -137,6 +137,13 @@ class TestComponent:
         with pytest.raises(ValidationError, match="unknown state"):
             Component("c", ("s0",), "s0", labels={"s9": {"p"}})
 
+    @pytest.mark.parametrize("key", ["zzz", 5])
+    def test_an_empty_label_set_on_an_unknown_state_is_rejected(self, key):
+        # the empty set is dropped, but its key must still name a state
+        with pytest.raises(ValidationError) as info:
+            Component("c", ("a",), "a", labels={key: []})
+        assert str(info.value) == f"label on unknown state {key!r} in component 'c'"
+
     def test_duplicate_transitions_collapse(self):
         c = Component("c", ("s0",), "s0", (("s0", "a", "s0"), ("s0", "a", "s0")))
         assert len(c.transitions) == 1

@@ -50,8 +50,8 @@ from treelts import reduction as reduction_module
 from treelts.cli import main, save, save_string
 from treelts.model import closure
 from treelts.product import flat_component
-from treelts.reduction import fresh_action, merge_home, quotient, summaries
-from oracles import naive_ef, naive_product
+from treelts.reduction import fresh_action, quotient, summaries
+from oracles import merge_home, naive_ef, naive_product
 from shapes import all_locked_tree, ring_chain, ring_tree
 
 #: Largest product of subtree component sizes the per-stage oracle builds.
@@ -433,7 +433,7 @@ class TestReduceNet:
         def unused(*args):
             raise AssertionError("the pipeline builds its squares in one pass")
 
-        for name in ("build_sq_unreduced", "prune_locked", "merge_home"):
+        for name in ("build_sq_unreduced", "build_sq", "prune_locked"):
             monkeypatch.setattr(reduction_module, name, unused)
         _, stages = reduce_net_traced(ring_tree([None] + [0] * 2000))
         for stage in stages:
