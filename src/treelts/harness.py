@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from .checker import Entry, check_ef, check_eg, render_witness
 from .errors import InvalidWitness, OracleTooLarge, StateLimitExceeded
-from .model import Component, Network, infer_topology
+from .model import Component, Network, _network
 # component_lts is not called here; perfbench/spans.py patches it in this namespace
 from .product import (  # noqa: F401
     DEFAULT_STATE_CAP,
@@ -103,18 +103,16 @@ def gen_random_tree(cfg: GenConfig) -> Network:
         for act in upacts.get(idx, []):
             sources = 1 + (1 if size > 1 and rng.random() < density else 0)
             for _ in range(sources):
-                trans.append((states[rng.randrange(size)], act, states[0]))
+                trans.append((rng.choice(states), act, states[0]))
         for child in children[idx]:
             for act in upacts[child]:
                 count = 1 + (1 if rng.random() < density else 0)
                 for _ in range(count):
-                    trans.append(
-                        (states[rng.randrange(size)], act, states[rng.randrange(size)]))
+                    trans.append((rng.choice(states), act, rng.choice(states)))
         pool = [f"l{next(fresh)}" for _ in range(rng.randint(0, loc_cap))] + ["tau"]
         extra = rng.randint(round(density * size * 0.5), max(1, round(density * size * 2.5)))
         for _ in range(extra):
-            trans.append(
-                (states[rng.randrange(size)], rng.choice(pool), states[rng.randrange(size)]))
+            trans.append((rng.choice(states), rng.choice(pool), rng.choice(states)))
         transitions.append(trans)
 
     labelling: list[dict[str, set[str]]] = [{} for _ in range(n)]
@@ -137,14 +135,9 @@ def gen_random_tree(cfg: GenConfig) -> Network:
         if idx == 0:
             states.append("limbo")
             labels["limbo"] = frozenset({"p_nowhere"})
-        comps.append(Component(
-            name=f"n{idx}",
-            states=tuple(states),
-            initial="s0",
-            transitions=tuple(transitions[idx]),
-            labels=labels,
-        ))
-    return infer_topology(comps, "n0", silent=frozenset({"tau"}))
+        comps.append(Component(f"n{idx}", tuple(states), "s0", tuple(transitions[idx]), labels))
+    return _network(tuple(comps), 0, frozenset({"tau"}), tuple(parents),
+                    (frozenset(upacts.get(i, ())) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,9 @@ class Component:
     The action set ``acts`` is implicit: it is derived from the transitions
     at construction, so a component cannot declare actions it never uses.
     States keep their declaration order, which downstream constructions
-    rely on for deterministic numbering; ``index`` gives each state's
-    position in it, built at construction by the check for duplicates.
+    rely on for deterministic numbering.  ``index`` (each state's position
+    in it) and ``init`` (the initial one's) are recorded by the check at
+    construction, ``succ`` and ``state_labels`` built on first read.
     """
 
     name: str
@@ -126,7 +127,8 @@ class Component:
         index = dict(zip(states, range(len(states))))
         if len(index) != len(states):
             raise ValidationError(f"duplicate state names in component {name!r}")
-        if self.initial not in index:
+        init = index.get(self.initial)
+        if init is None:
             raise ValidationError(
                 f"initial state {self.initial!r} is not a state of component {name!r}")
         for src, act, dst in transitions:
@@ -139,6 +141,7 @@ class Component:
                 raise ValidationError(
                     f"label on unknown state {s!r} in component {name!r}")
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "init", init)
 
     @cached_property
     def succ(self) -> tuple[tuple[tuple[str, int], ...], ...]:
@@ -149,6 +152,11 @@ class Component:
         for src, act, dst in self.transitions:
             out[index[src]].append((act, index[dst]))
         return tuple(tuple(v) for v in out)
+
+    @cached_property
+    def state_labels(self) -> tuple[frozenset[str], ...]:
+        """The label set per state position."""
+        return tuple(map(self.label_of, self.states))
 
     @cached_property
     def transition_set(self) -> frozenset[tuple[str, str, str]]:
@@ -377,10 +385,9 @@ def validate_live_reset(net: Network) -> list[Violation]:
         stray = [tr for tr in c.transitions if tr[1] in up and tr[2] != c.initial]
         if not stray:
             continue
-        index = c.index
-        reached = closure([[d for _, d in moves] for moves in c.succ], [index[c.initial]])
+        reached = closure([[d for _, d in moves] for moves in c.succ], [c.init])
         for tr in stray:
-            if index[tr[0]] in reached:
+            if c.index[tr[0]] in reached:
                 violations.append(Violation(c.name, tr))
             else:
                 warnings.warn(

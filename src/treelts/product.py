@@ -252,7 +252,7 @@ def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
     succ = [c.succ for c in comps]
     pairs = _pairs(net)
 
-    init = tuple(c.index[c.initial] for c in comps)
+    init = tuple(c.init for c in comps)
     ids: dict[tuple[int, ...], int] = {init: 0}
     tuples: list[tuple[int, ...]] = [init]
     queue: deque[tuple[int, ...]] = deque([init])
@@ -302,7 +302,7 @@ def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
                     movers.append(together[pair])
 
     names = [c.states for c in comps]
-    labels = [[c.label_of(s) for s in c.states] for c in comps]
+    labels = [c.state_labels for c in comps]
     return ExplicitLts(
         0, src_ids, acts, dst_ids, movers,
         labels=[frozenset().union(*(labels[i][tup[i]] for i in range(n))) for tup in tuples],
@@ -315,12 +315,12 @@ def component_lts(component: Component) -> ExplicitLts:
     at = component.index.__getitem__
     ts = component.transitions
     return ExplicitLts(
-        at(component.initial),
+        component.init,
         list(map(at, map(itemgetter(0), ts))),
         list(map(itemgetter(1), ts)),
         list(map(at, map(itemgetter(2), ts))),
         [frozenset((0,))] * len(ts),
-        labels=map(component.label_of, component.states),
+        labels=component.state_labels,
         payloads=[GlobalTuple((s,)) for s in component.states],
     )
 

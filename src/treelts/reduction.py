@@ -66,6 +66,12 @@ def fresh_action(taken: frozenset[str] | set[str], base: str) -> str:
     return f"{base}_{k}"
 
 
+def _taken(net: Network) -> set[str]:
+    """Every name ``net`` uses, keeps silent or declares: a glue name must
+    avoid them all, or ``cmpl`` takes it for a declared upact."""
+    return {a for c in net.components for a in c.acts}.union(net.silent, *net.upacts)
+
+
 def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares:
     """Build the glued union of child-root squares, reachable part only.
 
@@ -88,42 +94,35 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
 
 def build_sq(net: Network) -> SumOfSquares:
     """``prune_locked(build_sq_unreduced(net))``, glued under ``eps0``
-    unless the network uses it, pruned in one pass as the reduction prunes
-    (see ``_pruned``), but with no home merge."""
+    unless the network uses or declares it, pruned in one pass as the
+    reduction prunes (see ``_pruned``), but with no home merge."""
     return _unmerged(net, None, prune=True)
 
 
 def _unmerged(net: Network, epsilon: str | None, prune: bool) -> SumOfSquares:
     """The squares of ``net`` with no home merge: every reachable code, or
     with ``prune`` those ``_pruned`` keeps, numbered in code order."""
-    views = replace(net, components=tuple(map(_view, net.components)))
-    m = _square_moves(views, epsilon)
+    m = _square_moves(net, epsilon)
     gone = _pruned(m) if prune else set()
     codes = [code for code in m.codes if code not in gone]
     ids = dict(zip(codes, range(1, len(codes) + 1)))
-    return _emit(views, m, ids, {rs: [ids[e + rs] for e in m.entries if e + rs in ids]
-                                 for rs in m.entered})
+    return _emit(net, m, ids, {rs: [ids[e + rs] for e in m.entries if e + rs in ids]
+                               for rs in m.entered})
 
 
 class _View(NamedTuple):
     """A component as the squares read it: integer tables over its state
-    positions.  ``succ`` holds the ``(action, target)`` moves per position,
-    ``labels`` the label set per position, and ``acts`` the actions the
-    moves use.  A network of views is classified by ``two_level_network``
+    positions, ``(action, target)`` moves and label sets, and the actions
+    the moves use.  A ``Component`` has every field, so the squares read it
+    as it is, and a network of views is classified by ``two_level_network``
     like one of components."""
 
     name: str
     states: tuple[str, ...]
     init: int
     succ: Sequence[Sequence[tuple[str, int]]]
-    labels: Sequence[frozenset[str]]
+    state_labels: Sequence[frozenset[str]]
     acts: frozenset[str]
-
-
-def _view(c: Component) -> _View:
-    """The view of a component as it is."""
-    return _View(c.name, c.states, c.index[c.initial], c.succ,
-                 tuple(map(c.label_of, c.states)), c.acts)
 
 
 class _Moves(NamedTuple):
@@ -152,8 +151,8 @@ class _Moves(NamedTuple):
 
 
 def _square_moves(net: Network, epsilon: str | None) -> _Moves:
-    """The move tables of the squares of ``net``, a network of views, and
-    their reachable codes."""
+    """The move tables of the squares of ``net``, a network of components
+    or views, and their reachable codes."""
     r = net.root_index
     kids = net.children[r]
     if not kids:
@@ -163,10 +162,10 @@ def _square_moves(net: Network, epsilon: str | None) -> _Moves:
             raise NotTwoLevel(f"component {net.components[k].name!r} is not a leaf")
     comps = net.components
     root = comps[r]
-    all_acts = {a for c in comps for a in c.acts}
+    taken = _taken(net)
     if epsilon is None:
-        epsilon = fresh_action(all_acts | set(net.silent), "eps0")
-    elif epsilon in all_acts:
+        epsilon = fresh_action(taken, "eps0")
+    elif epsilon in taken:
         raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
 
     width = len(root.states)
@@ -184,7 +183,7 @@ def _square_moves(net: Network, epsilon: str | None) -> _Moves:
         init, loc, up = comps[k].init, net.locacts[k], net.upacts[k]
         at_child, at_both = frozenset((k,)), frozenset((k, r))
         entries.append((len(rows) + init) * width)
-        row_labels += comps[k].labels
+        row_labels += comps[k].state_labels
         for cs, moves in enumerate(comps[k].succ):
             rows.append((k, cs))
             child_local.append([(a, (d - cs) * width, at_child) for a, d in moves if a in loc])
@@ -206,14 +205,14 @@ def _square_moves(net: Network, epsilon: str | None) -> _Moves:
         stack += new - found
         found |= new
     return _Moves(epsilon, width, rows, row_labels, child_local, handoffs, root_local, root_up,
-                  root_dsts, root.labels, entries, root_init,
+                  root_dsts, root.state_labels, entries, root_init,
                   entered, sorted(found))
 
 
 def _emit(net: Network, m: _Moves, ids: dict[int, int],
           targets: dict[int, list[int]]) -> SumOfSquares:
-    """The squares of ``net``, a network of views, over the codes of
-    ``ids``, in code order, each becoming state ``ids[code]``.
+    """The squares of ``net``, a network of components or views, over the
+    codes of ``ids``, in code order, each becoming state ``ids[code]``.
 
     Codes that share an id merge into one state, which keeps the payload of
     the first and the union of their labels; their transitions keep their
@@ -395,7 +394,7 @@ def _summary_masks(
         for s, a, d in comp.transitions:
             if a not in skip:
                 succ[index[s]].append(index[d])
-        seen = closure(succ, [index[comp.initial]])
+        seen = closure(succ, [comp.init])
         mask = reduce(or_, (out[k][0] for k in kids), 0)
         for s, ps in comp.labels.items():
             if index[s] in seen:
@@ -497,13 +496,13 @@ def _contract(
         succ[s].append((a, d))
     names = tuple(f"q{i}" for i in range(len(labels)))
     acts = frozenset(a for _, a, _ in edges)
-    return _View(component.name, names, of[index[component.initial]], succ, labels, acts), of
+    return _View(component.name, names, of[component.init], succ, labels, acts), of
 
 
 def _named(view: _View) -> Component:
     """The component a contracted view stands for, named by ``flat_component``."""
     return flat_component(view.name, view.init, (
-        (s, a, d) for s, moves in enumerate(view.succ) for a, d in moves), view.labels)
+        (s, a, d) for s, moves in enumerate(view.succ) for a, d in moves), view.state_labels)
 
 
 def _interface(net: Network, i: int) -> frozenset[str]:
@@ -567,14 +566,15 @@ class ReductionStage:
     one-state summary.  ``result`` is ``cmpl(sq)`` at the top stage and,
     below it, the one-state summary of the node's subtree.
 
-    The root and each leaf are contracted once, into a view whose integer
-    tables the squares read; an inner child is viewed straight from its
-    summary.  ``net`` names the same views: it is the two-level network
-    the squares ``sq`` are built from, aligned with ``originals``, every
-    component pre-minimised: ``net.components[i]`` and ``blocks[i]`` are
-    what ``quotient`` gives for ``originals[i]``, the component itself and
-    None where it entered as it is, with no silent cycle (an inner child's
-    one-state summary among them).  ``lift_witness`` reads all three.
+    The squares read the root and each leaf contracted once, into a view
+    of integer tables, or as it is where it has no silent cycle, and an
+    inner child straight from its summary.  ``net`` names the same views:
+    it is the two-level network the squares ``sq`` are built from, aligned
+    with ``originals``, every component pre-minimised:
+    ``net.components[i]`` and ``blocks[i]`` are what ``quotient`` gives for
+    ``originals[i]``, the component itself and None where it entered as it
+    is (an inner child's one-state summary among them).  ``lift_witness``
+    reads all three.
     ``sq`` is the squares of ``net`` pruned, with their home copies
     merged, built in one pass (see ``_squares``).  ``unpruned_states``
     counts the states of ``build_sq_unreduced(net)``, which is never
@@ -603,14 +603,14 @@ class ReductionStage:
             return cmpl(self.sq)
         return self.inner.component(self.tree, self.node)
 
-    def _input(self, i: int) -> tuple[_View, tuple[int, ...] | None]:
-        """Component ``i`` of ``tree`` as the squares read it, with its
-        block map (see ``_contract``): an inner child's summary as it is."""
+    def _input(self, i: int) -> tuple[Component | _View, tuple[int, ...] | None]:
+        """Component ``i`` of ``tree`` as the squares read it, with its block
+        map: an inner child's summary, else ``_contract``'s view or itself."""
         tree = self.tree
         if i != self.node and tree.children[i]:
             return self.inner.view(tree, i), None
         c = tree.components[i]
-        return _contract(c, _interface(tree, i)) or (_view(c), None)
+        return _contract(c, _interface(tree, i)) or (c, None)
 
     @cached_property
     def _entered(self) -> tuple[Network, tuple[tuple[int, ...] | None, ...]]:
@@ -680,7 +680,7 @@ def lift_witness(
                 return p.child_state
         return net.components[i].initial
 
-    at = [c.index[c.initial] for c in originals]  # original state position per component
+    at = [c.init for c in originals]  # original state position per component
     lifted_at = [tuple(at)]
     lifted_actions: list[str] = []
     lifted_movers: list[frozenset[int]] = []
@@ -723,10 +723,10 @@ def lift_witness(
                 (d for a, d in succ[p] if a == act and block[d] == goal), None))
         take(moved, act, to)
     if proposition is not None and not any(
-            proposition in c.label_of(c.states[p]) for c, p in zip(originals, at)):
+            proposition in c.state_labels[p] for c, p in zip(originals, at)):
         for i, comp in enumerate(originals):
             if proposition in net.components[i].label_of(place(payloads[-1], i)):
-                walk(i, lambda p: p if proposition in comp.label_of(comp.states[p]) else None)
+                walk(i, lambda p: p if proposition in comp.state_labels[p] else None)
                 break
     states = tuple(GlobalTuple(tuple(c.states[p] for c, p in zip(originals, v)))
                    for v in lifted_at)
@@ -765,14 +765,14 @@ def reduce_net_traced(net: Network) -> tuple[Component, tuple[ReductionStage, ..
     the final component lifts to (see ``lift_witness``).
 
     Every stage glues its squares under one fresh name, ``eps0`` unless the
-    network uses it.  No other name is made up: pre-minimised components
-    keep their own actions, so every stage's network has the silent names
-    of ``net``.
+    network uses or declares it (see ``_taken``).  No other name is made
+    up: pre-minimised components keep their own actions, so every stage's
+    network has the silent names of ``net``.
     """
     r, kids = net.root_index, net.children[net.root_index]
     if not kids:
         return net.root, ()
-    epsilon = fresh_action({a for c in net.components for a in c.acts} | net.silent, "eps0")
+    epsilon = fresh_action(_taken(net), "eps0")
     # the pass runs only inside inner children's subtrees
     masks, names = _summary_masks(net, [k for k in kids if net.children[k]])
     inner = _Inner(masks, names, {})

@@ -1,5 +1,6 @@
 """Generator soundness, the oracle-equivalence suite, and statistics."""
 
+import hashlib
 import json
 from dataclasses import replace
 from functools import partial
@@ -33,7 +34,35 @@ from treelts.reduction import summaries
 from shapes import all_locked_tree, ring_chain, ring_tree
 
 
+#: Bound sets of the generator sweep below; each runs seeds 0-149.
+GEN_SWEEP = [
+    dict(),
+    dict(max_depth=3, max_children=3, max_states=5, max_local_actions=2, propositions=3,
+         density=0.6),
+    dict(max_depth=5, max_children=2, max_states=4, density=0.3, min_states=2),
+    dict(max_depth=4, max_children=4, max_states=3, max_local_actions=0, propositions=1,
+         density=1.0, min_children=2),
+]
+#: The sha256 of the sweep's ``save_string`` outputs, in sweep order, as
+#: drawn by the generator that inferred its topology from shared names.
+GEN_SWEEP_SHA256 = "fce7369ecf55e08844f43e4fd0ca531713a453f45384f31654f4aeb6f4b13e44"
+
+
 class TestGenerator:
+    def test_the_network_drawn_is_the_one_inferred(self):
+        # the generator declares each component's fresh upacts itself
+        for bounds in GEN_SWEEP:
+            for seed in range(150):
+                net = gen_random_tree(GenConfig(seed, **bounds))
+                assert net == infer_topology(net.components, "n0", silent=net.silent), seed
+
+    def test_the_sweep_draws_the_pinned_bytes(self):
+        digest = hashlib.sha256()
+        for bounds in GEN_SWEEP:
+            for seed in range(150):
+                digest.update(save_string(gen_random_tree(GenConfig(seed, **bounds))).encode())
+        assert digest.hexdigest() == GEN_SWEEP_SHA256
+
     def test_same_seed_same_bytes(self):
         cfg = GenConfig(seed=421, max_depth=3, max_children=3, max_states=5)
         assert save_string(gen_random_tree(cfg)) == save_string(gen_random_tree(cfg))

@@ -472,6 +472,24 @@ class TestReduceNet:
         taken = infer_topology([a, b, c], "A")
         assert {stage.sq.epsilon for stage in reduce_net_traced(taken)[1]} == {"eps0_1"}
 
+    def test_the_glue_name_avoids_a_declared_upact_nobody_fires(self):
+        # cmpl retargets every root upact to the initial state, so a glue
+        # step under the root's unfired upact eps0 would loop there and cut
+        # the root off from p
+        root = Component("r", ("r0", "r1"), "r0", [("r0", "go", "r1")], {"r1": {"p"}})
+        child = Component("c", ("c0",), "c0", [("c0", "go", "c0")])
+        net = two_level_network(root, [child], [frozenset({"go"})],
+                                root_upacts=frozenset({"eps0"}))
+        assert validate_live_reset(net) == [] and check_ef(full_product(net), "p").holds
+        component, stages = reduce_net_traced(net)
+        assert stages[0].sq.epsilon == build_sq(net).epsilon == "eps0_1"
+        for lts in (component_lts(component), reduced_lts(component, stages),
+                    component_lts(cmpl(build_sq(net)))):
+            assert check_ef(lts, "p").holds
+        for name in ("eps0", "tau"):  # declared, silent
+            with pytest.raises(ValidationError, match=f"^epsilon name '{name}' collides"):
+                build_sq_unreduced(net, epsilon=name)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_size_bound_at_every_stage(self, seed):
@@ -719,6 +737,22 @@ class TestIntegerCore:
             for i, c, got in zip((stage.node, *kids), stage.originals, stage.net.components):
                 assert got == quotient(c, tree.upacts[i] | tree.downacts[i])[0], c.name
         assert any(b is not None for stage in stages for b in stage.blocks)
+
+
+def test_a_component_has_every_field_of_a_view(gx, gy):
+    for c in gx.components + gy.components:
+        assert set(reduction_module._View._fields) <= set(dir(c))
+        assert c.init == c.states.index(c.initial)
+        assert c.state_labels == tuple(c.labels.get(s, frozenset()) for s in c.states)
+
+
+def test_an_uncontracted_stage_input_is_the_component_itself(gx):
+    # no component of gx has a silent cycle, so each enters the squares as it is
+    (stage,) = reduce_net_traced(gx)[1]
+    assert [c.name for c in gx.components] == ["R", "S1", "S2"]
+    for i, c in enumerate(gx.components):
+        view, blocks = stage._input(i)
+        assert view is c and blocks is None, c.name
 
 
 def reached(succ, start):

@@ -13,6 +13,7 @@ stride of each.
 
 import os
 import random
+import warnings
 
 import pytest
 
@@ -20,13 +21,17 @@ from treelts import (
     Component,
     GenConfig,
     NotATree,
+    Violation,
     check_ef,
     equivalence_suite,
     gen_random_tree,
     infer_topology,
     reduce_net_traced,
     reduced_lts,
+    validate_live_reset,
 )
+from treelts.cli import main, save
+from treelts.errors import LiveResetWarning
 from treelts.reduction import summaries
 
 #: The parent vector of each enumerated shape; component ``n0`` is the root.
@@ -36,30 +41,32 @@ STRIDE = 97
 EXHAUSTIVE = os.environ.get("TREELTS_EXHAUSTIVE") == "1"
 
 
-def candidate_moves(parent):
+def candidate_moves(parent, stray=False):
     """Per component of the shape ``parent``, the transitions a network may
     give it: a ``tau`` move each way between ``s0`` and ``s1``; for a
     non-root ``n{i}``, ``u{i}`` from either state back to ``s0``, so live
-    reset holds by construction; and for each child ``n{k}``, ``u{k}`` on
-    any of the four state pairs."""
+    reset holds by construction, and with ``stray`` also into ``s1``,
+    which breaks it; and for each child ``n{k}``, ``u{k}`` on any of the
+    four state pairs."""
     states = ("s0", "s1")
     out = []
     for i, p in enumerate(parent):
         moves = [("s0", "tau", "s1"), ("s1", "tau", "s0")]
         if p is not None:
-            moves += [(s, f"u{i}", "s0") for s in states]
+            moves += [(s, f"u{i}", d) for s in states for d in (states if stray else ("s0",))]
         moves += [(s, f"u{k}", d) for k, q in enumerate(parent) if q == i
                   for s in states for d in states]
         out.append(moves)
     return out
 
 
-def small_networks(parent, stride=1):
+def small_networks(parent, stride=1, stray=False):
     """Every ``stride``-th candidate network of the shape ``parent`` that
-    ``infer_topology`` roots at ``n0`` with the intended parents.
-    Component ``n{i}`` has states ``s0`` (initial) and ``s1``, carrying
-    ``p{i}_0`` and ``p{i}_1``."""
-    moves = [(i, t) for i, ts in enumerate(candidate_moves(parent)) for t in ts]
+    ``infer_topology`` roots at ``n0`` with the intended parents, drawn
+    from ``candidate_moves(parent, stray)``.  Component ``n{i}`` has
+    states ``s0`` (initial) and ``s1``, carrying ``p{i}_0`` and
+    ``p{i}_1``."""
+    moves = [(i, t) for i, ts in enumerate(candidate_moves(parent, stray)) for t in ts]
     for bits in range(0, 1 << len(moves), stride):
         chosen = [[] for _ in parent]
         for b, (i, t) in enumerate(moves):
@@ -102,6 +109,39 @@ def test_small_networks_agree_with_the_product(shape, stride, valid):
 @pytest.mark.parametrize("shape", ["3-chain", "3-star"])
 def test_every_three_component_network_agrees_with_the_product(shape):
     assert check_space(SHAPES[shape], 1) == 129_600
+
+
+def test_small_networks_that_break_live_reset_are_refused(tmp_path, capsys):
+    # a 2-chain whose n1 has a u1 move into s1: validate_live_reset reports
+    # exactly the moves whose source n1 reaches, and warns of the others
+    broken, quiet = [], 0
+    for net in small_networks(SHAPES["2-chain"], stray=True):
+        n1 = net.components[1]
+        strays = [t for t in n1.transitions if t[1] == "u1" and t[2] == "s1"]
+        if not strays:
+            continue
+        # with two states, s1 is reachable exactly when some move leaves s0 for it
+        reached = {"s0"} | {d for s, _, d in n1.transitions if s == "s0"}
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always", LiveResetWarning)
+            violations = validate_live_reset(net)
+        assert violations == [Violation("n1", t) for t in strays if t[0] in reached], net
+        assert len(warned) == len(strays) - len(violations), net
+        if violations:
+            broken.append(net)
+        else:
+            quiet += 1
+    assert (len(broken), quiet) == (2_400, 480)
+    # every reducing command refuses a saved sample of them, by exit code 2
+    for k, net in enumerate(broken[::97]):
+        path = str(tmp_path / f"broken{k}.json")
+        save(net, path)
+        for argv in (["reduce", path], ["check", path, "--reduced", "--ef", "p0_1"],
+                     ["stats", path]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LiveResetWarning)
+                assert main(argv) == 2, (argv, net)
+            assert "error: network is not live-reset: n1:" in capsys.readouterr().err
 
 
 def observed(net):
