@@ -17,8 +17,9 @@ This is the only module that performs I/O.  Network files are JSON:
     }
 
 The loader checks the document's shape and the direction marks only;
-each component's content goes as it is to ``Component``, which checks it
-for files and library callers alike.  Action names may carry a ``?``/``!``
+components and the silent list go as they are to ``Component`` and
+``infer_topology``, which check them for files and library callers
+alike.  Action names may carry a ``?``/``!``
 prefix marking the expected direction (towards a child / towards the
 parent); the prefix is stripped and checked against the inferred
 classification, never trusted.
@@ -94,16 +95,13 @@ def network_from_doc(doc: object) -> Network:
         raise ValidationError(f"unknown keys: {sorted(unknown)}")
     if "root" not in doc or "components" not in doc:
         raise ValidationError("both 'root' and 'components' are required")
-    silent = doc.get("silent", ["tau"])
-    if not (isinstance(silent, list) and all(isinstance(a, str) for a in silent)):
-        raise ValidationError("'silent' must be a list of action names")
     raw_components = doc["components"]
     if not isinstance(raw_components, list) or not raw_components:
         raise ValidationError("'components' must be a non-empty list")
 
     components, annotations = zip(*map(_component_from_doc, raw_components))
 
-    net = infer_topology(components, doc["root"], silent=frozenset(silent))
+    net = infer_topology(components, doc["root"], silent=doc.get("silent", ["tau"]))
 
     for i, marks in enumerate(annotations):
         for act, mark in sorted(marks.items()):

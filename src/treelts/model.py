@@ -55,6 +55,20 @@ def _as_tuple(value: object, what: str, name: str, items: str) -> tuple:
         _misfit(f"{what} {value!r} of component {name!r}", value, f"a sequence of {items}"))
 
 
+def _name_set(names: object, what: str, owner: str | None = None) -> frozenset[str]:
+    """``names`` (the ``what`` of component ``owner``, if given) as a frozenset of action
+    names, a frozenset as it is; frozenset() would split a string and read a mapping's keys."""
+    if type(names) is frozenset:
+        return names
+    what = f"{what} {names!r}" if owner is None else f"{what} {names!r} of component {owner!r}"
+    if isinstance(names, (str, Mapping)) or not isinstance(names, Collection):
+        raise ValidationError(_misfit(what, names, "a set of action names"))
+    for name in names:
+        if not isinstance(name, str):
+            raise ValidationError(f"name {name!r} in {what} is not a string")
+    return frozenset(names)
+
+
 @dataclass(frozen=True)
 class Component:
     """A finite labelled transition system.
@@ -158,10 +172,6 @@ class Component:
         """The label set per state position."""
         return tuple(map(self.label_of, self.states))
 
-    @cached_property
-    def transition_set(self) -> frozenset[tuple[str, str, str]]:
-        return frozenset(self.transitions)
-
     def label_of(self, state: str) -> frozenset[str]:
         return self.labels.get(state, _NO_LABELS)
 
@@ -232,7 +242,7 @@ def _network(
     return Network(
         components=comps,
         root_index=root_index,
-        silent=frozenset(silent),
+        silent=silent,
         parent=parent,
         children=tuple(map(tuple, children)),
         upacts=upacts,
@@ -253,8 +263,9 @@ def infer_topology(
     more components.  Each component declares the non-silent actions it
     shares with its parent; the root declares none.
 
-    Raises NotATree or UnknownRoot accordingly.
+    Raises NotATree, UnknownRoot or ValidationError accordingly.
     """
+    silent = _name_set(silent, "silent actions")
     comps = tuple(components)
     if not comps:
         raise UnknownRoot("network has no components")
@@ -322,13 +333,15 @@ def two_level_network(
     so one that either of them cannot fire never fires, and the root's
     own upacts move it alone.  Raises ValidationError when a declared
     action is silent or is declared on two edges (by two children, or by
-    a child and the root).
+    a child and the root), and when ``silent`` or a declared set is not a
+    collection of action names.
     """
-    kids = tuple(children)
-    ups = (frozenset(root_upacts), *map(frozenset, child_upacts))
-    if len(kids) != len(ups) - 1:
+    comps = (root, *children)
+    given = (root_upacts, *child_upacts)
+    if len(comps) != len(given):
         raise ValidationError("one upact set per child is required")
-    comps = (root, *kids)
+    silent = _name_set(silent, "silent actions")
+    ups = tuple(_name_set(up, "upacts", c.name) for c, up in zip(comps, given))
     names = [c.name for c in comps]
     if len(set(names)) != len(names):
         raise ValidationError(f"duplicate component names: {sorted(names)}")
@@ -339,7 +352,7 @@ def two_level_network(
                 why = "silent" if act in silent else f"declared by {owner[act]!r} too"
                 raise ValidationError(f"action {act!r} declared by {c.name!r} is {why}")
             owner[act] = c.name
-    return _network(comps, 0, silent, (None,) + (0,) * len(kids), ups)
+    return _network(comps, 0, silent, (None,) + (0,) * (len(comps) - 1), ups)
 
 
 def subnetwork(net: Network, index: int) -> Network:

@@ -358,31 +358,35 @@ def prefix_from_states(
     """Build a product prefix from raw tuples, inferring who moved.
 
     Each step is checked against the component transition relations, with
-    the synchronisation of ``full_product``: an action on a tree edge moves
-    both ends of the edge, any other one the component that takes it.  For
-    a silent step the mover is the component whose coordinate changed.  A
-    self-loop, silent or on a local name that several components use, is
-    attributed to the unique component that can perform it, and an
-    ambiguous one is rejected.
+    the synchronisation of ``full_product``: its candidate movers are the
+    two ends of the edge declaring the action, or each component taking it
+    alone (``_pairs``).  It goes to the one candidate whose members take it
+    while no other component moves; a self-loop that several take is
+    rejected as ambiguous.
     """
     tuples = [s.states if isinstance(s, GlobalTuple) else tuple(s) for s in states]
     if len(tuples) != len(actions) + 1:
         raise ValidationError("a prefix needs exactly one more state than actions")
     comps = net.components
     n = len(comps)
-    for tup in tuples:
+    for k, tup in enumerate(tuples):
         if len(tup) != n:
             raise ValidationError(f"state tuple {tup} does not match the network arity")
+        for c, s in zip(comps, tup):
+            if not (isinstance(s, str) and s in c.index):
+                raise ValidationError(
+                    f"state tuple {k}: {s!r} is not a state of component {c.name!r}")
+    rows = [tuple(c.index[s] for c, s in zip(comps, tup)) for tup in tuples]
     pairs = _pairs(net)
 
     def fault(k: int, group: tuple[int, ...]) -> str | None:
         """Why step ``k`` is no move of the components of ``group`` alone."""
-        act, src, dst = actions[k], tuples[k], tuples[k + 1]
+        act, src, dst = actions[k], rows[k], rows[k + 1]
         for i in range(n):
             if i in group:
-                if (src[i], act, dst[i]) not in comps[i].transition_set:
-                    return (f"step {k}: ({src[i]!r}, {act!r}, {dst[i]!r}) is not a "
-                            f"transition of component {comps[i].name!r}")
+                if (act, dst[i]) not in comps[i].succ[src[i]]:
+                    return (f"step {k}: ({tuples[k][i]!r}, {act!r}, {tuples[k + 1][i]!r}) "
+                            f"is not a transition of component {comps[i].name!r}")
             elif src[i] != dst[i]:
                 return (f"step {k}: component {comps[i].name!r} "
                         f"moved without participating in {act!r}")
@@ -390,30 +394,16 @@ def prefix_from_states(
 
     movers: list[frozenset[int]] = []
     for k, act in enumerate(actions):
-        src, dst = tuples[k], tuples[k + 1]
-        if act in net.silent:
-            changed = [(i,) for i in range(n) if src[i] != dst[i]]
-            if len(changed) > 1:
-                raise ValidationError(f"silent step {k} moves several components")
-            groups = changed or [
-                (i,) for i in range(n) if (src[i], act, src[i]) in comps[i].transition_set]
-            if len(groups) != 1:
-                raise ValidationError(
-                    f"silent self-loop at step {k} cannot be attributed to one component")
-        else:
-            # the edge that declares act, or a component that takes it alone
-            groups = sorted({pairs[i].get(act, (i,)) for i in range(n) if act in comps[i].acts})
-            if not groups:
-                raise ValidationError(f"action {act!r} does not belong to the network")
-            fits = [g for g in groups if fault(k, g) is None]
-            if len(fits) > 1:
-                raise ValidationError(
-                    f"self-loop on {act!r} at step {k} cannot be attributed to one component")
-            groups = fits or groups
-        group = groups[0]
-        if (why := fault(k, group)) is not None:
-            raise ValidationError(why)
-        movers.append(frozenset(group))
+        groups = sorted({pairs[i].get(act, (i,)) for i in range(n) if act in comps[i].acts})
+        if not groups:
+            raise ValidationError(f"action {act!r} does not belong to the network")
+        fits = [g for g in groups if fault(k, g) is None]
+        if len(fits) > 1:
+            raise ValidationError(
+                f"self-loop on {act!r} at step {k} cannot be attributed to one component")
+        if not fits:
+            raise ValidationError(fault(k, groups[0]))
+        movers.append(frozenset(fits[0]))
     return PathPrefix(
         states=tuple(GlobalTuple(t) for t in tuples),
         actions=tuple(actions),
@@ -426,18 +416,25 @@ def project_prefix(prefix: PathPrefix, selected: Iterable[int]) -> PathPrefix:
 
     Every state tuple is restricted to the selected coordinates.  A step is
     deleted together with its source state when none of the selected
-    components took part in it; the final state is always kept.
+    components took part in it; the final state is always kept.  Each
+    selected index must be an ``int`` below the arity of the first state.
     """
-    sel = tuple(sorted(set(selected)))
-    if not sel:
+    picked = list(selected)
+    if not picked:
         raise EmptyProjection("cannot project onto an empty set of components")
+    if not all(isinstance(p, GlobalTuple) for p in prefix.states):
+        raise ValidationError("projection is defined on product states only")
+    arity = len(prefix.states[0].states)
+    for i in picked:
+        if not (isinstance(i, int) and 0 <= i < arity):
+            raise ValidationError(
+                f"cannot project onto component {i!r} of a prefix over {arity} components")
+    sel_set = set(picked)
+    sel = sorted(sel_set)
 
     def shrink(payload: Payload) -> GlobalTuple:
-        if not isinstance(payload, GlobalTuple):
-            raise ValidationError("projection is defined on product states only")
         return GlobalTuple(tuple(payload.states[i] for i in sel))
 
-    sel_set = set(sel)
     states: list[GlobalTuple] = []
     actions: list[str] = []
     movers: list[frozenset[int]] = []

@@ -340,12 +340,10 @@ def cmpl(sq: SumOfSquares) -> Component:
     return flat_component(sq.root_name, lts.initial, zip(lts.src, lts.act, dst), lts.labels)
 
 
-def summaries(
-    net: Network, node: int | None = None,
-) -> dict[int, tuple[frozenset[str], frozenset[str]]]:
-    """What a parent can observe of each subtree, per node of the subtree
-    under ``node`` (the whole tree by default), children first: the labels
-    the subtree can reach and the upacts the node can fire.
+def summaries(net: Network) -> dict[int, tuple[frozenset[str], frozenset[str]]]:
+    """What a parent can observe of each subtree, per node of ``net``,
+    children first: the labels the subtree can reach and the upacts the
+    node can fire.
 
     One pass, linear in the components: each is searched from its initial
     state along its local and silent moves, and along a downact only where
@@ -366,7 +364,7 @@ def summaries(
     transitions take); on a network that violates live reset they may not
     be.
     """
-    masks, names = _summary_masks(net, [net.root_index if node is None else node])
+    masks, names = _summary_masks(net, [net.root_index])
     return {i: (_decode(mask, names), upacts) for i, (mask, upacts) in masks.items()}
 
 

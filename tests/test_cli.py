@@ -106,7 +106,7 @@ class TestLoad:
         (["a"], "the document must be a JSON object"),
         ({"root": "a"}, "both 'root' and 'components' are required"),
         ({"root": "a", "components": [ONE_STATE], "silent": "tau"},
-         "'silent' must be a list of action names"),
+         "silent actions 'tau' are a string, not a set of action names"),
         ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "?x", "s0"]]}]},
          "action 'x' in component 'a' is marked '?' but is not synchronised with a child"),
         ({"root": "a", "components": ["a"]}, "each component must be a JSON object"),
@@ -293,6 +293,27 @@ class TestMain:
         assert repr(comp["name"]) in message
         src = tmp_path / "bad.json"
         src.write_text(json.dumps({"root": "c", "components": [comp]}), encoding="utf-8")
+        with pytest.raises(ValidationError) as loaded:
+            load(src)
+        assert str(loaded.value) == message
+        assert main(["validate", str(src)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("silent, message", [
+        ("tau", "silent actions 'tau' are a string, not a set of action names"),
+        ({"tau": 1}, "silent actions {'tau': 1} are a mapping, not a set of action names"),
+        (["tau", 5], "name 5 in silent actions ['tau', 5] is not a string"),
+    ], ids=["string", "object", "non-string"])
+    def test_one_check_of_the_silent_set_for_files_and_the_library(
+            self, silent, message, tmp_path, capsys):
+        comp = Component("c", ("a",), "a")
+        with pytest.raises(ValidationError) as direct:
+            infer_topology([comp], "c", silent=silent)
+        assert str(direct.value) == message
+        src = tmp_path / "silent.json"
+        doc = {"root": "c", "silent": silent, "components": [
+            {"name": "c", "states": ["a"], "initial": "a"}]}
+        src.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValidationError) as loaded:
             load(src)
         assert str(loaded.value) == message

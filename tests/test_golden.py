@@ -401,3 +401,15 @@ def test_one_renumbering_and_one_namer():
     assert constructor_callers("reduction", "ExplicitLts") == {"_emit", "prune_locked"}
     assert constructor_callers("reduction", "Component") == set()
     assert constructor_callers("product", "Component") == {"flat_component"}
+
+
+def test_one_attribution_of_a_step():
+    # prefix_from_states attributes silent steps by the declared edges like
+    # any other, and steps are checked on the integer view, not on a second
+    # name-keyed copy of the transitions
+    tree = ast.parse((PACKAGE / "product.py").read_text(encoding="utf-8"))
+    readers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "silent"}
+    assert readers == set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        assert "transition_set" not in path.read_text(encoding="utf-8"), path

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelts import (
+    DEFAULT_SILENT,
     Component,
     GenConfig,
     NotATree,
@@ -88,6 +89,12 @@ class TestInferTopology:
         net = infer_topology([a, b], "a")
         assert net.parent[1] == 0
         assert "tau" in net.locacts[0] and "tau" in net.locacts[1]
+
+    def test_a_silent_string_is_rejected_not_read_as_a_type_error(self):
+        c = Component("c", ("a",), "a", (("a", "tau", "a"),))
+        with pytest.raises(ValidationError) as info:
+            infer_topology([c], "c", silent="tau")
+        assert str(info.value) == "silent actions 'tau' are a string, not a set of action names"
 
     def test_declared_root_upacts(self, gx):
         r, s1, s2 = gx.components
@@ -415,6 +422,38 @@ class TestTwoLevelNetwork:
         with pytest.raises(ValidationError) as info:
             two_level_network(r, [c1, c2], child_upacts, root_upacts)
         assert str(info.value) == message
+
+
+    @pytest.mark.parametrize("child_upacts, root_upacts, silent, message", [
+        (["go"], frozenset(), DEFAULT_SILENT,
+         "upacts 'go' of component 'c' are a string, not a set of action names"),
+        ([set()], "ab", DEFAULT_SILENT,
+         "upacts 'ab' of component 'r' are a string, not a set of action names"),
+        ([{"go": 1}], frozenset(), DEFAULT_SILENT,
+         "upacts {'go': 1} of component 'c' are a mapping, not a set of action names"),
+        ([5], frozenset(), DEFAULT_SILENT,
+         "upacts 5 of component 'c' are of type int, not a set of action names"),
+        ([{5}], frozenset(), DEFAULT_SILENT,
+         "name 5 in upacts {5} of component 'c' is not a string"),
+        ([{"go"}], frozenset(), "tau",
+         "silent actions 'tau' are a string, not a set of action names"),
+    ], ids=["string", "root-string", "mapping", "no-collection", "non-string", "silent-string"])
+    def test_a_declared_set_is_a_collection_of_action_names(
+            self, child_upacts, root_upacts, silent, message):
+        # a string would be split into letters, a mapping read as its keys
+        r = Component("r", ("s0",), "s0", (("s0", "go", "s0"),))
+        c = Component("c", ("c0",), "c0", (("c0", "go", "c0"),))
+        with pytest.raises(ValidationError) as info:
+            two_level_network(r, [c], child_upacts, root_upacts, silent)
+        assert str(info.value) == message
+
+    def test_a_declared_frozenset_is_taken_as_it_is(self):
+        r = Component("r", ("s0",), "s0", (("s0", "go", "s0"),))
+        c = Component("c", ("c0",), "c0", (("c0", "go", "c0"),))
+        up, silent = frozenset({"go"}), frozenset({"tau"})
+        net = two_level_network(r, [c], [up], silent=silent)
+        assert net.upacts[1] is up and net.silent is silent
+        assert two_level_network(r, [c], [["go"]], silent=["tau"]) == net
 
 
 class TestGeneratedInvariants:

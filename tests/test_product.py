@@ -152,7 +152,7 @@ class TestProductProperties:
             dst = lts.payloads[d].states
             for i, c in enumerate(net.components):
                 if i in movers:
-                    assert (src[i], act, dst[i]) in c.transition_set
+                    assert (src[i], act, dst[i]) in c.transitions
                 else:
                     assert src[i] == dst[i]
 
@@ -210,6 +210,10 @@ class TestProjection:
             lambda: PathPrefix((init,), ("a",), ()),
             lambda: ExplicitLts(1, [], [], [], [], [frozenset()], [init]),
             lambda: project_prefix(PathPrefix((init,), (), ()), [0]),
+            # an index out of range, counted from the end, or not an int
+            lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), [99]),
+            lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), [-1]),
+            lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), ["a"]),
         ):
             with pytest.raises(ValidationError):
                 bad()
@@ -217,15 +221,18 @@ class TestProjection:
     @pytest.mark.parametrize("states, actions, message", [
         ([("r0", "s0", "t0")], ["open"], "a prefix needs exactly one more state than actions"),
         ([("r0", "s0")], [], "state tuple ('r0', 's0') does not match the network arity"),
-        ([("r0", "s0", "t0"), ("r1", "s0", "t1")], ["tau"], "silent step 0 moves several components"),
+        ([("r0", "s0", "t0"), ("r1", "s0", "t1")], ["tau"],
+         "step 0: component 'R' moved without participating in 'tau'"),
         ([("r0", "s0", "t0"), ("r0", "s0", "t0")], ["tau"],
-         "silent self-loop at step 0 cannot be attributed to one component"),
+         "step 0: ('t0', 'tau', 't0') is not a transition of component 'S2'"),
         ([("r0", "s0", "t0"), ("r0", "s0", "t0")], ["nope"],
          "action 'nope' does not belong to the network"),
         ([("r3", "s0", "t0"), ("r3", "s0", "t1")], ["beep"],
          "step 0: component 'S2' moved without participating in 'beep'"),
+        ([("zz", "s0", "t0"), ("r0", "s0", "t1")], ["tau"],
+         "state tuple 0: 'zz' is not a state of component 'R'"),
     ], ids=["length", "arity", "silent-several", "silent-loop-nobody", "unknown-action",
-            "moved-without-sharing"])
+            "moved-without-sharing", "unknown-state"])
     def test_each_bad_prefix_names_its_cause(self, gx, states, actions, message):
         # a step that is not a component transition: see the test above
         with pytest.raises(ValidationError) as info:
@@ -242,7 +249,8 @@ class TestProjection:
         assert prefix.movers == (frozenset({0, 1}), frozenset({1}))
         with pytest.raises(ValidationError) as info:
             prefix_from_states(net, [("a0", "b0"), ("a0", "b0")], ["tau"])
-        assert str(info.value) == "silent self-loop at step 0 cannot be attributed to one component"
+        assert str(info.value) == (
+            "self-loop on 'tau' at step 0 cannot be attributed to one component")
 
     def test_a_step_gets_the_movers_of_the_product_edge(self):
         # b declares u, which c takes alone; x is local to b and to c
@@ -260,6 +268,27 @@ class TestProjection:
         with pytest.raises(ValidationError) as info:
             prefix_from_states(net, [("r0", "b0", "c0", "c0")] * 2, ["x"])
         assert str(info.value) == "self-loop on 'x' at step 0 cannot be attributed to one component"
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_a_random_step_gets_the_movers_of_its_product_edges(self, seed):
+        # silent steps included: one attribution by the declared edges, and
+        # a step that several product edges take with different movers is
+        # ambiguous
+        net = gen_random_tree(GenConfig(seed=seed, max_depth=3, max_children=2, max_states=4))
+        lts = full_product(net, cap=50_000)
+        steps = {}
+        for s, a, d, mv in zip(lts.src, lts.act, lts.dst, lts.movers):
+            steps.setdefault((s, a, d), set()).add(mv)
+        for (s, a, d), movers in steps.items():
+            if len(movers) == 1:
+                prefix = prefix_from_states(net, [lts.payloads[s], lts.payloads[d]], [a])
+                assert prefix.movers == tuple(movers)
+            else:
+                with pytest.raises(ValidationError) as info:
+                    prefix_from_states(net, [lts.payloads[s], lts.payloads[d]], [a])
+                assert str(info.value) == (
+                    f"self-loop on {a!r} at step 0 cannot be attributed to one component")
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.data())
