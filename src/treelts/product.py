@@ -394,6 +394,8 @@ def prefix_from_states(
 
     movers: list[frozenset[int]] = []
     for k, act in enumerate(actions):
+        if not isinstance(act, str):
+            raise ValidationError(f"action {act!r} at step {k} is not a string")
         groups = sorted({pairs[i].get(act, (i,)) for i in range(n) if act in comps[i].acts})
         if not groups:
             raise ValidationError(f"action {act!r} does not belong to the network")
@@ -416,8 +418,9 @@ def project_prefix(prefix: PathPrefix, selected: Iterable[int]) -> PathPrefix:
 
     Every state tuple is restricted to the selected coordinates.  A step is
     deleted together with its source state when none of the selected
-    components took part in it; the final state is always kept.  Each
-    selected index must be an ``int`` below the arity of the first state.
+    components took part in it; the final state is always kept.  Every
+    state must have the arity of the first, and each selected index and
+    each mover must be an ``int`` below it.
     """
     picked = list(selected)
     if not picked:
@@ -425,6 +428,15 @@ def project_prefix(prefix: PathPrefix, selected: Iterable[int]) -> PathPrefix:
     if not all(isinstance(p, GlobalTuple) for p in prefix.states):
         raise ValidationError("projection is defined on product states only")
     arity = len(prefix.states[0].states)
+    for k, p in enumerate(prefix.states):
+        if len(p.states) != arity:
+            raise ValidationError(
+                f"state {k} of the prefix has {len(p.states)} components, not {arity}")
+    for k, moved in enumerate(prefix.movers):
+        for i in moved:
+            if not (isinstance(i, int) and 0 <= i < arity):
+                raise ValidationError(
+                    f"step {k} is taken by component {i!r} of a prefix over {arity} components")
     for i in picked:
         if not (isinstance(i, int) and 0 <= i < arity):
             raise ValidationError(

@@ -101,7 +101,13 @@ def build_sq(net: Network) -> SumOfSquares:
 
 def _unmerged(net: Network, epsilon: str | None, prune: bool) -> SumOfSquares:
     """The squares of ``net`` with no home merge: every reachable code, or
-    with ``prune`` those ``_pruned`` keeps, numbered in code order."""
+    with ``prune`` those ``_pruned`` keeps, numbered in code order, glued
+    under ``epsilon``, or a fresh name when it is None."""
+    taken = _taken(net)
+    if epsilon is None:
+        epsilon = fresh_action(taken, "eps0")
+    elif epsilon in taken:
+        raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
     m = _square_moves(net, epsilon)
     gone = _pruned(m) if prune else set()
     codes = [code for code in m.codes if code not in gone]
@@ -150,9 +156,9 @@ class _Moves(NamedTuple):
     codes: list[int]  # the reachable codes, sorted
 
 
-def _square_moves(net: Network, epsilon: str | None) -> _Moves:
+def _square_moves(net: Network, epsilon: str) -> _Moves:
     """The move tables of the squares of ``net``, a network of components
-    or views, and their reachable codes."""
+    or views, glued under ``epsilon``, and their reachable codes."""
     r = net.root_index
     kids = net.children[r]
     if not kids:
@@ -162,12 +168,6 @@ def _square_moves(net: Network, epsilon: str | None) -> _Moves:
             raise NotTwoLevel(f"component {net.components[k].name!r} is not a leaf")
     comps = net.components
     root = comps[r]
-    taken = _taken(net)
-    if epsilon is None:
-        epsilon = fresh_action(taken, "eps0")
-    elif epsilon in taken:
-        raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
-
     width = len(root.states)
     loc_root, up_root, at_root = net.locacts[r], net.upacts[r], frozenset((r,))
     root_local = [[(a, d - rs, at_root) for a, d in moves if a in loc_root]
@@ -472,23 +472,28 @@ def _contract(
     if n < 2 or component.acts <= visible:
         return None
     index = component.index
-    triples = [(index[s], a, index[d]) for s, a, d in component.transitions]
     hidden: list[list[int]] = [[] for _ in range(n)]
-    for s, a, d in triples:
+    for s, a, d in component.transitions:
         if a not in visible:
-            hidden[s].append(d)
+            hidden[index[s]].append(index[d])
     scc = _sccs(hidden)
     rank: dict[int, int] = {}
     for s in scc:
         rank.setdefault(s, len(rank))
     if len(rank) == n:
         return None
+    if len(rank) == 1:  # one silent SCC: one state, a self-loop per visible action
+        acts = component.acts & visible
+        return _View(component.name, ("q0",), 0, [[(a, 0) for a in sorted(acts)]],
+                     [reduce(_union, component.labels.values(), frozenset())], acts), (0,) * n
     of = tuple(map(rank.__getitem__, scc))
+    block = dict(zip(component.states, of))
     labels: list[frozenset[str]] = [frozenset()] * len(rank)
     for s, ps in component.labels.items():
-        b = of[index[s]]
+        b = block[s]
         labels[b] = _union(labels[b], ps)
-    edges = sorted({(of[s], a, of[d]) for s, a, d in triples if a in visible or of[s] != of[d]})
+    edges = sorted({(block[s], a, block[d]) for s, a, d in component.transitions
+                    if a in visible or block[s] != block[d]})
     succ: list[list[tuple[str, int]]] = [[] for _ in labels]
     for s, a, d in edges:
         succ[s].append((a, d))

@@ -191,6 +191,22 @@ class TestProjection:
         with pytest.raises(EmptyProjection):
             project_prefix(eta, set())
 
+    @pytest.mark.parametrize("prefix, message", [
+        (PathPrefix((GlobalTuple(("a", "b")), GlobalTuple(("a",))), ("x",), (frozenset({1}),)),
+         "state 1 of the prefix has 1 components, not 2"),
+        # a step that names no component would be dropped from every projection
+        (PathPrefix((GlobalTuple(("a", "b")), GlobalTuple(("a", "c"))), ("x",),
+                    (frozenset({7}),)),
+         "step 0 is taken by component 7 of a prefix over 2 components"),
+        (PathPrefix((GlobalTuple(("a", "b")), GlobalTuple(("a", "c"))), ("x",),
+                    (frozenset({1, -1}),)),
+         "step 0 is taken by component -1 of a prefix over 2 components"),
+    ], ids=["arity", "mover-past-arity", "negative-mover"])
+    def test_a_prefix_that_does_not_fit_its_arity_is_rejected(self, prefix, message):
+        with pytest.raises(ValidationError) as info:
+            project_prefix(prefix, [1])
+        assert str(info.value) == message
+
     def test_prefix_validation_rejects_bad_steps(self, gx):
         with pytest.raises(ValueError):
             prefix_from_states(
@@ -231,8 +247,11 @@ class TestProjection:
          "step 0: component 'S2' moved without participating in 'beep'"),
         ([("zz", "s0", "t0"), ("r0", "s0", "t1")], ["tau"],
          "state tuple 0: 'zz' is not a state of component 'R'"),
+        ([("r0", "s0", "t0"), ("r0", "s0", "t0")], [["tau"]],
+         "action ['tau'] at step 0 is not a string"),
+        ([("r0", "s0", "t0"), ("r0", "s0", "t0")], [5], "action 5 at step 0 is not a string"),
     ], ids=["length", "arity", "silent-several", "silent-loop-nobody", "unknown-action",
-            "moved-without-sharing", "unknown-state"])
+            "moved-without-sharing", "unknown-state", "unhashable-action", "non-string-action"])
     def test_each_bad_prefix_names_its_cause(self, gx, states, actions, message):
         # a step that is not a component transition: see the test above
         with pytest.raises(ValidationError) as info:

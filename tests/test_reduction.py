@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 from math import prod
 from pathlib import Path
@@ -570,13 +571,19 @@ class TestQuotient:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(1, 6),
-           st.sampled_from([0.3, 0.6, 1.0]))
-    def test_blocks_are_silent_sccs(self, seed, states, density):
+           st.sampled_from([0.3, 0.6, 1.0]), st.integers(0, 6))
+    def test_blocks_are_silent_sccs(self, seed, states, density, ring):
+        # a tau ring through the first ``ring`` states of every component:
+        # through all of them, it makes the component one silent SCC
         net = gen_random_tree(GenConfig(seed=seed, max_depth=2, max_children=2,
                                         max_states=states, density=density))
         note(save_string(net))
+        assert "tau" in net.silent
         for i, c in enumerate(net.components):
             visible = net.upacts[i] | net.downacts[i]
+            cycle = c.states[:ring]
+            c = replace(c, transitions=c.transitions + tuple(
+                (s, "tau", t) for s, t in zip(cycle, cycle[1:] + cycle[:1])))
             got, block = quotient(c, visible)
             if block is not None:
                 # a quotient on c's own alphabet: every move keeps its action,
@@ -585,6 +592,13 @@ class TestQuotient:
                 assert {(got.index[s], a, got.index[d]) for s, a, d in got.transitions} == {
                     (block[s], a, block[d]) for s, out in enumerate(c.succ) for a, d in out
                     if a in visible or block[s] != block[d]}
+                if len(got.states) == 1:
+                    # one block: every label, and a self-loop per visible action, sorted
+                    assert block == (0,) * len(c.states)
+                    assert got.labels.get("q0", frozenset()) == frozenset().union(
+                        *c.labels.values())
+                    assert got.transitions == tuple(
+                        ("q0", a, "q0") for a in sorted(c.acts & visible))
             block = range(len(c.states)) if block is None else block
             hidden = [[d for a, d in out if a not in visible] for out in c.succ]
             # members of a block reach each other by hidden moves inside it
@@ -737,6 +751,19 @@ class TestIntegerCore:
             for i, c, got in zip((stage.node, *kids), stage.originals, stage.net.components):
                 assert got == quotient(c, tree.upacts[i] | tree.downacts[i])[0], c.name
         assert any(b is not None for stage in stages for b in stage.blocks)
+
+    def test_reduce_adds_few_tracked_objects_per_leaf(self):
+        # every object the cyclic collector tracks is walked by each full
+        # collection; the reduction of a ring wide adds about 8 per leaf.
+        # The network and the result stay alive through the second count.
+        leaves = 2000
+        net = ring_tree([None] + [0] * leaves, states=10)
+        gc.collect()
+        before = len(gc.get_objects())
+        result = reduce_net_traced(net)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added <= 9 * leaves, added / leaves
 
 
 def test_a_component_has_every_field_of_a_view(gx, gy):
