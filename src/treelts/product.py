@@ -16,7 +16,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import EmptyProjection, InvalidWitness, StateLimitExceeded, ValidationError
-from .model import Component, Network
+from .model import Component, Network, _misfit
 
 DEFAULT_STATE_CAP = 10**6
 
@@ -174,16 +174,27 @@ class PathPrefix:
         return " ".join(parts)
 
 
+def _is_state(lts: ExplicitLts, s: object) -> bool:
+    """Whether ``s`` is a state id of ``lts``: an ``int`` in ``range(lts.n_states)``."""
+    return type(s) is int and 0 <= s < lts.n_states
+
+
 def replay(lts: ExplicitLts, path: Path) -> bool:
     """Whether every step of ``path`` is a transition of ``lts``."""
-    if not all(0 <= s < lts.n_states for s in path.states):
+    if not all(_is_state(lts, s) for s in path.states):
         return False
     steps = zip(path.states, path.actions, path.states[1:])
     return all(lts.edge(src, act, dst) is not None for src, act, dst in steps)
 
 
 def prefix_of(lts: ExplicitLts, path: Path) -> PathPrefix:
-    """Resolve a flat path into a payload-level prefix with mover data."""
+    """Resolve a flat path into a payload-level prefix with mover data.
+
+    Raises InvalidWitness if an id is not a state of ``lts`` or a step is
+    not one of its transitions."""
+    for s in path.states:
+        if not _is_state(lts, s):
+            raise InvalidWitness(f"state id {s!r} is not a state of the system")
     movers: list[frozenset[int]] = []
     for src, act, dst in zip(path.states, path.actions, path.states[1:]):
         k = lts.edge(src, act, dst)
@@ -364,6 +375,13 @@ def prefix_from_states(
     while no other component moves; a self-loop that several take is
     rejected as ambiguous.
     """
+    if isinstance(actions, str):
+        raise ValidationError(
+            _misfit(f"actions {actions!r}", actions, "a sequence of action names"))
+    for k, s in enumerate(states):
+        if isinstance(s, str):  # tuple() would split it into letters
+            raise ValidationError(_misfit(f"state tuple {k}: states {s!r}", s,
+                                          "a sequence of state names"))
     tuples = [s.states if isinstance(s, GlobalTuple) else tuple(s) for s in states]
     if len(tuples) != len(actions) + 1:
         raise ValidationError("a prefix needs exactly one more state than actions")

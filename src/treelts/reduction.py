@@ -13,9 +13,10 @@ merged home state once instead of every square.  The top stage's result
 is completed into a live-reset component.  Below the top, a subtree is
 seen by its parent only through the labels it can reach and the upacts it
 can fire; one linear pass computes both for every node (see
-``summaries``), and the stage's result is a one-state summary of them, so
-a stage below the top builds its squares, and even that summary, only
-when they are read.  A path of any stage's squares lifts back to the
+``summaries``), and the stage's result is a one-state summary of them
+(``_one_state``, which also builds a component contracted to one state),
+so a stage below the top builds its squares, and its summary component,
+only when they are read.  A path of any stage's squares lifts back to the
 components that entered the stage.
 """
 
@@ -368,9 +369,11 @@ def summaries(net: Network) -> dict[int, tuple[frozenset[str], frozenset[str]]]:
     return {i: (_decode(mask, names), upacts) for i, (mask, upacts) in masks.items()}
 
 
-def _summary_masks(
-    net: Network, tops: Sequence[int],
-) -> tuple[dict[int, tuple[int, frozenset[str]]], list[str]]:
+#: What ``_summary_masks`` gives: per node a label mask and upacts; each bit's proposition
+_Summary = tuple[dict[int, tuple[int, frozenset[str]]], list[str]]
+
+
+def _summary_masks(net: Network, tops: Sequence[int]) -> _Summary:
     """The ``summaries`` pass over the subtree under each node of ``tops``
     in turn, with each node's labels as an ``int`` mask: bit ``b`` stands
     for proposition ``names[b]``, the names interned in the order the pass
@@ -409,65 +412,29 @@ def _decode(mask: int, names: Sequence[str]) -> frozenset[str]:
     return frozenset(compress(names, map("1".__eq__, reversed(bin(mask)))))
 
 
-class _Inner(NamedTuple):
-    """What a reduction's stages read of its inner nodes: per node the
-    label mask and upacts of the summary pass, the proposition of each
-    mask bit, and the one-state summary components built so far."""
-
-    masks: dict[int, tuple[int, frozenset[str]]]
-    names: list[str]
-    built: dict[int, Component]
-
-    def view(self, tree: Network, i: int) -> _View:
-        """Inner node ``i`` of ``tree`` as the squares read its summary:
-        state ``q0`` with its labels and a self-loop on each of its upacts."""
-        mask, upacts = self.masks[i]
-        return _View(tree.components[i].name, ("q0",), 0, [[(a, 0) for a in sorted(upacts)]],
-                     [_decode(mask, self.names)], upacts)
-
-    def component(self, tree: Network, i: int) -> Component:
-        """The one-state summary of inner node ``i`` of ``tree``, built once."""
-        if i not in self.built:
-            self.built[i] = _named(self.view(tree, i))
-        return self.built[i]
-
-
-def quotient(
+def _contract(
     component: Component, visible: frozenset[str],
-) -> tuple[Component, tuple[int, ...] | None]:
+) -> tuple[_View, tuple[int, ...]] | None:
     """Contract the silent SCCs of a component as tree neighbours
-    synchronising over ``visible`` see it.
+    synchronising over ``visible`` see it, into a view over states ``q0``,
+    ``q1``, ..., with its block map: per state position of ``component``,
+    the position of the result state its silent SCC merged into.
 
-    A component with no cycle of moves outside ``visible`` comes back as it
-    is, with no block map: a single state, or no action outside
-    ``visible``, is such a component without a look at its moves.
-    Otherwise each strongly connected component of moves outside
-    ``visible`` collapses into one state carrying the union of its members'
-    labels.  Every move keeps its own action; a move outside ``visible``
-    inside one block is dropped.  Blocks are numbered by the first state
-    position each contains and transitions are emitted sorted, so the
-    result never depends on hashing order.  The block map gives, per state
-    position of ``component``, the position of the result state its silent
-    SCC merged into.
+    None means the component enters as it is: it has no cycle of moves
+    outside ``visible``, which a single state, or no action outside
+    ``visible``, shows without a look at its moves.  Otherwise each
+    strongly connected component of moves outside ``visible`` collapses
+    into one state carrying the union of its members' labels.  Every move
+    keeps its own action; a move outside ``visible`` inside one block is
+    dropped.  Blocks are numbered by the first state position each
+    contains and the view's moves come sorted per position, so the result
+    never depends on hashing order.
 
     Reachability of every single proposition is preserved inside any
     network whose other components share only ``visible`` with this one: a
     silent move involves no other component, so all members of a silent
     cycle are reachable from each other alongside any state of the others.
     """
-    contracted = _contract(component, visible)
-    if contracted is None:
-        return component, None
-    return _named(contracted[0]), contracted[1]
-
-
-def _contract(
-    component: Component, visible: frozenset[str],
-) -> tuple[_View, tuple[int, ...]] | None:
-    """``quotient`` on integer tables: the contracted component as a view
-    over states ``q0``, ``q1``, ..., with its block map, or None where
-    ``quotient`` returns the component as it is.  The view's moves come
-    sorted per position."""
     n = len(component.states)
     if n < 2 or component.acts <= visible:
         return None
@@ -483,9 +450,8 @@ def _contract(
     if len(rank) == n:
         return None
     if len(rank) == 1:  # one silent SCC: one state, a self-loop per visible action
-        acts = component.acts & visible
-        return _View(component.name, ("q0",), 0, [[(a, 0) for a in sorted(acts)]],
-                     [reduce(_union, component.labels.values(), frozenset())], acts), (0,) * n
+        return _one_state(component.name, reduce(_union, component.labels.values(), frozenset()),
+                          component.acts & visible), (0,) * n
     of = tuple(map(rank.__getitem__, scc))
     block = dict(zip(component.states, of))
     labels: list[frozenset[str]] = [frozenset()] * len(rank)
@@ -502,8 +468,13 @@ def _contract(
     return _View(component.name, names, of[component.init], succ, labels, acts), of
 
 
+def _one_state(name: str, labels: frozenset[str], acts: frozenset[str]) -> _View:
+    """State ``q0`` with ``labels`` and a self-loop per action of ``acts``, sorted."""
+    return _View(name, ("q0",), 0, [[(a, 0) for a in sorted(acts)]], [labels], acts)
+
+
 def _named(view: _View) -> Component:
-    """The component a contracted view stands for, named by ``flat_component``."""
+    """The component a view stands for, named by ``flat_component``."""
     return flat_component(view.name, view.init, (
         (s, a, d) for s, moves in enumerate(view.succ) for a, d in moves), view.state_labels)
 
@@ -559,25 +530,25 @@ def _sccs(succ: list[list[int]]) -> list[int]:
 @dataclass(frozen=True)
 class ReductionStage:
     """One two-level collapse of a bottom-up reduction: node ``node`` of
-    the network ``tree`` with its children.  ``inner`` holds the summary
-    pass's data on the inner nodes, shared by the reduction's stages.
+    the network ``tree`` with its children.  ``summary`` is the
+    ``_summary_masks`` pass over the inner nodes, shared by all stages.
 
     Every other field is built on first access, once; ``reduce_net_traced``
     reads the top stage's ``result`` at once.  ``originals`` holds the
     components as they entered the stage, the node's first and then its
     children's in network order: a leaf as it is, an inner child as its
     one-state summary.  ``result`` is ``cmpl(sq)`` at the top stage and,
-    below it, the one-state summary of the node's subtree.
+    below it, the one-state summary of the node's subtree, named where it
+    is read: equal to its parent's ``originals`` entry, not the same object.
 
     The squares read the root and each leaf contracted once, into a view
     of integer tables, or as it is where it has no silent cycle, and an
     inner child straight from its summary.  ``net`` names the same views:
     it is the two-level network the squares ``sq`` are built from, aligned
-    with ``originals``, every component pre-minimised:
-    ``net.components[i]`` and ``blocks[i]`` are what ``quotient`` gives for
-    ``originals[i]``, the component itself and None where it entered as it
-    is (an inner child's one-state summary among them).  ``lift_witness``
-    reads all three.
+    with ``originals``, every component pre-minimised: ``blocks[i]`` is
+    ``_contract``'s block map for ``originals[i]``, None where it entered
+    as it is (an inner child's summary among them, equal to it in ``net``).
+    ``lift_witness`` reads all three.
     ``sq`` is the squares of ``net`` pruned, with their home copies
     merged, built in one pass (see ``_squares``).  ``unpruned_states``
     counts the states of ``build_sq_unreduced(net)``, which is never
@@ -591,27 +562,32 @@ class ReductionStage:
     tree: Network
     node: int
     epsilon: str
-    inner: _Inner = field(repr=False, compare=False)
+    summary: _Summary = field(repr=False, compare=False)
+
+    def _summary(self, i: int) -> _View:
+        """Inner node ``i``'s summary, its labels and upacts, as a one-state view."""
+        (mask, upacts), names = self.summary[0][i], self.summary[1]
+        return _one_state(self.tree.components[i].name, _decode(mask, names), upacts)
 
     @cached_property
     def originals(self) -> tuple[Component, ...]:
         tree = self.tree
         return (tree.components[self.node], *(
-            self.inner.component(tree, k) if tree.children[k] else tree.components[k]
+            _named(self._summary(k)) if tree.children[k] else tree.components[k]
             for k in tree.children[self.node]))
 
     @cached_property
     def result(self) -> Component:
         if self.node == self.tree.root_index:
             return cmpl(self.sq)
-        return self.inner.component(self.tree, self.node)
+        return _named(self._summary(self.node))
 
     def _input(self, i: int) -> tuple[Component | _View, tuple[int, ...] | None]:
         """Component ``i`` of ``tree`` as the squares read it, with its block
         map: an inner child's summary, else ``_contract``'s view or itself."""
         tree = self.tree
         if i != self.node and tree.children[i]:
-            return self.inner.view(tree, i), None
+            return self._summary(i), None
         c = tree.components[i]
         return _contract(c, _interface(tree, i)) or (c, None)
 
@@ -629,10 +605,9 @@ class ReductionStage:
 
     @cached_property
     def net(self) -> Network:
-        views, blocks = self._entered
+        views = self._entered[0]
         return replace(views, components=tuple(
-            c if b is None else _named(v)
-            for c, v, b in zip(self.originals, views.components, blocks)))
+            _named(v) if isinstance(v, _View) else v for v in views.components))
 
     blocks = cached_property(lambda self: self._entered[1])
     sq = cached_property(lambda self: self._built[0])
@@ -777,10 +752,9 @@ def reduce_net_traced(net: Network) -> tuple[Component, tuple[ReductionStage, ..
         return net.root, ()
     epsilon = fresh_action(_taken(net), "eps0")
     # the pass runs only inside inner children's subtrees
-    masks, names = _summary_masks(net, [k for k in kids if net.children[k]])
-    inner = _Inner(masks, names, {})
-    stages = [ReductionStage(net, i, epsilon, inner) for i in masks if net.children[i]]
-    stages.append(ReductionStage(net, r, epsilon, inner))
+    summary = _summary_masks(net, [k for k in kids if net.children[k]])
+    stages = [ReductionStage(net, i, epsilon, summary) for i in summary[0] if net.children[i]]
+    stages.append(ReductionStage(net, r, epsilon, summary))
     return stages[-1].result, tuple(stages)
 
 

@@ -292,7 +292,7 @@ def perfbench_module(name, monkeypatch):
     return module
 
 
-def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch):
+def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch, tmp_path):
     # what ``perfbench/run.py --trace 1`` counts and records: the patched
     # calls' first arguments, stage.net, stage.sq and stage.result, and the
     # unpruned squares and locked count rebuilt by the public reference
@@ -314,6 +314,12 @@ def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch):
     sizes = {key: records[0][key] for key in ("unpruned_states", "unpruned_transitions", "locked")}
     assert sizes == {"unpruned_states": 21, "unpruned_transitions": 26, "locked": 9}
     assert reduce_net_traced(load(gx_path()))[1][0].deleted == 9
+    # gx has one stage; a deeper tree also reads an inner stage's net and result
+    deeper = tmp_path / "ring-tree.json"
+    save(ring_tree([None, 0, 1, 1, 0]), deeper)
+    records = run.stage_records({}, [deeper])
+    assert [(r["root"], r["level"]) for r in records] == [("n1", 1), ("n0", 0)]
+    assert records[0]["result_states"] == 1
 
 
 def test_names_the_benchmark_imports_from_treelts_exist():
@@ -396,11 +402,18 @@ def constructor_callers(module, name):
 
 def test_one_renumbering_and_one_namer():
     # every square builder emits through _emit; only prune_locked, the
-    # delete-only reference, renumbers an explicit graph; cmpl, quotient and
+    # delete-only reference, renumbers an explicit graph; cmpl, _named and
     # product -o name their states through flat_component
     assert constructor_callers("reduction", "ExplicitLts") == {"_emit", "prune_locked"}
     assert constructor_callers("reduction", "Component") == set()
     assert constructor_callers("product", "Component") == {"flat_component"}
+
+
+def test_one_builder_of_a_one_state_input():
+    # a one-block contraction and an inner child's summary are both built
+    # by _one_state; contraction has one entry point
+    assert constructor_callers("reduction", "_View") == {"_one_state", "_contract"}
+    assert not hasattr(reduction, "quotient") and not hasattr(reduction, "_Inner")
 
 
 def test_one_attribution_of_a_step():

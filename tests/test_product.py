@@ -22,6 +22,7 @@ from treelts import (
     full_product,
     gen_random_tree,
     infer_topology,
+    lift_witness,
     prefix_from_states,
     prefix_of,
     project_prefix,
@@ -30,6 +31,7 @@ from treelts import (
     resolve_prefix,
     two_level_network,
 )
+from treelts.checker import Verdict, render_witness
 from oracles import naive_product
 
 
@@ -258,6 +260,21 @@ class TestProjection:
             prefix_from_states(gx, states, actions)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("states, actions, message", [
+        (["ac", "bd"], ["x"],
+         "state tuple 0: states 'ac' are a string, not a sequence of state names"),
+        ([("a", "c"), ("b", "d")], "x",
+         "actions 'x' are a string, not a sequence of action names"),
+    ], ids=["string-state-tuple", "string-actions"])
+    def test_a_string_is_not_read_as_its_letters(self, states, actions, message):
+        a = Component("A", ("a", "b"), "a", (("a", "x", "b"),))
+        b = Component("B", ("c", "d"), "c", (("c", "x", "d"),))
+        net = infer_topology([a, b], "A")
+        assert str(prefix_from_states(net, [("a", "c"), ("b", "d")], ["x"])) == "(a,c) -x-> (b,d)"
+        with pytest.raises(ValidationError) as info:
+            prefix_from_states(net, states, actions)
+        assert str(info.value) == message
+
     def test_a_silent_self_loop_goes_to_the_one_component_that_has_it(self):
         # at a0 both components loop on tau, at a1 only b does
         a = Component("a", ("a0", "a1"), "a0",
@@ -354,6 +371,20 @@ class TestHelpers:
         assert replay(lts, Path((src, dst), (act,)))
         for bad in (-1, lts.n_states):
             assert not replay(lts, Path((src, bad), (act,)))
+
+    @pytest.mark.parametrize("bad", [-1, 99, "0"], ids=["negative", "past-the-end", "string"])
+    def test_an_id_that_is_no_state_is_rejected_by_name(self, gx, bad):
+        # Python would read -1 as the last of the 11 top squares, which
+        # lift_witness would take to the global start
+        top = reduce_net_traced(gx)[1][-1]
+        assert top.sq.lts.n_states == 11
+        path = Path((bad,), ())
+        assert not replay(top.sq.lts, path)
+        for read in (lambda: prefix_of(top.sq.lts, path), lambda: lift_witness(top, path),
+                     lambda: render_witness(top.sq.lts, Verdict(True, path))):
+            with pytest.raises(InvalidWitness) as info:
+                read()
+            assert str(info.value) == f"state id {bad!r} is not a state of the system"
 
     @pytest.mark.parametrize("states, actions, message", [
         ([("r9", "s0", "t0")], [], "state (r9,s0,t0) does not exist in the target system"),

@@ -51,7 +51,7 @@ from treelts import reduction as reduction_module
 from treelts.cli import main, save, save_string
 from treelts.model import closure
 from treelts.product import flat_component
-from treelts.reduction import fresh_action, quotient, summaries
+from treelts.reduction import _contract, _named, fresh_action, summaries
 from oracles import merge_home, naive_ef, naive_product
 from shapes import all_locked_tree, ring_chain, ring_tree
 
@@ -523,7 +523,8 @@ class TestQuotient:
             (("s0", "t", "s1"), ("s1", "l", "s0"), ("s1", "up", "s0"), ("s0", "t", "s2")),
             labels={"s0": frozenset({"q"}), "s1": frozenset({"p"}), "s2": frozenset({"r"})},
         )
-        got, block = quotient(c, frozenset({"up"}))
+        view, block = _contract(c, frozenset({"up"}))
+        got = _named(view)
         assert block == (0, 0, 1)
         assert got.states == ("q0", "q1")
         assert got.transitions == (("q0", "t", "q1"), ("q0", "up", "q0"))
@@ -535,7 +536,8 @@ class TestQuotient:
         c = Component("c", ("s2", "s1", "s0"), "s0",
                       (("s2", "a", "s1"), ("s1", "b", "s2"), ("s1", "c", "s0"),
                        ("s0", "up", "s2")))
-        got, block = quotient(c, frozenset({"up"}))
+        view, block = _contract(c, frozenset({"up"}))
+        got = _named(view)
         assert block == (0, 0, 1)
         assert got.initial == "q1"
         assert got.transitions == (("q0", "c", "q1"), ("q1", "up", "q0"))
@@ -547,7 +549,8 @@ class TestQuotient:
             "c", ("s0", "s1", "s2", "s3"), "s0",
             (("s0", "go", "s1"), ("s0", "go", "s3"), ("s1", "t", "s2"), ("s2", "t", "s1"),
              ("s1", "up", "s0"), ("s3", "up", "s0")))
-        got, block = quotient(c, frozenset({"go", "up"}))
+        view, block = _contract(c, frozenset({"go", "up"}))
+        got = _named(view)
         assert block == (0, 1, 1, 2)
         assert got.transitions == (("q0", "go", "q1"), ("q0", "go", "q2"),
                                    ("q1", "up", "q0"), ("q2", "up", "q0"))
@@ -558,7 +561,7 @@ class TestQuotient:
             "c", ("s0", "s1", "s2"), "s0",
             (("s0", "t", "s1"), ("s0", "t", "s2"), ("s1", "up", "s0"), ("s2", "up", "s0"),
              ("s1", "t", "s1")))
-        assert quotient(c, frozenset({"up"})) == (c, None)
+        assert _contract(c, frozenset({"up"})) is None
 
     @pytest.mark.parametrize("c", [
         Component("c", ("s0",), "s0", (("s0", "t", "s0"),)),
@@ -566,8 +569,7 @@ class TestQuotient:
         Component("c", ("s0", "s1"), "s0", (("s0", "up", "s1"), ("s1", "up", "s0"))),
     ], ids=["one-state", "all-visible"])
     def test_a_single_state_or_all_visible_component_is_returned_as_it_is(self, c):
-        got, block = quotient(c, frozenset({"up"}))
-        assert got is c and block is None
+        assert _contract(c, frozenset({"up"})) is None
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(1, 6),
@@ -584,8 +586,9 @@ class TestQuotient:
             cycle = c.states[:ring]
             c = replace(c, transitions=c.transitions + tuple(
                 (s, "tau", t) for s, t in zip(cycle, cycle[1:] + cycle[:1])))
-            got, block = quotient(c, visible)
+            view, block = _contract(c, visible) or (None, None)
             if block is not None:
+                got = _named(view)
                 # a quotient on c's own alphabet: every move keeps its action,
                 # and only hidden moves inside one block go
                 assert got.acts <= c.acts
@@ -676,12 +679,13 @@ class TestIntegerCore:
         names = [f"s{v}" for v in range(len(succ))]
         c = Component("c", names, "s0",
                       [(names[v], "t", names[w]) for v, out in enumerate(succ) for w in out])
-        got, block = quotient(c, frozenset())
+        contracted = _contract(c, frozenset())
         scc = reduction_module._sccs(succ)
-        if block is None:
+        if contracted is None:
             assert len(set(scc)) == len(succ)
             return
-        assert list(dict.fromkeys(block)) == list(range(len(got.states)))
+        view, block = contracted
+        assert list(dict.fromkeys(block)) == list(range(len(view.states)))
         for v, u in combinations(range(len(succ)), 2):
             assert (block[v] == block[u]) == (scc[v] == scc[u]), (v, u)
 
@@ -745,11 +749,12 @@ class TestIntegerCore:
             for i, c in zip((stage.node, *stage.tree.children[stage.node]), stage.originals)
             if i == stage.node or not stage.tree.children[i])
         monkeypatch.setattr(reduction_module, "_contract", original)
-        # the stage network holds what quotient names for each input
+        # the stage network holds each input as it is or its contraction, named
         for stage in stages:
             tree, kids = stage.tree, stage.tree.children[stage.node]
             for i, c, got in zip((stage.node, *kids), stage.originals, stage.net.components):
-                assert got == quotient(c, tree.upacts[i] | tree.downacts[i])[0], c.name
+                contracted = _contract(c, tree.upacts[i] | tree.downacts[i])
+                assert got == (c if contracted is None else _named(contracted[0])), c.name
         assert any(b is not None for stage in stages for b in stage.blocks)
 
     def test_reduce_adds_few_tracked_objects_per_leaf(self):
@@ -780,6 +785,18 @@ def test_an_uncontracted_stage_input_is_the_component_itself(gx):
     for i, c in enumerate(gx.components):
         view, blocks = stage._input(i)
         assert view is c and blocks is None, c.name
+
+
+def test_an_inner_stage_result_equals_its_entry_in_the_parent_stage():
+    # each reads the summary pass and names its own copy of the summary
+    net = ring_tree([None, 0, 1, 1, 0])
+    stages = reduce_net_traced(net)[1]
+    at = {stage.node: stage for stage in stages}
+    assert [stage.node for stage in stages[:-1]] == [1]
+    for stage in stages[:-1]:
+        parent = at[net.parent[stage.node]]
+        entry = parent.originals[1 + net.children[parent.node].index(stage.node)]
+        assert stage.result == entry, stage.result.name
 
 
 def reached(succ, start):
