@@ -46,7 +46,6 @@ from .product import (
     prefix_from_states,
     prefix_of,
     project_prefix,
-    replay,
     resolve_prefix,
 )
 from .reduction import (

@@ -87,13 +87,15 @@ def check_eg(lts: ExplicitLts, proposition: str, entry: Entry = Entry.INITIAL) -
     Deadlocked labelled states do not satisfy EG (runs are infinite, no
     stuttering is added).  With EPSILON_TRANSPARENT entry the check is run
     from each successor of the initial state, skipping the unlabelled glue
-    state itself.
+    state itself.  Raises TypeError when ``entry`` is not an ``Entry``.
     """
-    in_p = [proposition in lab for lab in lts.labels]
     if entry is Entry.INITIAL:
         entries = [lts.initial]
-    else:
+    elif entry is Entry.EPSILON_TRANSPARENT:
         entries = list(dict.fromkeys(lts.dst[k] for k in lts.out_edges[lts.initial]))
+    else:
+        raise TypeError(f"entry {entry!r} is not an Entry")
+    in_p = [proposition in lab for lab in lts.labels]
     for e in entries:
         if not in_p[e]:
             continue

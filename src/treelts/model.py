@@ -361,8 +361,13 @@ def subnetwork(net: Network, index: int) -> Network:
     Components keep their order and their classification: the new root
     keeps the actions it shares with its parent in ``net`` as declared
     upacts.  The kept components are ``index`` and every component below it,
-    found by ``closure`` over ``net.children``.
+    found by ``closure`` over ``net.children``.  Raises ValidationError
+    when ``index`` is not an ``int`` (a ``bool`` is not one) in
+    ``range(len(net.components))``.
     """
+    if not (type(index) is int and 0 <= index < len(net.components)):
+        raise ValidationError(
+            f"component index {index!r} is not in range for {len(net.components)} components")
     kept = sorted(closure(net.children, [index]))
     new = {old: i for i, old in enumerate(kept)}
     return _network(

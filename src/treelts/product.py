@@ -111,16 +111,8 @@ class ExplicitLts:
             out[s].append(k)
         return tuple(map(tuple, out))
 
-    def edge(self, src: int, act: str, dst: int) -> int | None:
-        """Index of the first transition ``src -act-> dst``, if there is one."""
-        return next((k for k in self.out_edges[src]
-                     if self.act[k] == act and self.dst[k] == dst), None)
-
     def id_of(self, payload: Payload) -> int:
         return self._ids[payload]
-
-    def has_payload(self, payload: Payload) -> bool:
-        return payload in self._ids
 
     def __repr__(self) -> str:
         return (f"ExplicitLts(states={self.n_states}, "
@@ -174,33 +166,26 @@ class PathPrefix:
         return " ".join(parts)
 
 
-def _is_state(lts: ExplicitLts, s: object) -> bool:
-    """Whether ``s`` is a state id of ``lts``: an ``int`` in ``range(lts.n_states)``."""
-    return type(s) is int and 0 <= s < lts.n_states
-
-
-def replay(lts: ExplicitLts, path: Path) -> bool:
-    """Whether every step of ``path`` is a transition of ``lts``."""
-    if not all(_is_state(lts, s) for s in path.states):
-        return False
-    steps = zip(path.states, path.actions, path.states[1:])
-    return all(lts.edge(src, act, dst) is not None for src, act, dst in steps)
+def _movers(lts: ExplicitLts, src: int, act: str, dst: int) -> list[frozenset[int]]:
+    """The movers of each transition ``src -act-> dst`` of ``lts``, in order."""
+    return [lts.movers[k] for k in lts.out_edges[src] if lts.act[k] == act and lts.dst[k] == dst]
 
 
 def prefix_of(lts: ExplicitLts, path: Path) -> PathPrefix:
-    """Resolve a flat path into a payload-level prefix with mover data.
+    """Resolve a flat path into a payload-level prefix with mover data,
+    taking the movers of the first transition that matches each step.
 
     Raises InvalidWitness if an id is not a state of ``lts`` or a step is
     not one of its transitions."""
     for s in path.states:
-        if not _is_state(lts, s):
+        if not (type(s) is int and 0 <= s < lts.n_states):
             raise InvalidWitness(f"state id {s!r} is not a state of the system")
     movers: list[frozenset[int]] = []
     for src, act, dst in zip(path.states, path.actions, path.states[1:]):
-        k = lts.edge(src, act, dst)
-        if k is None:
+        found = _movers(lts, src, act, dst)
+        if not found:
             raise InvalidWitness(f"step ({src}, {act!r}, {dst}) is not a transition")
-        movers.append(lts.movers[k])
+        movers.append(found[0])
     return PathPrefix(
         states=tuple(lts.payloads[s] for s in path.states),
         actions=path.actions,
@@ -209,20 +194,27 @@ def prefix_of(lts: ExplicitLts, path: Path) -> PathPrefix:
 
 
 def resolve_prefix(lts: ExplicitLts, prefix: PathPrefix) -> Path:
-    """Map a payload-level prefix onto flat ids, checking every step.
+    """Map a payload-level prefix onto flat ids, checking every step and
+    who took it.
 
-    Raises InvalidWitness if a payload is not a state of ``lts`` or a step
-    is not one of its transitions.
+    Raises InvalidWitness if a payload is not a state of ``lts``, a step is
+    not one of its transitions, or no transition of the step is taken by
+    exactly the components the prefix records.
     """
     ids = []
     for p in prefix.states:
-        if not lts.has_payload(p):
-            raise InvalidWitness(f"state {p} does not exist in the target system")
-        ids.append(lts.id_of(p))
-    path = Path(tuple(ids), prefix.actions)
-    if not replay(lts, path):
-        raise InvalidWitness("prefix does not replay on the target system")
-    return path
+        try:
+            ids.append(lts.id_of(p))
+        except (KeyError, TypeError):  # TypeError: an unhashable payload
+            raise InvalidWitness(f"state {p} does not exist in the target system") from None
+    steps = zip(ids, prefix.actions, ids[1:], prefix.movers)
+    for k, (src, act, dst, moved) in enumerate(steps):
+        found = _movers(lts, src, act, dst)
+        if not found:
+            raise InvalidWitness("prefix does not replay on the target system")
+        if moved not in found:
+            raise InvalidWitness(f"step {k} ({act!r}) is not taken by components {moved!r}")
+    return Path(tuple(ids), prefix.actions)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +246,11 @@ def full_product(net: Network, cap: int = DEFAULT_STATE_CAP) -> ExplicitLts:
     in BFS discovery order, which is deterministic in the component and
     transition declaration order.  Raises StateLimitExceeded when more
     than ``cap`` states are discovered, and ValidationError when ``cap`` is
-    below 1: the initial state is always admitted.
+    not an ``int`` (a ``bool`` is not one) or is below 1: the initial state
+    is always admitted.
     """
+    if type(cap) is not int:
+        raise ValidationError(f"the state cap must be an integer, not {cap!r}")
     if cap < 1:
         raise ValidationError(f"the state cap must be at least 1, not {cap}")
     comps = net.components
@@ -438,7 +433,7 @@ def project_prefix(prefix: PathPrefix, selected: Iterable[int]) -> PathPrefix:
     deleted together with its source state when none of the selected
     components took part in it; the final state is always kept.  Every
     state must have the arity of the first, and each selected index and
-    each mover must be an ``int`` below it.
+    each mover must be an ``int`` below it (a ``bool`` is not one).
     """
     picked = list(selected)
     if not picked:
@@ -452,11 +447,11 @@ def project_prefix(prefix: PathPrefix, selected: Iterable[int]) -> PathPrefix:
                 f"state {k} of the prefix has {len(p.states)} components, not {arity}")
     for k, moved in enumerate(prefix.movers):
         for i in moved:
-            if not (isinstance(i, int) and 0 <= i < arity):
+            if not (type(i) is int and 0 <= i < arity):
                 raise ValidationError(
                     f"step {k} is taken by component {i!r} of a prefix over {arity} components")
     for i in picked:
-        if not (isinstance(i, int) and 0 <= i < arity):
+        if not (type(i) is int and 0 <= i < arity):
             raise ValidationError(
                 f"cannot project onto component {i!r} of a prefix over {arity} components")
     sel_set = set(picked)

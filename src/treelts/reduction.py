@@ -107,6 +107,8 @@ def _unmerged(net: Network, epsilon: str | None, prune: bool) -> SumOfSquares:
     taken = _taken(net)
     if epsilon is None:
         epsilon = fresh_action(taken, "eps0")
+    elif not isinstance(epsilon, str):
+        raise ValidationError(f"epsilon name {epsilon!r} is not a string")
     elif epsilon in taken:
         raise ValidationError(f"epsilon name {epsilon!r} collides with an existing action")
     m = _square_moves(net, epsilon)

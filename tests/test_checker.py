@@ -26,7 +26,6 @@ from treelts import (
     lift_witness,
     prefix_of,
     reduce_net_traced,
-    replay,
     resolve_prefix,
 )
 from oracles import naive_ef, naive_eg, naive_product
@@ -46,7 +45,7 @@ class TestCheckEf:
         verdict = check_ef(lts, "r3_reached")
         _, reach, _, labels = naive_product(gx.components, gx.silent)
         assert verdict.holds == naive_ef(reach, labels, "r3_reached") is True
-        assert replay(lts, verdict.witness)
+        assert resolve_prefix(lts, prefix_of(lts, verdict.witness)) == verdict.witness
         final = lts.payloads[verdict.witness.states[-1]]
         assert final.states[0] == "r3"
 
@@ -67,8 +66,8 @@ class TestCheckEf:
         # without the extra labelling the r1 square of S1 is pruned and the
         # proposition is reached through the other square
         plain = build_sq(gx)
-        assert not plain.lts.has_payload(SquareOrigin(1, "s0", "r1"))
-        assert plain.lts.has_payload(SquareOrigin(2, "t0", "r1"))
+        assert SquareOrigin(1, "s0", "r1") not in plain.lts.payloads
+        assert SquareOrigin(2, "t0", "r1") in plain.lts.payloads
 
     def test_unknown_proposition_is_false_not_an_error(self, gx):
         assert check_ef(full_product(gx), "never_heard_of_it").holds is False
@@ -88,7 +87,7 @@ class TestCheckEg:
         verdict = check_eg(lts, "p")
         assert verdict.holds
         w = verdict.witness
-        assert replay(lts, w)
+        assert resolve_prefix(lts, prefix_of(lts, w)) == w
         assert all("p" in lts.labels[s] for s in w.states)
         assert w.states[-1] in w.states[:-1]  # the lasso closes
 
@@ -113,6 +112,19 @@ class TestCheckEg:
     def test_deadlock_fails_eg(self):
         c = Component("c", ("s0",), "s0", labels={"s0": frozenset({"p"})})
         assert check_eg(component_lts(c), "p").holds is False
+
+    @pytest.mark.parametrize("entry", ["initial", "epsilon-transparent", None, True])
+    def test_an_entry_that_is_no_entry_is_named(self, entry):
+        # s0 is unlabelled and s1 loops on p: only EPSILON_TRANSPARENT holds,
+        # which a value that is not INITIAL must not be taken for
+        c = Component("c", ("s0", "s1"), "s0", (("s0", "a", "s1"), ("s1", "a", "s1")),
+                      labels={"s1": {"p"}})
+        lts = component_lts(c)
+        assert check_eg(lts, "p", Entry.INITIAL).holds is False
+        assert check_eg(lts, "p", Entry.EPSILON_TRANSPARENT).holds is True
+        with pytest.raises(TypeError) as info:
+            check_eg(lts, "p", entry)
+        assert str(info.value) == f"entry {entry!r} is not an Entry"
 
     def test_eg_implies_ef(self, gy):
         lts = full_product(gy)
@@ -177,7 +189,7 @@ class TestCheckerProperties:
         for prop in net.propositions():
             verdict = check_ef(lts, prop)
             if verdict.holds:
-                assert replay(lts, verdict.witness)
+                assert resolve_prefix(lts, prefix_of(lts, verdict.witness)) == verdict.witness
                 assert prop in lts.labels[verdict.witness.states[-1]]
 
 

@@ -30,6 +30,7 @@ from treelts import (
     gen_random_tree,
     harness,
     infer_topology,
+    product,
     prune_locked,
     reduce_net_traced,
     reduction,
@@ -157,10 +158,10 @@ def splits_home(unpruned, pruned, net):
     """Whether ``pruned`` keeps some copy of home at a root position where
     it deleted another."""
     home = {k: net.components[k].initial for k in net.children[net.root_index]}
-    by_root = {}
+    by_root, kept = {}, set(pruned.lts.payloads)
     for p in unpruned.lts.payloads[1:]:
         if home[p.child_index] == p.child_state:
-            by_root.setdefault(p.root_state, set()).add(pruned.lts.has_payload(p))
+            by_root.setdefault(p.root_state, set()).add(p in kept)
     return {True, False} in by_root.values()
 
 
@@ -426,3 +427,15 @@ def test_one_attribution_of_a_step():
     assert readers == set()
     for path in sorted(PACKAGE.rglob("*.py")):
         assert "transition_set" not in path.read_text(encoding="utf-8"), path
+
+
+def test_one_matcher_of_a_step():
+    # prefix_of and resolve_prefix look steps up through _movers alone, so
+    # a path and a prefix are checked alike, movers included
+    tree = ast.parse((PACKAGE / "product.py").read_text(encoding="utf-8"))
+    readers = {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Attribute) and node.attr == "out_edges"}
+    assert readers == {"_movers"}
+    assert not hasattr(treelts, "replay") and not hasattr(product, "replay")
+    assert not hasattr(product.ExplicitLts, "edge")
+    assert not hasattr(product.ExplicitLts, "has_payload")

@@ -370,6 +370,14 @@ class TestSubnetwork:
         assert len(sub.components) == 1
         assert sub.upacts[0] == {"y"}
 
+    @pytest.mark.parametrize("index", [-1, 3, 7, True, "0", None], ids=[
+        "negative", "past-the-end", "far-past-the-end", "bool", "string", "none"])
+    def test_an_index_that_is_no_component_is_named(self, gx, index):
+        # -1 would give S2's subtree, counted from the end
+        with pytest.raises(ValidationError) as info:
+            subnetwork(gx, index)
+        assert str(info.value) == f"component index {index!r} is not in range for 3 components"
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9))
     def test_every_subtree_keeps_the_classification(self, seed):

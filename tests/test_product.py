@@ -1,6 +1,8 @@
 """Product construction and run-prefix projection, checked against the
 brute-force enumeration oracle."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,9 @@ from treelts import (
     StateLimitExceeded,
     TreeLtsError,
     ValidationError,
+    check_ef,
     component_lts,
+    equivalence_suite,
     full_product,
     gen_random_tree,
     infer_topology,
@@ -27,8 +31,8 @@ from treelts import (
     prefix_of,
     project_prefix,
     reduce_net_traced,
-    replay,
     resolve_prefix,
+    stats,
     two_level_network,
 )
 from treelts.checker import Verdict, render_witness
@@ -78,6 +82,15 @@ class TestFullProduct:
         with pytest.raises(StateLimitExceeded) as exc:
             full_product(gx, cap=5)
         assert exc.value.cap == 5
+
+    @pytest.mark.parametrize("cap", [True, False, 2.5, 1.0, "3", None])
+    def test_a_cap_that_is_no_integer_is_named(self, gx, cap):
+        # True would read as 1 and 2.5 as a bound between 2 and 3; the
+        # suite and stats pass their cap to full_product
+        for build in (full_product, equivalence_suite, stats):
+            with pytest.raises(ValidationError) as info:
+                build(gx, cap=cap)
+            assert str(info.value) == f"the state cap must be an integer, not {cap!r}"
 
     def test_deterministic_rebuild(self, gx):
         a = full_product(gx)
@@ -203,7 +216,11 @@ class TestProjection:
         (PathPrefix((GlobalTuple(("a", "b")), GlobalTuple(("a", "c"))), ("x",),
                     (frozenset({1, -1}),)),
          "step 0 is taken by component -1 of a prefix over 2 components"),
-    ], ids=["arity", "mover-past-arity", "negative-mover"])
+        # True == 1, but a bool is no component index
+        (PathPrefix((GlobalTuple(("a", "b")), GlobalTuple(("a", "c"))), ("x",),
+                    (frozenset({True}),)),
+         "step 0 is taken by component True of a prefix over 2 components"),
+    ], ids=["arity", "mover-past-arity", "negative-mover", "bool-mover"])
     def test_a_prefix_that_does_not_fit_its_arity_is_rejected(self, prefix, message):
         with pytest.raises(ValidationError) as info:
             project_prefix(prefix, [1])
@@ -229,9 +246,11 @@ class TestProjection:
             lambda: ExplicitLts(1, [], [], [], [], [frozenset()], [init]),
             lambda: project_prefix(PathPrefix((init,), (), ()), [0]),
             # an index out of range, counted from the end, or not an int
+            # (True == 1 would project onto S1)
             lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), [99]),
             lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), [-1]),
             lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), ["a"]),
+            lambda: project_prefix(prefix_from_states(gx, ETA_STATES, ETA_ACTIONS), [True]),
         ):
             with pytest.raises(ValidationError):
                 bad()
@@ -363,14 +382,16 @@ class TestHelpers:
 
     def test_replay_rejects_foreign_steps(self, gx):
         lts = full_product(gx)
-        assert not replay(lts, Path((0, 0), ("beep",)))
+        with pytest.raises(InvalidWitness, match=r"^step \(0, 'beep', 0\) is not a transition$"):
+            prefix_of(lts, Path((0, 0), ("beep",)))
 
     def test_replay_rejects_a_state_out_of_range(self, gx):
         lts = full_product(gx)
         src, act, dst = lts.src[0], lts.act[0], lts.dst[0]
-        assert replay(lts, Path((src, dst), (act,)))
+        assert prefix_of(lts, Path((src, dst), (act,))).movers == (lts.movers[0],)
         for bad in (-1, lts.n_states):
-            assert not replay(lts, Path((src, bad), (act,)))
+            with pytest.raises(InvalidWitness, match=f"^state id {bad} is not a state"):
+                prefix_of(lts, Path((src, bad), (act,)))
 
     @pytest.mark.parametrize("bad", [-1, 99, "0"], ids=["negative", "past-the-end", "string"])
     def test_an_id_that_is_no_state_is_rejected_by_name(self, gx, bad):
@@ -379,7 +400,6 @@ class TestHelpers:
         top = reduce_net_traced(gx)[1][-1]
         assert top.sq.lts.n_states == 11
         path = Path((bad,), ())
-        assert not replay(top.sq.lts, path)
         for read in (lambda: prefix_of(top.sq.lts, path), lambda: lift_witness(top, path),
                      lambda: render_witness(top.sq.lts, Verdict(True, path))):
             with pytest.raises(InvalidWitness) as info:
@@ -390,13 +410,33 @@ class TestHelpers:
         ([("r9", "s0", "t0")], [], "state (r9,s0,t0) does not exist in the target system"),
         ([("r0", "s0", "t0"), ("r0", "s0", "t1")], ["open"],
          "prefix does not replay on the target system"),
-    ], ids=["unknown-state", "no-such-step"])
+        # a list makes the payload unhashable, so no dict lookup can find it
+        ([["r0", "s0", "t0"]], [], "state (r0,s0,t0) does not exist in the target system"),
+    ], ids=["unknown-state", "no-such-step", "unhashable-state"])
     def test_resolving_a_foreign_prefix_names_its_cause(self, gx, states, actions, message):
         prefix = PathPrefix(tuple(map(GlobalTuple, states)), tuple(actions),
                             (frozenset({0}),) * len(actions))
         with pytest.raises(InvalidWitness) as info:
             resolve_prefix(full_product(gx), prefix)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("steps, claimed", [
+        ((0, 1, 2, 3), frozenset({2})), ((0,), frozenset({0})), ((0,), frozenset({0, 1, 2})),
+        ((1,), frozenset({1})), ((2,), frozenset()),
+    ], ids=["all-by-S2", "subset", "superset", "local-step", "no-mover"])
+    def test_resolving_checks_who_took_each_step(self, gx, steps, claimed):
+        # the witness is open, tau, chooseL, open, taken by {0, 1}, {2},
+        # {0, 2} and {0, 1}; the first step whose movers differ is named
+        lts = full_product(gx)
+        witness = check_ef(lts, "r3_reached").witness
+        prefix = prefix_of(lts, witness)
+        assert resolve_prefix(lts, prefix) == witness
+        movers = [claimed if k in steps else m for k, m in enumerate(prefix.movers)]
+        with pytest.raises(InvalidWitness) as info:
+            resolve_prefix(lts, replace(prefix, movers=tuple(movers)))
+        first = next(k for k in steps if prefix.movers[k] != claimed)
+        assert str(info.value) == (
+            f"step {first} ({prefix.actions[first]!r}) is not taken by components {claimed!r}")
 
 
 class TestExplicitLtsChecks:

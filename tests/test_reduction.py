@@ -50,7 +50,7 @@ from treelts import (
 from treelts import reduction as reduction_module
 from treelts.cli import main, save, save_string
 from treelts.model import closure
-from treelts.product import flat_component
+from treelts.product import Path as LtsPath, flat_component, prefix_of
 from treelts.reduction import _contract, _named, fresh_action, summaries
 from oracles import merge_home, naive_ef, naive_product
 from shapes import all_locked_tree, ring_chain, ring_tree
@@ -155,6 +155,13 @@ class TestUnreducedSquares:
         with pytest.raises(ValidationError,
                            match="^epsilon name 'open' collides with an existing action$"):
             build_sq_unreduced(gx, epsilon="open")
+
+    @pytest.mark.parametrize("epsilon", [5, ["e"], b"e"], ids=["int", "list", "bytes"])
+    def test_an_epsilon_that_is_no_string_is_named(self, gx, epsilon):
+        # 5 would glue the squares under the integer 5
+        with pytest.raises(ValidationError) as info:
+            build_sq_unreduced(gx, epsilon=epsilon)
+        assert str(info.value) == f"epsilon name {epsilon!r} is not a string"
 
     def test_the_default_glue_name_is_eps0(self, gx):
         assert build_sq_unreduced(gx).epsilon == "eps0"
@@ -308,7 +315,8 @@ class TestHomeMerge:
         before = merged.id_of(SquareOrigin(1, "s0", "r2"))
         assert [merged.dst[k] for k in merged.out_edges[before]] == [home]
         # the step out of S2's home moves from the merged state
-        assert merged.edge(home, "tau", merged.id_of(SquareOrigin(2, "t1", "r3"))) is not None
+        step = LtsPath((home, merged.id_of(SquareOrigin(2, "t1", "r3"))), ("tau",))
+        assert prefix_of(merged, step).movers == (frozenset({2}),)
 
     def test_one_child_is_left_as_it_is(self, chain_net):
         for stage in reduce_net_traced(chain_net)[1]:
