@@ -46,14 +46,22 @@ def render_witness(lts: ExplicitLts, verdict: Verdict) -> str | None:
     return None if verdict.witness is None else str(prefix_of(lts, verdict.witness))
 
 
+def _check_proposition(proposition: object) -> None:
+    """Raise TypeError unless ``proposition`` is a string: no label set
+    holds anything else, so another value would read as nowhere."""
+    if not isinstance(proposition, str):
+        raise TypeError(f"proposition {proposition!r} is not a string")
+
+
 def check_ef(lts: ExplicitLts, proposition: str) -> Verdict:
     """Can a state carrying ``proposition`` be reached?
 
     BFS from the initial state; the witness is a shortest path.  A
     proposition that occurs nowhere simply yields a negative verdict.  Both
     entry modes coincide for EF: the glue step is an ordinary step for
-    reachability.
+    reachability.  Raises TypeError when ``proposition`` is not a string.
     """
+    _check_proposition(proposition)
     if proposition in lts.labels[lts.initial]:
         return Verdict(True, Path((lts.initial,), ()))
     out, dst, labels = lts.out_edges, lts.dst, lts.labels
@@ -87,8 +95,10 @@ def check_eg(lts: ExplicitLts, proposition: str, entry: Entry = Entry.INITIAL) -
     Deadlocked labelled states do not satisfy EG (runs are infinite, no
     stuttering is added).  With EPSILON_TRANSPARENT entry the check is run
     from each successor of the initial state, skipping the unlabelled glue
-    state itself.  Raises TypeError when ``entry`` is not an ``Entry``.
+    state itself.  Raises TypeError when ``entry`` is not an ``Entry`` or
+    ``proposition`` is not a string.
     """
+    _check_proposition(proposition)
     if entry is Entry.INITIAL:
         entries = [lts.initial]
     elif entry is Entry.EPSILON_TRANSPARENT:

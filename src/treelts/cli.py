@@ -247,9 +247,9 @@ def dot_string(lts: ExplicitLts, silent: frozenset[str] = frozenset()) -> str:
 def _cmd_validate(args: argparse.Namespace) -> int:
     net = load(args.file)
     print(f"topology OK: {len(net.components)} component(s), tree rooted at {net.root.name!r}")
-    for i, c in enumerate(net.components):
-        print(f"  {c.name}: upacts={sorted(net.upacts[i])} "
-              f"downacts={sorted(net.downacts[i])} locacts={sorted(net.locacts[i])}")
+    for c, up, down in zip(net.components, net.upacts, net.downacts):
+        print(f"  {c.name}: upacts={sorted(up)} downacts={sorted(down)} "
+              f"locacts={sorted(c.acts - up - down)}")
     violations = validate_live_reset(net)
     if violations:
         for v in violations:

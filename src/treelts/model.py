@@ -182,12 +182,12 @@ class Network:
 
     All per-component data is stored in tuples aligned with ``components``:
     ``parent[i]`` is the parent index (``None`` for the root), ``children[i]``
-    the child indices in component order, and ``upacts``/``downacts``/
-    ``locacts`` the action classification, which ``_network`` alone computes.
+    the child indices in component order, and ``upacts``/``downacts`` the
+    action classification, which ``_network`` alone computes.
     ``upacts[i]`` is the set component ``i`` declares on its edge to the
     parent, used or not; this record of who synchronises on what is the
-    one every construction reads, the product included.  Local actions
-    include the silent ones.
+    one every construction reads, the product included.  An action of
+    component ``i`` in neither set, a silent one included, is local.
     """
 
     components: tuple[Component, ...]
@@ -197,7 +197,6 @@ class Network:
     children: tuple[tuple[int, ...], ...]
     upacts: tuple[frozenset[str], ...]
     downacts: tuple[frozenset[str], ...]
-    locacts: tuple[frozenset[str], ...]
 
     @property
     def root(self) -> Component:
@@ -247,7 +246,6 @@ def _network(
         children=tuple(map(tuple, children)),
         upacts=upacts,
         downacts=downacts,
-        locacts=tuple(c.acts - up - down for c, up, down in zip(comps, upacts, downacts)),
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -67,7 +68,10 @@ class ExplicitLts:
     lists, no object per edge.  ``out_edges[i]`` lists the indices of the
     transitions leaving ``i``, in order, and is built on first use.
     Instances are immutable after construction and safe to share.  The
-    constructor takes the lists over, not copies.
+    constructor takes the lists over, not copies.  Each label set is a
+    collection of propositions: a string, a mapping or a non-collection
+    raises ValidationError, where ``frozenset`` would read its letters or
+    keys.
     """
 
     def __init__(self, initial: int, src: list[int], act: list[str], dst: list[int],
@@ -77,7 +81,14 @@ class ExplicitLts:
             raise ValidationError("src, act, dst and movers must have the same length")
         self.payloads: tuple[Payload, ...] = tuple(payloads)
         n = self.n_states = len(self.payloads)
-        self.labels: tuple[frozenset[str], ...] = tuple(map(frozenset, labels))
+        self.labels: tuple[frozenset[str], ...] = tuple(labels)
+        # every builder passes frozensets, which one pass in C lets through
+        if not {frozenset}.issuperset(map(type, self.labels)):
+            for i, ps in enumerate(self.labels):
+                if isinstance(ps, (str, Mapping)) or not isinstance(ps, Collection):
+                    raise ValidationError(_misfit(f"labels {ps!r} of state {i}", ps,
+                                                  "a set of propositions"))
+            self.labels = tuple(map(frozenset, self.labels))
         if len(self.labels) != n:
             raise ValidationError("labels and payloads must have the same length")
         if not 0 <= initial < n:

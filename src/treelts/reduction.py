@@ -77,11 +77,12 @@ def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares
     """Build the glued union of child-root squares, reachable part only.
 
     The network must be a two-level tree (a root whose children are all
-    leaves).  Transitions follow four rules: the fresh initial state reaches
-    every square's initial pair via ``epsilon``; local child and root
-    actions move their own coordinate inside a square; a child synchronising
-    upward resets and hands control to any square; and upstream actions of
-    the root itself move the root coordinate in place.
+    leaves).  Transitions follow three rules: the fresh initial state
+    reaches every square's initial pair via ``epsilon``; a child's move off
+    its upacts, and a root's move off its downacts (on a declared upact of
+    the root too), moves that coordinate alone inside a square; and a
+    child's upact move that resets it, with a root move on that action,
+    hands control to any square at the root's target.
 
     A square state (child index, child state position, root state position)
     is coded as ``row * width + root position``, the rows running over the
@@ -141,16 +142,15 @@ class _Moves(NamedTuple):
     epsilon: str
     width: int
     # per row: (child index, child state position), its labels, the child's
-    # local moves as (action, code offset, movers), and its upacts that
-    # reset it as (action, movers)
+    # moves off its upacts as (action, code offset, movers), and its upacts
+    # that reset it as (action, movers)
     rows: list[tuple[int, int]]
     row_labels: list[frozenset[str]]
     child_local: list[list[tuple[str, int, frozenset[int]]]]
     handoffs: list[list[tuple[str, frozenset[int]]]]
-    # per root position: the root's local and upstream moves, its targets
-    # per action, and its labels
-    root_local: list[list[tuple[str, int, frozenset[int]]]]
-    root_up: list[list[tuple[str, int, frozenset[int]]]]
+    # per root position: the root's moves off its downacts, its targets
+    # per downact, and its labels
+    root_moves: list[list[tuple[str, int, frozenset[int]]]]
     root_dsts: list[dict[str, list[int]]]
     root_labels: Sequence[frozenset[str]]
     entries: list[int]  # the code of each square's initial pair at root position 0
@@ -172,24 +172,23 @@ def _square_moves(net: Network, epsilon: str) -> _Moves:
     comps = net.components
     root = comps[r]
     width = len(root.states)
-    loc_root, up_root, at_root = net.locacts[r], net.upacts[r], frozenset((r,))
-    root_local = [[(a, d - rs, at_root) for a, d in moves if a in loc_root]
+    down_root, at_root = net.downacts[r], frozenset((r,))
+    root_moves = [[(a, d - rs, at_root) for a, d in moves if a not in down_root]
                   for rs, moves in enumerate(root.succ)]
-    root_up = [[(a, d - rs, at_root) for a, d in moves if a in up_root]
-               for rs, moves in enumerate(root.succ)]
     root_dsts: list[dict[str, list[int]]] = [{} for _ in root.succ]
     for dsts, moves in zip(root_dsts, root.succ):
         for a, d in moves:
-            dsts.setdefault(a, []).append(d)
+            if a in down_root:
+                dsts.setdefault(a, []).append(d)
     rows, row_labels, child_local, handoffs, entries = [], [], [], [], []
     for k in kids:
-        init, loc, up = comps[k].init, net.locacts[k], net.upacts[k]
+        init, up = comps[k].init, net.upacts[k]
         at_child, at_both = frozenset((k,)), frozenset((k, r))
         entries.append((len(rows) + init) * width)
         row_labels += comps[k].state_labels
         for cs, moves in enumerate(comps[k].succ):
             rows.append((k, cs))
-            child_local.append([(a, (d - cs) * width, at_child) for a, d in moves if a in loc])
+            child_local.append([(a, (d - cs) * width, at_child) for a, d in moves if a not in up])
             handoffs.append([(a, at_both) for a, d in moves if a in up and d == init])
 
     root_init = root.init
@@ -199,7 +198,7 @@ def _square_moves(net: Network, epsilon: str) -> _Moves:
     while stack:
         code = stack.pop()
         row, rs = divmod(code, width)
-        new = {code + d for _, d, _ in child_local[row] + root_local[rs] + root_up[rs]}
+        new = {code + d for _, d, _ in child_local[row] + root_moves[rs]}
         for act, _ in handoffs[row]:
             for root_dst in root_dsts[rs].get(act, ()):
                 if root_dst not in entered:
@@ -207,9 +206,8 @@ def _square_moves(net: Network, epsilon: str) -> _Moves:
                     new.update(e + root_dst for e in entries)
         stack += new - found
         found |= new
-    return _Moves(epsilon, width, rows, row_labels, child_local, handoffs, root_local, root_up,
-                  root_dsts, root.state_labels, entries, root_init,
-                  entered, sorted(found))
+    return _Moves(epsilon, width, rows, row_labels, child_local, handoffs, root_moves,
+                  root_dsts, root.state_labels, entries, root_init, entered, sorted(found))
 
 
 def _emit(net: Network, m: _Moves, ids: dict[int, int],
@@ -242,7 +240,7 @@ def _emit(net: Network, m: _Moves, ids: dict[int, int],
             labels.append(label)
         else:
             labels[s] = _union(labels[s], label)
-        for a, d, mv in m.child_local[row] + m.root_local[rs]:
+        for a, d, mv in m.child_local[row] + m.root_moves[rs]:
             if (t := ids.get(code + d)) is not None:
                 src.append(s)
                 act.append(a)
@@ -255,12 +253,6 @@ def _emit(net: Network, m: _Moves, ids: dict[int, int],
                 act += [a] * len(into)
                 dst += into
                 movers += [mv] * len(into)
-        for a, d, mv in m.root_up[rs]:
-            if (t := ids.get(code + d)) is not None:
-                src.append(s)
-                act.append(a)
-                dst.append(t)
-                movers.append(mv)
     if len(payloads) <= len(ids):  # merged copies can repeat a transition
         edges = dict.fromkeys(zip(src, act, dst, movers))
         src, act, dst, movers = (list(col) for col in zip(*edges)) if edges else ([], [], [], [])
@@ -642,8 +634,11 @@ def lift_witness(
     The result replays on the product of ``stage.originals``: the full
     product when the stage is the top one of a two-level network.  Raises
     InvalidWitness when a step is not a transition of the squares, or when
-    no hidden walk completes a step.
+    no hidden walk completes a step, and TypeError when ``proposition`` is
+    neither None nor a string.
     """
+    if proposition is not None and not isinstance(proposition, str):
+        raise TypeError(f"proposition {proposition!r} is not a string")
     net, originals = stage.net, stage.originals
     blocks = [range(len(c.states)) if b is None else b for c, b in zip(originals, stage.blocks)]
     prefix = prefix_of(stage.sq.lts, path)
@@ -813,8 +808,7 @@ def _pruned(m: _Moves) -> set[int]:
         row, rs = divmod(code, width)
         for _, d, _ in m.child_local[row]:
             preds[code + d].append(code)
-        if m.root_local[rs] or m.root_up[rs] or any(
-                a in m.root_dsts[rs] for a, _ in m.handoffs[row]):
+        if m.root_moves[rs] or any(a in m.root_dsts[rs] for a, _ in m.handoffs[row]):
             seeds.append(code)
     alive = closure(preds, seeds)
     locked = [code for code in m.codes if code not in alive]

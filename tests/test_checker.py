@@ -72,6 +72,16 @@ class TestCheckEf:
     def test_unknown_proposition_is_false_not_an_error(self, gx):
         assert check_ef(full_product(gx), "never_heard_of_it").holds is False
 
+    @pytest.mark.parametrize("proposition", [5, None, b"r3", ["r3_reached"]])
+    def test_a_proposition_that_is_no_string_is_named(self, gx, proposition):
+        # no label set holds one: it must not read as a name found nowhere,
+        # nor fail as an unhashable key
+        lts = full_product(gx)
+        for check in (check_ef, check_eg):
+            with pytest.raises(TypeError) as info:
+                check(lts, proposition)
+            assert str(info.value) == f"proposition {proposition!r} is not a string"
+
     def test_witnesses_are_shortest(self, gx):
         lts = full_product(gx)
         verdict = check_ef(lts, "r3_reached")
@@ -214,6 +224,14 @@ class TestLiftWitness:
         start = top.sq.lts.id_of(SquareOrigin(1, "s0", "r0"))
         prefix = lift_witness(top, Path((start,), ()))
         assert prefix.states == (GlobalTuple(("r0", "s0", "t0")),)
+
+    @pytest.mark.parametrize("proposition", [5, ["x"]])
+    def test_a_proposition_that_is_no_string_is_named(self, gx, proposition):
+        top = reduce_net_traced(gx)[1][-1]
+        path = check_ef(top.sq.lts, "r3_reached").witness
+        with pytest.raises(TypeError) as info:
+            lift_witness(top, path, proposition)
+        assert str(info.value) == f"proposition {proposition!r} is not a string"
 
     def test_open_step_lifts_with_the_idle_child_at_initial(self, gx):
         top = reduce_net_traced(gx)[1][-1]

@@ -429,6 +429,17 @@ def test_one_attribution_of_a_step():
         assert "transition_set" not in path.read_text(encoding="utf-8"), path
 
 
+def test_one_classification_of_an_action():
+    # upacts and downacts are the only stored classification; the squares
+    # split the root's moves by its downacts into one table of lone moves
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Attribute) and node.attr == "locacts"
+                       for node in ast.walk(tree)), path
+    assert "locacts" not in treelts.Network.__dataclass_fields__
+    assert not {"root_local", "root_up"} & set(reduction._Moves._fields)
+
+
 def test_one_matcher_of_a_step():
     # prefix_of and resolve_prefix look steps up through _movers alone, so
     # a path and a prefix are checked alike, movers included

@@ -426,6 +426,9 @@ class TestStats:
         assert not report.full_capped
         assert abs(report.reduction_ratio - 11 / 15) < 1e-12
         assert set(report.wall_times) == {"full_product", "reduce"}
+        as_json = report.to_dict()
+        assert json.loads(json.dumps(as_json)) == as_json
+        assert (as_json["full_states"], as_json["reduced_states"]) == (15, 11)
 
     def test_single_component_ratio_is_one(self):
         c = Component("c", ("s0", "s1"), "s0", (("s0", "a", "s1"),))

@@ -26,6 +26,11 @@ from treelts.errors import LiveResetWarning
 from shapes import ring_tree
 
 
+def local_acts(net, i):
+    """The actions of component ``i`` on no tree edge: neither up nor down."""
+    return net.components[i].acts - net.upacts[i] - net.downacts[i]
+
+
 class TestInferTopology:
     def test_gx_classification(self, gx):
         r = gx.index_of("R")
@@ -36,18 +41,18 @@ class TestInferTopology:
         assert gx.children[r] == (s1, s2)
         assert gx.upacts[r] == frozenset()
         assert gx.downacts[r] == {"open", "chooseL", "chooseR"}
-        assert gx.locacts[r] == {"beep"}
+        assert local_acts(gx, r) == {"beep"}
         assert gx.upacts[s1] == {"open"}
-        assert gx.downacts[s1] == frozenset() and gx.locacts[s1] == frozenset()
+        assert gx.downacts[s1] == frozenset() and local_acts(gx, s1) == frozenset()
         assert gx.upacts[s2] == {"chooseL", "chooseR"}
-        assert gx.locacts[s2] == {"tau"}
+        assert local_acts(gx, s2) == {"tau"}
         assert gx.upacts[s1] | gx.upacts[s2] == gx.downacts[r]
 
     def test_single_component_is_trivial_tree(self):
         c = Component("only", ("u0", "u1"), "u0", (("u0", "go", "u1"),))
         net = infer_topology([c], "only")
         assert net.children[0] == ()
-        assert net.locacts[0] == {"go"}
+        assert local_acts(net, 0) == {"go"}
         assert net.upacts[0] == frozenset() == net.downacts[0]
 
     def test_sibling_sharing_is_rejected(self):
@@ -88,7 +93,7 @@ class TestInferTopology:
         b = Component("b", ("s0",), "s0", (("s0", "tau", "s0"), ("s0", "x", "s0")))
         net = infer_topology([a, b], "a")
         assert net.parent[1] == 0
-        assert "tau" in net.locacts[0] and "tau" in net.locacts[1]
+        assert "tau" in local_acts(net, 0) and "tau" in local_acts(net, 1)
 
     def test_a_silent_string_is_rejected_not_read_as_a_type_error(self):
         c = Component("c", ("a",), "a", (("a", "tau", "a"),))
@@ -101,7 +106,7 @@ class TestInferTopology:
         net = two_level_network(r, [s1, s2], [gx.upacts[1], gx.upacts[2]],
                                 root_upacts=frozenset({"beep"}))
         assert net.upacts[net.root_index] == {"beep"}
-        assert "beep" not in net.locacts[net.root_index]
+        assert local_acts(net, net.root_index) == frozenset()
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_children_follow_component_order_on_an_out_of_order_tree(self, reverse):
@@ -391,7 +396,6 @@ class TestSubnetwork:
                 assert sub.components[new] is net.components[old]
                 assert sub.upacts[new] == net.upacts[old]
                 assert sub.downacts[new] == net.downacts[old]
-                assert sub.locacts[new] == net.locacts[old]
                 assert [kept[j] for j in sub.children[new]] == list(net.children[old])
                 parent = sub.parent[new]
                 assert (None if parent is None else kept[parent]) == (
@@ -415,7 +419,7 @@ class TestTwoLevelNetwork:
         root = Component("r", ("s0", "s1"), "s0", (("s0", "go", "s1"),))
         net = two_level_network(root, [Component("c", ("c0",), "c0")], [frozenset({"go"})])
         assert net.upacts[1] == {"go"} and net.downacts[0] == {"go"}
-        assert net.locacts[0] == frozenset()
+        assert local_acts(net, 0) == frozenset()
 
     @pytest.mark.parametrize("child_upacts, root_upacts, message", [
         ([{"tau"}, set()], set(), "action 'tau' declared by 'c1' is silent"),
@@ -471,9 +475,11 @@ class TestGeneratedInvariants:
         net = gen_random_tree(GenConfig(seed=seed, max_depth=3, max_children=3, max_states=4))
         for i, c in enumerate(net.components):
             nonsilent = c.acts - net.silent
-            up, down, loc = net.upacts[i], net.downacts[i], net.locacts[i]
-            assert up & down == up & (loc - net.silent) == down & (loc - net.silent) == set()
-            assert up | down | (loc - net.silent) == nonsilent
+            up, down = net.upacts[i], net.downacts[i]
+            # the local actions are the rest: the two sets must not overlap
+            # and must hold only non-silent actions the component uses
+            assert up & down == set()
+            assert up | down <= nonsilent
             for act in down:
                 assert sum(act in net.upacts[j] for j in net.children[i]) == 1
 

@@ -430,6 +430,7 @@ class TestHelpers:
         lts = full_product(gx)
         witness = check_ef(lts, "r3_reached").witness
         prefix = prefix_of(lts, witness)
+        assert len(prefix) == len(witness) == 4
         assert resolve_prefix(lts, prefix) == witness
         movers = [claimed if k in steps else m for k, m in enumerate(prefix.movers)]
         with pytest.raises(InvalidWitness) as info:
@@ -475,6 +476,27 @@ class TestExplicitLtsChecks:
     def test_labels_and_payloads_must_have_the_same_length(self):
         with pytest.raises(ValueError, match="^labels and payloads must have the same length$"):
             self.lts(labels=1)
+
+    @staticmethod
+    def labelled(labels):
+        return ExplicitLts(0, [0], ["a"], [1], [frozenset({0})], labels,
+                           [GlobalTuple(("x",)), GlobalTuple(("y",))])
+
+    @pytest.mark.parametrize("labels, kind", [
+        ("goal", "a string"), ({"goal": 1}, "a mapping"), (None, "of type NoneType"),
+    ], ids=["string", "mapping", "none"])
+    def test_a_label_set_that_is_no_collection_is_named(self, labels, kind):
+        # frozenset() would read a string as its letters and a mapping as its keys
+        with pytest.raises(ValidationError) as info:
+            self.labelled([frozenset(), labels])
+        assert str(info.value) == (
+            f"labels {labels!r} of state 1 are {kind}, not a set of propositions")
+
+    def test_any_collection_of_propositions_is_a_label_set(self):
+        lts = self.labelled([set(), ["goal"]])
+        assert lts.labels == (frozenset(), frozenset({"goal"}))
+        assert check_ef(lts, "goal").holds and not check_ef(lts, "g").holds
+        assert repr(lts) == "ExplicitLts(states=2, transitions=1, initial=0)"
 
 
 class TestFromArraysChecks:

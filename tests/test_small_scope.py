@@ -1,5 +1,5 @@
-"""Every small network of a few fixed shapes, and relations that need no
-oracle.
+"""Every small network of a few fixed shapes, the root's lone moves in
+their squares, and relations that need no oracle.
 
 The enumerator draws each component's transitions as any subset of a
 fixed candidate set, so no network of that scope goes untried (the
@@ -21,13 +21,16 @@ from treelts import (
     Component,
     GenConfig,
     NotATree,
+    SquareOrigin,
     Violation,
+    build_sq_unreduced,
     check_ef,
     equivalence_suite,
     gen_random_tree,
     infer_topology,
     reduce_net_traced,
     reduced_lts,
+    two_level_network,
     validate_live_reset,
 )
 from treelts.cli import main, save
@@ -142,6 +145,68 @@ def test_small_networks_that_break_live_reset_are_refused(tmp_path, capsys):
                 warnings.simplefilter("ignore", LiveResetWarning)
                 assert main(argv) == 2, (argv, net)
             assert "error: network is not live-reset: n1:" in capsys.readouterr().err
+
+
+def root_lone_edges(net):
+    """The square edges of the two-level ``net`` that its root takes alone,
+    as ``(src, act, dst)`` payloads, rebuilt from ``net`` alone: every root
+    move on an action outside its downacts, at every (child, child state,
+    root state) the square rules reach from the squares' initial pairs."""
+    r, kids, comps = net.root_index, net.children[net.root_index], net.components
+    root, down = comps[r], net.downacts[r]
+    start = {(k, comps[k].initial, root.initial) for k in kids}
+    seen, todo, edges = set(start), list(start), set()
+    while todo:
+        k, cs, rs = todo.pop()
+        child, up = comps[k], net.upacts[k]
+        reached = []
+        for s, a, d in root.transitions:
+            if s == rs and a not in down:
+                edges.add((SquareOrigin(k, cs, rs), a, SquareOrigin(k, cs, d)))
+                reached.append((k, cs, d))
+        for s, a, d in child.transitions:
+            if s == cs and a not in up:
+                reached.append((k, d, rs))
+            elif s == cs and d == child.initial:  # a handoff, with any root move on a
+                reached += [(j, comps[j].initial, rd) for rsrc, b, rd in root.transitions
+                            if rsrc == rs and b == a for j in kids]
+        for state in reached:
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return edges
+
+
+def with_root_upacts():
+    """Two-level random networks whose root declares upacts, each drawn from
+    its lone non-silent actions: all of them, and every other one."""
+    for seed in range(150):
+        tree = gen_random_tree(GenConfig(seed=seed, max_depth=2, max_children=3, max_states=4,
+                                         max_local_actions=3))
+        kids = [tree.components[k] for k in tree.children[tree.root_index]]
+        ups = [tree.upacts[k] for k in tree.children[tree.root_index]]
+        lone = sorted(tree.root.acts - tree.downacts[tree.root_index] - tree.silent)
+        for declared in dict.fromkeys([frozenset(lone), frozenset(lone[::2])]):
+            if declared:
+                yield two_level_network(tree.root, kids, ups, declared, tree.silent)
+
+
+@pytest.mark.parametrize("family", ["2-chain", "root-upacts"])
+def test_the_root_moves_alone_on_every_action_off_its_downacts(family):
+    # the squares split the root's moves by its downacts alone: a declared
+    # upact of the root moves it in place like a local action
+    nets = list(small_networks(SHAPES["2-chain"]) if family == "2-chain" else with_root_upacts())
+    on_upacts = 0  # root-alone edges on a declared upact of the root
+    for net in nets:
+        r = net.root_index
+        lts = build_sq_unreduced(net).lts
+        alone = {(lts.payloads[s], a, lts.payloads[d])
+                 for s, a, d, moved in zip(lts.src, lts.act, lts.dst, lts.movers)
+                 if moved == {r}}
+        assert alone == root_lone_edges(net), net
+        on_upacts += sum(a in net.upacts[r] for _, a, _ in alone)
+    assert len(nets) == (720 if family == "2-chain" else 80)
+    assert (on_upacts > 0) == (family == "root-upacts")
 
 
 def observed(net):
