@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path as FsPath
 
@@ -69,12 +70,15 @@ def load(path: str | FsPath) -> Network:
     """Parse a network file and infer its topology.
 
     Raises ParseError for an unreadable or non-UTF-8 file, for malformed
-    JSON (with position) and for JSON nested too deep to parse, and
-    ValidationError for structurally invalid documents.  The reset
-    discipline is not enforced here; run validate_live_reset separately.
+    JSON (with position) and for JSON nested too deep to parse,
+    ValidationError for structurally invalid documents, and TypeError for
+    a ``path`` that is not path-like: a number is no file descriptor here.
+    The reset discipline is not enforced here; run validate_live_reset
+    separately.
     """
     try:
-        text = FsPath(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), encoding="utf-8") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
@@ -125,22 +129,26 @@ def _component_from_doc(raw: object) -> tuple[Component, dict[str, str]]:
     for key in ("name", "states", "initial"):
         if key not in raw:
             raise ValidationError(f"component is missing required key {key!r}")
-    # Component checks the content; only the direction marks are the file's
-    marks: dict[str, str] = {}
     transitions = raw.get("transitions", [])
-    if isinstance(transitions, list):
-        transitions = transitions[:]  # the document keeps its marks
-        for i, tr in enumerate(transitions):
-            if type(tr) is list and len(tr) == 3 and type(tr[1]) is str and tr[1][:1] in ("?", "!"):
-                mark, act = tr[1][0], tr[1][1:]
+    comp = Component(raw["name"], raw["states"], raw["initial"], transitions,
+                     raw.get("labels", {}))
+    # Component has checked the content; only the direction marks are the
+    # file's, read off its few action names: only a hand-written file has them
+    marks: dict[str, str] = {}
+    if any(act[:1] in ("?", "!") for act in comp.acts):
+        stripped = []
+        for tr in transitions:
+            src, act, dst = tr
+            if act[:1] in ("?", "!"):
+                mark, act = act[0], act[1:]
                 if not act:
                     raise ValidationError(f"empty action name in transition {tr!r}")
                 if marks.setdefault(act, mark) != mark:
                     raise ValidationError(f"action {act!r} is marked both '?' and '!' "
-                                          f"in component {raw['name']!r}")
-                transitions[i] = [tr[0], act, tr[2]]
-    return Component(raw["name"], raw["states"], raw["initial"], transitions,
-                     raw.get("labels", {})), marks
+                                          f"in component {comp.name!r}")
+            stripped.append((src, act, dst))
+        comp = replace(comp, transitions=stripped)
+    return comp, marks
 
 
 def network_to_doc(net: Network) -> dict:

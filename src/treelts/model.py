@@ -276,21 +276,21 @@ def infer_topology(
         raise UnknownRoot(f"no component named {root!r}") from None
 
     n = len(comps)
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    sharers: dict[str, list[int]] = {}
+    first: dict[str, int] = {}  # the first user of each action
+    sharers: dict[str, list[int]] = {}  # the users of each action two or more use
     for i, c in enumerate(comps):
         for act in c.acts:
-            if act not in silent:
-                sharers.setdefault(act, []).append(i)
-    for act in sorted(sharers):
-        group = sharers[act]
-        if len(group) > 2:
-            shared_by = ", ".join(comps[i].name for i in group)
-            raise NotATree(f"action {act!r} is shared by {len(group)} components ({shared_by})")
-        if len(group) == 2:
-            i, j = group
-            adjacency[i].add(j)
-            adjacency[j].add(i)
+            if act not in silent and (j := first.setdefault(act, i)) != i:
+                sharers.setdefault(act, [j]).append(i)
+    over = min((act for act, group in sharers.items() if len(group) > 2), default=None)
+    if over is not None:
+        shared_by = ", ".join(comps[i].name for i in sharers[over])
+        raise NotATree(f"action {over!r} is shared by {len(sharers[over])} components "
+                       f"({shared_by})")
+    adjacency: list[set[int]] = [set() for _ in comps]
+    for i, j in sharers.values():
+        adjacency[i].add(j)
+        adjacency[j].add(i)
 
     parent: list[int | None] = [None] * n
     seen = {root_index}
@@ -305,7 +305,7 @@ def infer_topology(
     if len(seen) != n:
         missing = ", ".join(comps[i].name for i in range(n) if i not in seen)
         raise NotATree(f"components not connected to the root: {missing}")
-    edges = sum(map(len, adjacency.values())) // 2
+    edges = sum(map(len, adjacency)) // 2
     if edges != n - 1:
         raise NotATree(f"shared-action graph has a cycle ({edges} edges over {n} components)")
 

@@ -71,7 +71,7 @@ class ExplicitLts:
     constructor takes the lists over, not copies.  Each label set is a
     collection of propositions: a string, a mapping or a non-collection
     raises ValidationError, where ``frozenset`` would read its letters or
-    keys.
+    keys, and so does a member that is not a string.
     """
 
     def __init__(self, initial: int, src: list[int], act: list[str], dst: list[int],
@@ -82,12 +82,17 @@ class ExplicitLts:
         self.payloads: tuple[Payload, ...] = tuple(payloads)
         n = self.n_states = len(self.payloads)
         self.labels: tuple[frozenset[str], ...] = tuple(labels)
-        # every builder passes frozensets, which one pass in C lets through
-        if not {frozenset}.issuperset(map(type, self.labels)):
+        # every builder passes frozensets of strings, which two passes in C let through
+        if not ({frozenset}.issuperset(map(type, self.labels))
+                and {str}.issuperset(map(type, itertools.chain.from_iterable(self.labels)))):
             for i, ps in enumerate(self.labels):
                 if isinstance(ps, (str, Mapping)) or not isinstance(ps, Collection):
                     raise ValidationError(_misfit(f"labels {ps!r} of state {i}", ps,
                                                   "a set of propositions"))
+                for p in ps:
+                    if not isinstance(p, str):
+                        raise ValidationError(
+                            f"name {p!r} in the labels of state {i} is not a string")
             self.labels = tuple(map(frozenset, self.labels))
         if len(self.labels) != n:
             raise ValidationError("labels and payloads must have the same length")

@@ -30,8 +30,10 @@ from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidWitness, NotTwoLevel, ValidationError
-# subnetwork is not called here; perfbench/spans.py patches it in this namespace
-from .model import Component, Network, closure, subnetwork, two_level_network  # noqa: F401
+# subnetwork and two_level_network are not called here; perfbench/spans.py
+# patches them in this namespace
+from .model import (  # noqa: F401
+    Component, Network, _network, closure, subnetwork, two_level_network)
 from .product import (
     ExplicitLts,
     FreshInit,
@@ -70,7 +72,7 @@ def fresh_action(taken: frozenset[str] | set[str], base: str) -> str:
 def _taken(net: Network) -> set[str]:
     """Every name ``net`` uses, keeps silent or declares: a glue name must
     avoid them all, or ``cmpl`` takes it for a declared upact."""
-    return {a for c in net.components for a in c.acts}.union(net.silent, *net.upacts)
+    return set(net.silent).union(*net.upacts, *(c.acts for c in net.components))
 
 
 def build_sq_unreduced(net: Network, epsilon: str | None = None) -> SumOfSquares:
@@ -124,8 +126,8 @@ class _View(NamedTuple):
     """A component as the squares read it: integer tables over its state
     positions, ``(action, target)`` moves and label sets, and the actions
     the moves use.  A ``Component`` has every field, so the squares read it
-    as it is, and a network of views is classified by ``two_level_network``
-    like one of components."""
+    as it is, and a network of views is classified by ``_network`` like
+    one of components."""
 
     name: str
     states: tuple[str, ...]
@@ -386,17 +388,19 @@ def _summary_masks(net: Network, tops: Sequence[int]) -> _Summary:
         index = comp.index
         skip = up | net.downacts[i].difference(*(out[k][1] for k in kids))
         succ: list[list[int]] = [[] for _ in comp.states]
+        fire: list[tuple[int, str]] = []  # (position, upact) of each upact move
         for s, a, d in comp.transitions:
             if a not in skip:
                 succ[index[s]].append(index[d])
+            elif a in up:
+                fire.append((index[s], a))
         seen = closure(succ, [comp.init])
         mask = reduce(or_, (out[k][0] for k in kids), 0)
         for s, ps in comp.labels.items():
             if index[s] in seen:
                 for p in ps:
                     mask |= 1 << bit.setdefault(p, len(bit))
-        out[i] = (mask, frozenset(
-            a for s, a, _ in comp.transitions if a in up and index[s] in seen))
+        out[i] = (mask, frozenset(a for p, a in fire if p in seen))
     return out, list(bit)
 
 
@@ -590,8 +594,10 @@ class ReductionStage:
         """The stage's network of views and the block maps."""
         tree, kids = self.tree, self.tree.children[self.node]
         views, blocks = zip(*map(self._input, (self.node, *kids)))
-        return two_level_network(views[0], views[1:], [tree.upacts[k] for k in kids],
-                                 tree.upacts[self.node], tree.silent), blocks
+        # every builder of a tree already checked the declared sets that
+        # two_level_network checks: disjoint and not silent
+        return _network(views, 0, tree.silent, (None,) + (0,) * len(kids),
+                        [tree.upacts[i] for i in (self.node, *kids)]), blocks
 
     @cached_property
     def _built(self) -> tuple[SumOfSquares, int, int]:

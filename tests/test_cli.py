@@ -83,11 +83,18 @@ class TestLoad:
             network_from_doc(doc)
 
     def test_malformed_json_reports_position(self, tmp_path):
+        # a file is read as text, so every kind of line end counts
         bad = tmp_path / "bad.json"
-        bad.write_text("{\n  broken\n}", encoding="utf-8")
-        with pytest.raises(ParseError) as exc:
-            load(bad)
-        assert exc.value.line == 2
+        for newline in (b"\n", b"\r", b"\r\n"):
+            bad.write_bytes(newline.join([b"{", b"  broken", b"}"]))
+            with pytest.raises(ParseError) as exc:
+                load(bad)
+            assert exc.value.line == 2, newline
+
+    def test_a_number_is_no_path(self):
+        # open() would take it for a file descriptor
+        with pytest.raises(TypeError):
+            load(3)
 
     def test_direction_marks_are_checked(self):
         # the '!' claims an upstream synchronisation that does not exist
@@ -100,6 +107,19 @@ class TestLoad:
     def test_direction_marks_accepted_when_consistent(self, gx):
         # the bundled fixture uses ? and ! markers throughout
         assert gx.upacts[gx.index_of("S1")] == {"open"}
+        # a marked and an unmarked copy of one move are one transition, where
+        # the first copy stands
+        doc = {"root": "a", "components": [
+            {"name": "a", "states": ["s0", "s1"], "initial": "s0",
+             "transitions": [["s0", "x", "s1"], ["s1", "?go", "s0"], ["s1", "tau", "s1"],
+                             ["s1", "go", "s0"]]},
+            {"name": "b", "states": ["t0"], "initial": "t0",
+             "transitions": [["t0", "!go", "t0"]]}]}
+        net = network_from_doc(doc)
+        assert net.components[0].transitions == (
+            ("s0", "x", "s1"), ("s1", "go", "s0"), ("s1", "tau", "s1"))
+        assert net.components[1].transitions == (("t0", "go", "t0"),)
+        assert net.downacts[0] == {"go"}
 
     @pytest.mark.parametrize("doc, message", [
         (None, None),
@@ -119,9 +139,14 @@ class TestLoad:
          "transition ['s0', 'x'] in component 'a' is not a (src, action, dst) triple"),
         ({"root": "a", "components": [{**ONE_STATE, "transitions": [["s0", "!", "s0"]]}]},
          "empty action name in transition ['s0', '!', 's0']"),
+        # the content is checked before the marks
+        ({"root": "a", "components": [
+            {**ONE_STATE, "transitions": [["s0", "!", "s0"], ["s0", "x", "s9"]]}]},
+         "transition ('s0', 'x', 's9') uses unknown states in component 'a'"),
     ], ids=["unreadable", "not-an-object", "no-components", "silent-not-a-list",
             "unshared-down-mark", "component-not-an-object", "missing-key",
-            "transitions-not-a-list", "malformed-transition", "empty-marked-action"])
+            "transitions-not-a-list", "malformed-transition", "empty-marked-action",
+            "content-before-marks"])
     def test_each_rejection_names_its_cause(self, doc, message, tmp_path):
         src = tmp_path / "net.json"
         if doc is None:  # no file at all

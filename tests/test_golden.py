@@ -13,6 +13,7 @@ import os
 import re
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -32,13 +33,16 @@ from treelts import (
     infer_topology,
     product,
     prune_locked,
+    reduce_net,
     reduce_net_traced,
     reduction,
+    two_level_network,
 )
 from treelts.cli import load, main, save
 from treelts.fixtures import gx_path, gy_path
 from oracles import merge_home
 from shapes import all_locked_tree, ring_chain, ring_tree
+from test_small_scope import SHAPES, small_networks
 
 GOLDEN = Path(__file__).parent / "golden"
 PACKAGE = Path(treelts.__file__).parent
@@ -214,6 +218,21 @@ def test_one_pass_build_sq_is_the_reference_pruning(name):
                 prune_locked(build_sq_unreduced(stage.net)))
 
 
+@pytest.mark.parametrize("name", ["bounds-sweep", "2-chain"])
+def test_a_stage_network_is_the_one_two_level_network_builds(name):
+    # the reduction classifies its stage networks without two_level_network's
+    # checks, which every tree builder has made already
+    nets = bounds_sweep() if name == "bounds-sweep" else small_networks(SHAPES["2-chain"])
+    fields = ("root_index", "silent", "parent", "children", "upacts", "downacts")
+    for tree in nets:
+        for stage in reduce_net_traced(tree)[1]:
+            net, kids = stage.net, tree.children[stage.node]
+            built = two_level_network(net.components[0], net.components[1:],
+                                      [tree.upacts[k] for k in kids], tree.upacts[stage.node],
+                                      tree.silent)
+            assert [getattr(net, f) for f in fields] == [getattr(built, f) for f in fields]
+
+
 @pytest.mark.parametrize("name", ["gx", "gy", "chain", "wide"])
 def test_validate_output_matches_golden_text(name, tmp_path, capsys):
     if name in ("gx", "gy"):
@@ -321,6 +340,31 @@ def test_the_benchmark_tracer_reads_the_reduction_of_gx(monkeypatch, tmp_path):
     records = run.stage_records({}, [deeper])
     assert [(r["root"], r["level"]) for r in records] == [("n1", 1), ("n0", 0)]
     assert records[0]["result_states"] == 1
+
+
+@pytest.mark.parametrize("workload", ["chain", "balanced", "wide", "suite"])
+def test_the_benchmark_verdict_path_gives_the_reference_verdicts(workload, monkeypatch,
+                                                                 tmp_path):
+    # what ``perfbench/run.py`` times, on a few instances: the ring families
+    # against their verdicts by construction, the suite against the full product
+    run, families = perfbench_module("run", monkeypatch), perfbench_module("families", monkeypatch)
+    if workload == "suite":
+        nets, checked = list(families.capped_suite_stream(0, 10)), 0
+    else:
+        nets = families.generate(workload, 0)[:1]
+    for k, net in enumerate(nets):
+        path = tmp_path / f"inst-{k}.json"
+        save(net, path)
+        verdicts, states, transitions = run.verdict_path(run.Api(), path)
+        reduced = reduce_net(net)
+        assert (states, transitions) == (len(reduced.states), len(reduced.transitions)), k
+        if workload != "suite":
+            assert verdicts == families.ring_expected(net)
+        elif prod(len(c.states) for c in net.components) <= 10_000:
+            full = full_product(net)
+            assert verdicts == {p: check_ef(full, p).holds for p in net.propositions()}, k
+            checked += 1
+    assert workload != "suite" or checked > 0
 
 
 def test_names_the_benchmark_imports_from_treelts_exist():

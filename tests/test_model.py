@@ -66,11 +66,18 @@ class TestInferTopology:
             infer_topology([root, c1, c2], "r")
 
     def test_three_way_sharing_is_rejected(self):
-        comps = [
-            Component(f"c{i}", ("s0",), "s0", (("s0", "x", "s0"),)) for i in range(3)
-        ]
-        with pytest.raises(NotATree, match="shared by 3"):
-            infer_topology(comps, "c0")
+        for acts, message in [
+            ({"c0": "x", "c1": "x", "c2": "x"},
+             "action 'x' is shared by 3 components (c0, c1, c2)"),
+            # b is met first, but a is named, with its components in network order
+            ({"w": "b", "z": "ab", "x": "ab", "y": "a"},
+             "action 'a' is shared by 3 components (z, x, y)"),
+        ]:
+            comps = [Component(name, ("s0",), "s0", tuple(("s0", a, "s0") for a in names))
+                     for name, names in acts.items()]
+            with pytest.raises(NotATree) as info:
+                infer_topology(comps, comps[0].name)
+            assert str(info.value) == message
 
     def test_disconnected_is_rejected(self):
         a = Component("a", ("s0",), "s0", (("s0", "x", "s0"),))

@@ -492,6 +492,14 @@ class TestExplicitLtsChecks:
         assert str(info.value) == (
             f"labels {labels!r} of state 1 are {kind}, not a set of propositions")
 
+    @pytest.mark.parametrize("label, value", [
+        ([5], "5"), (frozenset({5}), "5"), ([["p"]], "['p']"),
+    ], ids=["number", "number-in-a-frozenset", "unhashable"])
+    def test_a_proposition_that_is_no_string_is_named(self, label, value):
+        with pytest.raises(ValidationError) as info:
+            self.labelled([frozenset({"goal"}), label])
+        assert str(info.value) == f"name {value} in the labels of state 1 is not a string"
+
     def test_any_collection_of_propositions_is_a_label_set(self):
         lts = self.labelled([set(), ["goal"]])
         assert lts.labels == (frozenset(), frozenset({"goal"}))
